@@ -81,7 +81,13 @@ class Classification:
         return all(r.agree for r in self.rows)
 
 
-def _row_definitions(analysis):
+def _row_definitions(analysis, booleans):
+    """Rows as (key, relation text, property text, relation, property).
+
+    Frame-level predicates come from classify_frame's booleans, whose
+    scattered, d_scattered and totally_spatial entries are relation-side,
+    so those three properties are computed here along their own routes.
+    """
     frame = analysis.frame
     every = frozenset(analysis.assembly)
     smooth = analysis.smooth
@@ -89,12 +95,12 @@ def _row_definitions(analysis):
     d_fam = analysis.d_family
     spatial_fam = analysis.spatial_family
 
-    spatial = frames.is_spatial(frame)
-    subfit = frames.is_subfit(frame)
+    spatial = booleans["spatial"]
+    subfit = booleans["subfit"]
     scattered = is_scattered_frame(frame)
-    covered_all = frames.covered_primes(frame) == frames.primes(frame)
-    maximal = frames.maximal_primes_only(frame)
-    strongly = frames.is_strongly_td_spatial(frame)
+    covered_all = booleans["primes_covered"]
+    maximal = booleans["primes_maximal"]
+    strongly = booleans["strongly_td_spatial"]
     totally = is_totally_spatial_by_essentials(frame)
     d_scattered = is_d_scattered_by_pointless(analysis)
 
@@ -164,7 +170,7 @@ def classify_frame(frame, cap=1 << 16, name="frame"):
     })
     out.rows = tuple(RowVerdict(key, rel_text, prop_text, rel, prop)
                      for key, rel_text, prop_text, rel, prop
-                     in _row_definitions(analysis))
+                     in _row_definitions(analysis, booleans))
     return out
 
 

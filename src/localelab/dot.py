@@ -8,6 +8,8 @@ in the member lists so the output is stable for golden-file tests.
 
 from __future__ import annotations
 
+import numpy as np
+
 from . import frames as fr
 from . import sublocales as subl
 
@@ -44,15 +46,11 @@ def assembly_dot(assembly, name="assembly"):
         if s.mask in shaded:
             attrs.append("style=filled")
         lines.append(f"  n{i} [{', '.join(attrs)}];")
-    # cover relation of the inclusion order
-    k = len(assembly)
-    for i in range(k):
-        for j in range(k):
-            if i == j or not assembly[i].members < assembly[j].members:
-                continue
-            if not any(assembly[i].members < assembly[m].members
-                       < assembly[j].members for m in range(k)):
-                lines.append(f"  n{i} -> n{j};")
+    # cover relation of the inclusion order, without validating the order
+    # as a frame: that check holds k^3 integers in memory
+    covers = fr.cover_relation(fr.inclusion_order(s.mask for s in assembly))
+    for i, j in zip(*covers.nonzero()):
+        lines.append(f"  n{i} -> n{j};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -60,29 +58,20 @@ def assembly_dot(assembly, name="assembly"):
 def space_dot(space, name="space"):
     """Specialization preorder, drawn on equivalence classes of points."""
     m = space.points
-    below = [[all(y in u for u in space.opens if x in u) for y in range(m)]
-             for x in range(m)]   # below[x][y]: x in closure of {y}
+    opens = list(space.opens)
+    # below[x, y]: x in closure of {y}, i.e. every open around x holds y
+    below = fr.inclusion_order(
+        fr.mask_of(k for k, u in enumerate(opens) if x in u) for x in range(m))
     classes = []
-    assigned = [None] * m
     for x in range(m):
-        if assigned[x] is None:
-            cls = [y for y in range(m) if below[x][y] and below[y][x]]
-            for y in cls:
-                assigned[y] = len(classes)
-            classes.append(cls)
+        if not any(x in cls for cls in classes):
+            classes.append([y for y in range(m) if below[x, y] and below[y, x]])
     lines = [f"digraph {name} {{", "  rankdir=BT;"]
     for i, cls in enumerate(classes):
         label = "=".join(str(x) for x in sorted(cls))
         lines.append(f"  n{i} [label={_quote(label)}];")
-
-    def class_lt(i, j):
-        return i != j and below[classes[i][0]][classes[j][0]]
-
-    for i in range(len(classes)):
-        for j in range(len(classes)):
-            if class_lt(i, j) and not any(
-                    class_lt(i, k) and class_lt(k, j)
-                    for k in range(len(classes))):
-                lines.append(f"  n{i} -> n{j};")
+    reps = [cls[0] for cls in classes]
+    for i, j in zip(*fr.cover_relation(below[np.ix_(reps, reps)]).nonzero()):
+        lines.append(f"  n{i} -> n{j};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -152,8 +152,7 @@ class FiniteFrame:
     @cached_property
     def covers(self):
         """covers[i][j] True iff j covers i (i < j with nothing between)."""
-        lt = self.leq & ~np.eye(self.n, dtype=bool)
-        out = lt & ~(lt @ lt)
+        out = cover_relation(self.leq)
         out.flags.writeable = False
         return out
 
@@ -229,9 +228,6 @@ class FiniteFrame:
             r = int(self.join[r, x])
         return r
 
-    def le(self, a, b):
-        return bool(self.leq[a, b])
-
     def meet_close_mask(self, mask):
         """Close a bitmask of elements under binary meets; always adds top."""
         meet = self.meet_rows
@@ -267,6 +263,27 @@ def mask_of(elements):
 
 def elements_of_mask(mask):
     return frozenset(bits_of(mask))
+
+
+def inclusion_order(masks):
+    """Boolean matrix leq[i, j]: masks[i] is a subset of masks[j].
+
+    The one builder of inclusion orders.  Masks are ints of any width,
+    compared one 64-bit word at a time: no k x k x width temporary.
+    """
+    masks = list(masks)
+    leq = True
+    for shift in range(0, max(masks, default=0).bit_length() or 1, 64):
+        words = np.array([m >> shift & 0xFFFFFFFFFFFFFFFF for m in masks],
+                         dtype=np.uint64)
+        leq = leq & (words[:, None] & ~words == 0)
+    return leq
+
+
+def cover_relation(leq):
+    """covers[i, j] True iff j covers i in the partial order leq."""
+    lt = leq & ~np.eye(len(leq), dtype=bool)
+    return lt & ~(lt @ lt)
 
 
 def verify_frame(leq, labels=None):
@@ -352,16 +369,6 @@ def maximal_primes_only(frame):
 # ---------------------------------------------------------------------------
 # poset / downset-lattice generation
 
-def is_partial_order(rel):
-    rel = np.asarray(rel, dtype=bool)
-    n = rel.shape[0]
-    if not rel[np.diag_indices(n)].all():
-        return False
-    if (rel & rel.T).sum() > n:
-        return False
-    return not ((rel @ rel) & ~rel).any()
-
-
 def downsets(poset_leq):
     """All downsets of a poset, as bitmasks sorted by (size, value)."""
     poset_leq = np.asarray(poset_leq, dtype=bool)
@@ -392,14 +399,9 @@ def downset_lattice(poset_leq, point_names=None):
     if point_names is None:
         point_names = [str(i) for i in range(k)]
     ds = downsets(poset_leq)
-    n = len(ds)
-    leq = np.zeros((n, n), dtype=bool)
-    for i, a in enumerate(ds):
-        for j, b in enumerate(ds):
-            leq[i, j] = a & ~b == 0
     labels = tuple("{" + ",".join(point_names[p] for p in bits_of(m)) + "}"
                    for m in ds)
-    return verify_frame(leq, labels=labels)
+    return verify_frame(inclusion_order(ds), labels=labels)
 
 
 def random_poset(rng, size):

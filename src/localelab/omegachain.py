@@ -88,9 +88,6 @@ class ChainSublocale:
     def is_infinite(self):
         return self.tail is not None
 
-    def levels_upto(self, n):
-        return frozenset(k for k in range(1, n + 1) if self.has_level(k))
-
     def __repr__(self):
         return "chain<" + format_description(self) + ">"
 
@@ -116,9 +113,6 @@ class ChainPointSet:
 
     def is_empty(self):
         return not self.finite_part and self.tail is None and not self.bottom
-
-    def levels_upto(self, n):
-        return frozenset(k for k in range(1, n + 1) if self.has_level(k))
 
 
 def _canonical_levels(finite, tail):

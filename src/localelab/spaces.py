@@ -50,9 +50,6 @@ class FiniteSpace:
                     raise SpaceError(f"not closed under intersection: "
                                      f"{sorted(u)} & {sorted(v)}")
 
-    def neighbourhoods(self, x):
-        return [u for u in self.opens if x in u]
-
     def closure_of(self, pts):
         """Complement of the union of opens missing every given point."""
         avoid = frozenset().union(*(u for u in self.opens if not u & pts))
@@ -91,28 +88,22 @@ def from_preorder(rel):
 
 
 def all_spaces(points):
-    """All topologies on the given point count, one per preorder."""
-    if points == 0:
-        return [FiniteSpace(0, frozenset({frozenset()}))]
+    """All topologies on the given point count, one per preorder.
+
+    Only off-diagonal pairs are chosen, so each preorder comes once.
+    """
+    pairs = [(i, j) for i in range(points) for j in range(points) if i != j]
     out = []
-    for mask in range(1 << (points * points)):
-        rel = np.array([[bool(mask >> (i * points + j) & 1) for j in range(points)]
-                        for i in range(points)])
-        np.fill_diagonal(rel, True)
+    for mask in range(1 << len(pairs)):
+        rel = np.eye(points, dtype=bool)
+        for t in frames.bits_of(mask):
+            rel[pairs[t]] = True
         closed = rel.copy()
         for k in range(points):
             closed |= closed[:, k, None] & closed[None, k, :]
-        if (closed != rel).any():
-            continue
-        out.append(from_preorder(rel))
-    # distinct topologies only; preorders biject with them, but keep it safe
-    seen = set()
-    uniq = []
-    for sp in out:
-        if sp.opens not in seen:
-            seen.add(sp.opens)
-            uniq.append(sp)
-    return uniq
+        if (closed == rel).all():
+            out.append(from_preorder(rel))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -140,11 +131,7 @@ def omega(sp):
     frame object.
     """
     opens = sorted(sp.opens, key=lambda u: (len(u), tuple(sorted(u))))
-    n = len(opens)
-    leq = np.zeros((n, n), dtype=bool)
-    for i, u in enumerate(opens):
-        for j, v in enumerate(opens):
-            leq[i, j] = u <= v
+    leq = frames.inclusion_order(frames.mask_of(u) for u in opens)
     labels = ["{" + ",".join(str(x) for x in sorted(u)) + "}" for u in opens]
     return OmegaFrame(frames.verify_frame(leq, labels=labels), tuple(opens))
 

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from functools import cached_property, lru_cache
 
-import numpy as np
-
 from . import frames
 from .frames import bits_of, elements_of_mask, mask_of
 
@@ -329,12 +327,23 @@ def is_complemented(sub):
     return sub.mask & supplement(sub).mask == 1 << sub.frame.top
 
 
+def family_order_frame(subs):
+    """Reverse-inclusion order frame of a family of sublocales.
+
+    The one builder of such frames.  Returns (frame, members sorted by
+    Sublocale.sort_key); i <= j iff members[i] contains members[j].
+    """
+    subs = sorted(subs, key=Sublocale.sort_key)
+    leq = frames.inclusion_order(s.mask for s in subs).T
+    return frames.verify_frame(leq, labels=[repr(s) for s in subs]), subs
+
+
 class Assembly:
     """All sublocales of a frame, with a deterministic index.
 
     order_frame materialises the reverse-inclusion order (the dual of the
-    coframe of sublocales) as a FiniteFrame, so the whole element-level
-    toolkit applies to the assembly itself.
+    coframe of sublocales) as a FiniteFrame through family_order_frame, so
+    the whole element-level toolkit applies to the assembly itself.
     """
 
     def __init__(self, frame, sublocales):
@@ -360,13 +369,7 @@ class Assembly:
     @cached_property
     def order_frame(self):
         """Reverse inclusion as a FiniteFrame: i <= j iff S_i contains S_j."""
-        n = len(self.sublocales)
-        leq = np.zeros((n, n), dtype=bool)
-        for i, a in enumerate(self.sublocales):
-            for j, b in enumerate(self.sublocales):
-                leq[i, j] = b.mask & ~a.mask == 0
-        labels = [repr(s) for s in self.sublocales]
-        return frames.verify_frame(leq, labels=labels)
+        return family_order_frame(self.sublocales)[0]
 
 
 def enumerate_assembly(frame, cap=1 << 16):

@@ -6,7 +6,9 @@ joins of closed sublocales, the sublocales whose intrinsic covered primes
 are covered in the ambient frame, and the spatial sublocales.  On top of
 that: the meet-closure adjunction between prime subsets and sublocales,
 localic images and preimages, the lifting of a frame surjection to the
-assemblies, and essential-prime machinery.
+assemblies, and essential-prime machinery.  Order frames of families
+come from sublocales.family_order_frame, the one builder of
+reverse-inclusion orders.
 """
 
 from __future__ import annotations
@@ -94,11 +96,6 @@ def is_d_sublocale(sub):
     return covered_points_of(sub) <= frames.covered_primes(sub.frame)
 
 
-def extrinsic_covered_points(sub):
-    """Ambient covered primes lying in the sublocale, for comparison."""
-    return frames.covered_primes(sub.frame) & sub.members
-
-
 # ---------------------------------------------------------------------------
 # the meet-closure adjunction
 
@@ -132,18 +129,13 @@ class PrimeSubset:
 def meet_closure(frame, points):
     """The sublocale {meet of A : A subset of the given primes}.
 
-    Also computed as the join of the one-point sublocales {1, p} and
-    asserted equal; the two routes keep each other honest.
+    theorems.law_td_adjunction compares it with the join of the one-point
+    sublocales {1, p}, the second route, on every subset of the primes.
     """
     if isinstance(points, PrimeSubset):
         points = points.elements
-    direct = subl._from_mask(frame, frame.meet_close_mask(mask_of(points)),
-                             _validate=True)
-    via_join = subl.sublocale_join(
-        frame, [Sublocale(frame, {frame.top, p}) for p in points])
-    if direct != via_join:
-        raise AssertionError("meet closure disagrees with the join of points")
-    return direct
+    return subl._from_mask(frame, frame.meet_close_mask(mask_of(points)),
+                           _validate=True)
 
 
 def spatialization(sub):
@@ -266,11 +258,6 @@ def spatial_sublocales(assembly):
     return frozenset(s for s in assembly if is_spatial_sublocale(s))
 
 
-def td_spatial_image(assembly):
-    """Image of td_spatialization over all D-sublocales."""
-    return frozenset(td_spatialization(s) for s in d_sublocales(assembly))
-
-
 # ---------------------------------------------------------------------------
 # adjoint pairs, images and preimages of localic maps
 
@@ -322,28 +309,21 @@ def sublocale_frame(sub):
     """The sublocale as a frame in its own right, with its element map.
 
     Returns (frame, members) where members[i] is the ambient element of
-    the i-th new element; the induced order is re-validated as a frame.
+    the i-th new element; the order restricted to the members is
+    re-validated as a frame.
     """
     members = sorted(sub.members)
-    k = len(members)
-    leq = np.zeros((k, k), dtype=bool)
-    for i, a in enumerate(members):
-        for j, b in enumerate(members):
-            leq[i, j] = sub.frame.leq[a, b]
     labels = [sub.frame.labels[a] for a in members]
-    return frames.verify_frame(leq, labels=labels), tuple(members)
+    return (frames.verify_frame(sub.frame.leq[np.ix_(members, members)],
+                                labels=labels), tuple(members))
 
 
 def sublocale_surjection_pair(sub):
     """The frame surjection onto a sublocale with the inclusion as adjoint."""
     sub_frame, members = sublocale_frame(sub)
     pos = {a: i for i, a in enumerate(members)}
-    hom = [pos[sub_nucleus(sub, a)] for a in range(sub.frame.n)]
+    hom = [pos[subl.sub_nucleus_image(sub, a)] for a in range(sub.frame.n)]
     return AdjointPair(sub.frame, sub_frame, hom, members), sub_frame, members
-
-
-def sub_nucleus(sub, a):
-    return subl.sub_nucleus_image(sub, a)
 
 
 def image(pair, sub):
@@ -393,17 +373,6 @@ class AssemblyLift:
         self.target_members = target_members
 
 
-def family_order_frame(subs):
-    """Reverse-inclusion order frame of a family of sublocales."""
-    subs = sorted(subs, key=Sublocale.sort_key)
-    k = len(subs)
-    leq = np.zeros((k, k), dtype=bool)
-    for i, a in enumerate(subs):
-        for j, b in enumerate(subs):
-            leq[i, j] = b.mask & ~a.mask == 0
-    return frames.verify_frame(leq, labels=[repr(s) for s in subs]), subs
-
-
 def lift_surjection(frame, sub, cap=1 << 16):
     """Lift the surjection onto `sub` to the assemblies of D-sublocales.
 
@@ -417,13 +386,13 @@ def lift_surjection(frame, sub, cap=1 << 16):
         raise NotLiftable(f"{sub!r} is not a D-sublocale")
     assembly = subl.enumerate_assembly(frame, cap)
     src_family = d_sublocales(assembly)
-    src_frame, src_subs = family_order_frame(src_family)
+    src_frame, src_subs = subl.family_order_frame(src_family)
 
     sub_frame, members = sublocale_frame(sub)
     pos = {a: i for i, a in enumerate(members)}
     tgt_assembly = subl.enumerate_assembly(sub_frame, cap)
     tgt_family = d_sublocales(tgt_assembly)
-    tgt_frame, tgt_subs = family_order_frame(tgt_family)
+    tgt_frame, tgt_subs = subl.family_order_frame(tgt_family)
     tgt_index = {t.members: i for i, t in enumerate(tgt_subs)}
 
     def meet_in_family(t):

@@ -85,7 +85,7 @@ def _intrinsically_spatial(sub):
 def td_spatial_suite(an):
     frame = an.frame
     spec = spaces.spectrum_td(frame)
-    smooth_frame, _ = sy.family_order_frame(an.smooth)
+    smooth_frame, _ = subl.family_order_frame(an.smooth)
     return SuiteResult("td_spatial_characterization", (
         ("counit_injective", len(set(spec.sigma)) == frame.n),
         ("meets_of_covered", frames.is_td_spatial(frame)),
@@ -101,7 +101,7 @@ def strongly_td_spatial_suite(an):
     spec = spaces.spectrum(frame)
     covered_all = an.covered == an.points
     injective = len(set(spec.sigma)) == frame.n
-    spatial_frame, _ = sy.family_order_frame(an.spatial_family)
+    spatial_frame, _ = subl.family_order_frame(an.spatial_family)
     return SuiteResult("strongly_td_spatial_characterization", (
         ("counit_injective_and_covered", injective and covered_all),
         ("meets_of_covered_and_covered",
@@ -136,7 +136,7 @@ def total_td_spatiality_suite(an):
     frame = an.frame
     every = list(an.assembly)
     d_fam = an.d_family
-    d_frame, _ = sy.family_order_frame(d_fam)
+    d_frame, _ = subl.family_order_frame(d_fam)
     zero = subl.zero(frame)
     return SuiteResult("total_td_spatiality_characterization", (
         ("all_sublocales_td_spatial",
@@ -486,12 +486,18 @@ def law_td_adjunction(an):
                 if covered_of_mask(jmask) != union:
                     return LawResult("td_adjunction", False, checked,
                                      "covered points of join differ from union")
-    # classical adjunction law, same shape with plain primes
+    # classical adjunction law, same shape with plain primes; the meet
+    # closure is checked against its second route, the join of points
     pts = sorted(an.points)
     subs = list(an.assembly)
     for sel in range(1 << len(pts)):
         y = frozenset(pts[i] for i in frames.bits_of(sel))
         m = sy.meet_closure(frame, sy.PrimeSubset(frame, y, classical=True))
+        checked += 1
+        if m != subl.sublocale_join(
+                frame, [Sublocale(frame, {frame.top, p}) for p in y]):
+            return LawResult("td_adjunction", False, checked,
+                             "meet closure disagrees with the join of points")
         for s in subs:
             checked += 1
             if (m.members <= s.members) != (y <= sy.points_of(s)):

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import os
 
@@ -226,3 +227,72 @@ class TestEnvironment:
         monkeypatch.setenv(cli.CAP_ENV, "many")
         code, text = run(["analyze", chain3_file])
         assert code == cli.EXIT_PARSE
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# digests of outputs recorded before the inclusion-order builder replaced
+# the hand-written order loops; output must stay byte-identical
+GOLDEN_VERIFY = {
+    ("--seed", "1", "--bound", "4", "--count", "40"):
+        "77361c7407136dd54997ac5c3c1e04ad676ed9e03e3c017ad1fe714cdcb3cee8",
+    ("--seed", "1005201", "--bound", "6", "--count", "1"):
+        "4f8ba3fe6ab64076728c4499ae72cee3626c0937ee85aa4c4bf8c9dec8da2894",
+}
+GOLDEN_ANALYZE_KEYVALUE = \
+    "9b928babe0c02f6126d0963b61af7f37f61d79076a008c6ee7108482b10ee657"
+GOLDEN_DOT = {
+    "frame_0001.assembly.dot":
+        "6d691bc4738e9b7bd5e3a71efe62fb715568b2ea83f57acb9f3bb97d8d39f298",
+    "frame_0001.frame.dot":
+        "4592a5c94b367a1bff09e8b13335eb47805cff2345183c432d097eb6f52a0e5b",
+    "frame_0002.assembly.dot":
+        "01915650a6d97592e5c93cb09850aad725498cc61b0ed85755cc21e1ef43b21f",
+    "frame_0002.frame.dot":
+        "46bec99d29eaa9cc993022657ad15bf9eec3401458b265af3e0965cff5c365ad",
+    "frame_0003.assembly.dot":
+        "01915650a6d97592e5c93cb09850aad725498cc61b0ed85755cc21e1ef43b21f",
+    "frame_0003.frame.dot":
+        "46bec99d29eaa9cc993022657ad15bf9eec3401458b265af3e0965cff5c365ad",
+    "frame_0004.assembly.dot":
+        "076c0554108628f2a1f9519fd86d1332346e433d7f41a6a2bafd5475557de457",
+    "frame_0004.frame.dot":
+        "3a48f4f1aee81ef9542bd8ca5c34fb4ee1ada66a48a283d48d3b6cc25bee51e2",
+    "frame_0005.assembly.dot":
+        "01915650a6d97592e5c93cb09850aad725498cc61b0ed85755cc21e1ef43b21f",
+    "frame_0005.frame.dot":
+        "46bec99d29eaa9cc993022657ad15bf9eec3401458b265af3e0965cff5c365ad",
+    "frame_0006.assembly.dot":
+        "9176dcbb7c3bfc30cc2f69b191bb4acedc56b94c8f483556c66b626538fc2aea",
+    "frame_0006.frame.dot":
+        "3cd2efb569e86bda76ebd66e8c106b28feadc85ebb01e6510dada81503ecde56",
+}
+
+
+class TestGolden:
+    @pytest.mark.parametrize("args", sorted(GOLDEN_VERIFY))
+    def test_verify_transcript(self, args, tmp_path):
+        code, text = run(["verify", *args, "--out-dir", str(tmp_path)])
+        assert code == cli.EXIT_OK
+        assert sha256(text) == GOLDEN_VERIFY[args]
+
+    @pytest.fixture
+    def random_frames(self, tmp_path):
+        out_dir = tmp_path / "frames"
+        run(["random", "--seed", "7", "--bound", "5", "--count", "6",
+             "--out-dir", str(out_dir)])
+        return sorted(str(p) for p in out_dir.iterdir())
+
+    def test_analyze_keyvalue(self, random_frames):
+        code, text = run(["analyze", "--format", "keyvalue", *random_frames])
+        assert code == cli.EXIT_OK
+        assert sha256(text) == GOLDEN_ANALYZE_KEYVALUE
+
+    def test_dot_files(self, random_frames, tmp_path):
+        out_dir = tmp_path / "dot"
+        code, _ = run(["dot", "--out-dir", str(out_dir), *random_frames])
+        assert code == cli.EXIT_OK
+        got = {p.name: sha256(p.read_text()) for p in out_dir.iterdir()}
+        assert got == GOLDEN_DOT

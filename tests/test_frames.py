@@ -192,6 +192,18 @@ def test_random_frames_satisfy_residuation(seed):
                        for c in range(f.n))
 
 
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.integers(0, (1 << 130) - 1), max_size=12), st.data())
+def test_inclusion_order_is_pairwise_subset(masks, data):
+    # wide masks, and masks that are subsets of one another across words
+    masks += [m & data.draw(st.integers(0, (1 << 130) - 1)) for m in masks]
+    leq = frames.inclusion_order(masks)
+    assert leq.dtype == bool and leq.shape == (len(masks), len(masks))
+    for i, a in enumerate(masks):
+        for j, b in enumerate(masks):
+            assert leq[i, j] == (a & ~b == 0)
+
+
 class TestTextFormat:
     def test_roundtrip(self, fixture_frames):
         for f in fixture_frames.values():

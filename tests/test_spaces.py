@@ -168,11 +168,27 @@ class TestSpaceDot:
         assert "->" not in text
 
 
+class TestAllSpaces:
+    def test_counts_match_finite_topologies(self):
+        # labelled topologies on 0..4 points (OEIS A000798), each once
+        for k, count in enumerate((1, 1, 4, 29, 355)):
+            found = spaces.all_spaces(k)
+            assert len(found) == count
+            assert len({sp.opens for sp in found}) == count
+
+
 class TestSpaceFormat:
     def test_roundtrip(self):
         for sp in (spaces.sierpinski(), spaces.discrete(2),
                    spaces.indiscrete(3)):
             assert spaces.parse_space_text(spaces.space_to_text(sp)) == sp
+
+    def test_roundtrip_all_small_spaces(self, tmp_path):
+        for sp in all_small_spaces(3):
+            assert spaces.parse_space_text(spaces.space_to_text(sp)) == sp
+        path = tmp_path / "sierpinski.space"
+        path.write_text(spaces.space_to_text(spaces.sierpinski()))
+        assert spaces.load_space(str(path)) == spaces.sierpinski()
 
     def test_unknown_key(self):
         with pytest.raises(SpaceFormatError) as exc:

@@ -239,6 +239,18 @@ class TestAssemblyOrder:
         assert assembly[order.top] == subl.zero(chain3)
         assert assembly[order.bottom] == subl.whole(chain3)
 
+    def test_family_builder_sorts_and_reverses_inclusion(self, small_corpus):
+        for f in (f for f in small_corpus if f.n <= 6):
+            assembly = subl.enumerate_assembly(f)
+            shuffled = list(assembly)[::-1]
+            order, subs = subl.family_order_frame(shuffled)
+            assert subs == sorted(shuffled, key=Sublocale.sort_key)
+            assert order.labels == tuple(repr(s) for s in subs)
+            for i, s in enumerate(subs):
+                for j, t in enumerate(subs):
+                    assert order.leq[i, j] == (t.members <= s.members)
+            assert (assembly.order_frame.leq == order.leq).all()
+
     def test_meet_join_agree_with_set_ops(self, small_corpus):
         for f in (f for f in small_corpus if f.n <= 6):
             assembly = subl.enumerate_assembly(f)

@@ -63,6 +63,21 @@ class TestInconsistencyDetection:
         verdict = theorems.verify_frame_theorems(square)
         assert not verdict.passed
 
+    def test_meet_closure_checked_against_join_of_points(self, square,
+                                                         monkeypatch):
+        # a meet closure that drops the bottom on classical prime subsets
+        real = sy.meet_closure
+
+        def doctored(frame, points):
+            got = real(frame, points)
+            if isinstance(points, sy.PrimeSubset) and points.classical:
+                return subl._from_mask(frame, got.mask & ~(1 << frame.bottom))
+            return got
+        monkeypatch.setattr(sy, "meet_closure", doctored)
+        result = theorems.law_td_adjunction(sy.FrameAnalysis(square))
+        assert not result.ok
+        assert "join of points" in result.detail
+
     def test_difference_mutant_named_in_law_report(self, square, monkeypatch):
         # the naive difference escapes the assembly; the law battery says so
         mutants.difference_without_decomposition(monkeypatch)
