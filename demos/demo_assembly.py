@@ -37,7 +37,7 @@ print("subfit?", frames.is_subfit(chain3),
       " (joins of closed = smooth exactly for subfit frames)")
 
 # the meet-closure adjunction between covered-prime subsets and sublocales
-report = sy.check_td_adjunction(chain3)
+report = sy.check_td_adjunction(assembly)
 print("\nadjunction law checked", report.checked, "times:",
       "pass" if report.passed else report.failures[0])
 

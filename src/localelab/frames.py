@@ -215,6 +215,15 @@ class FiniteFrame:
                     reducible.add(m)
         return frozenset(set(range(n)) - reducible - {self.top})
 
+    @cached_property
+    def _covered_primes(self):
+        out = set()
+        for p in self._primes:
+            above = [x for x in range(self.n) if self.leq[p, x] and x != p]
+            if self.meet_of(above) != p:
+                out.add(p)
+        return frozenset(out)
+
     def meet_of(self, elements):
         """Meet of an iterable of elements; the empty meet is the top."""
         r = self.top
@@ -320,15 +329,10 @@ def covered_primes(frame):
 
     For a finite frame this equals primes(frame): the meet of the strict
     upset of a prime is attained, hence lies strictly above p.  The check
-    is still performed for real so that sublattice scans and mutation
-    tests are not presumed degenerate.
+    is still performed for real, once per frame, so that sublattice scans
+    and mutation tests are not presumed degenerate.
     """
-    out = set()
-    for p in primes(frame):
-        above = [x for x in range(frame.n) if frame.leq[p, x] and x != p]
-        if frame.meet_of(above) != p:
-            out.add(p)
-    return frozenset(out)
+    return frame._covered_primes
 
 
 def is_spatial(frame):

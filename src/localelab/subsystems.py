@@ -172,12 +172,14 @@ class AdjunctionReport:
 def check_td_adjunction(frame, cap=1 << 16):
     """Verify the adjunction law between covered-prime subsets and D-sublocales.
 
-    For every D-sublocale S and every subset Y of the covered primes:
+    frame may also be its already enumerated Assembly.  For every
+    D-sublocale S and every subset Y of the covered primes:
     meet_closure(Y) <= S iff Y <= covered_points_of(S); additionally
     taking covered points of a meet closure must give the subset back.
     """
     assembly = _assembly_of(frame, cap)
-    dsubs = [s for s in assembly if is_d_sublocale(s)]
+    frame = assembly.frame
+    dsubs = [(s, covered_points_of(s)) for s in assembly if is_d_sublocale(s)]
     pts = sorted(frames.covered_primes(frame))
     failures = []
     checked = 0
@@ -186,10 +188,10 @@ def check_td_adjunction(frame, cap=1 << 16):
         m = meet_closure(frame, y)
         if covered_points_of(m) != y:
             failures.append(f"covered points of closure of {sorted(y)} differ")
-        for s in dsubs:
+        for s, covered in dsubs:
             checked += 1
             lhs = m.members <= s.members
-            rhs = y <= covered_points_of(s)
+            rhs = y <= covered
             if lhs != rhs:
                 failures.append(
                     f"law fails for Y={sorted(y)} S={s!r}: {lhs} vs {rhs}")
@@ -380,11 +382,13 @@ def lift_surjection(frame, sub, cap=1 << 16):
     family of D-sublocales); it exists exactly when sub itself is a
     D-sublocale.  The returned AdjointPair lives on the reverse-inclusion
     order frames, and is checked to preserve meets, joins, and the
-    closed-sublocale generators with elements of sub.
+    closed-sublocale generators with elements of sub.  frame may also be
+    its already enumerated Assembly.
     """
     if not is_d_sublocale(sub):
         raise NotLiftable(f"{sub!r} is not a D-sublocale")
-    assembly = subl.enumerate_assembly(frame, cap)
+    assembly = _assembly_of(frame, cap)
+    frame = assembly.frame
     src_family = d_sublocales(assembly)
     src_frame, src_subs = subl.family_order_frame(src_family)
 

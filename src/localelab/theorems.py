@@ -10,6 +10,7 @@ the engine or a real counterexample; both are reported with witnesses.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -50,10 +51,6 @@ class LawResult:
     ok: bool
     checked: int
     detail: str = ""
-
-
-class _NotEvenASublocale(Exception):
-    """An operation produced a set outside the assembly."""
 
 
 def is_boolean_lattice(frame):
@@ -161,6 +158,7 @@ def assembly_powerset_suite(an):
     every = list(an.assembly)
     order = an.assembly.order_frame
     covered_all = an.covered == an.points
+    totally_spatial = an.spatial_family == frozenset(an.assembly)
     zero = subl.zero(frame)
 
     def covered_essentials(a):
@@ -170,11 +168,9 @@ def assembly_powerset_suite(an):
         return sy.absolutely_essential_primes(frame, a) & an.covered
 
     return SuiteResult("assembly_powerset_characterization", (
-        ("totally_spatial_and_covered",
-         all(sy.spatialization(s) == s for s in every) and covered_all),
+        ("totally_spatial_and_covered", totally_spatial and covered_all),
         ("totally_spatial_and_strongly_td",
-         all(sy.spatialization(s) == s for s in every)
-         and frames.is_strongly_td_spatial(frame)),
+         totally_spatial and frames.is_strongly_td_spatial(frame)),
         ("all_sublocales_strongly_td",
          all(_intrinsically_spatial(s)
              and sy.sub_covered_primes(s) == sy.sub_primes(s) for s in every)),
@@ -221,8 +217,7 @@ def d_family_vs_closed_joins_suite(an):
 
 def totally_spatial_suite(an):
     return SuiteResult("totally_spatial_characterization", (
-        ("all_sublocales_spatial",
-         all(sy.spatialization(s) == s for s in an.assembly)),
+        ("all_sublocales_spatial", an.spatial_family == frozenset(an.assembly)),
         ("d_in_spatialpart", an.d_family <= an.spatial_family),
         ("meets_of_essential_primes",
          classify.is_totally_spatial_by_essentials(an.frame)),
@@ -260,7 +255,43 @@ def run_theorem_suites(an):
 TRIPLE_SCAN_LIMIT = 32
 
 
-def law_difference(an):
+class _LawFailed(Exception):
+    """Raised by _Tally.fail; the tally holds the count and the detail."""
+
+
+@dataclass
+class _Tally:
+    checked: int = 0
+    detail: str = ""           # "skipped: ..." when part of a battery did not run
+
+    def fail(self, detail, checked=None):
+        """End the battery as failed; checked, if given, replaces the count."""
+        if checked is not None:
+            self.checked = checked
+        self.detail = detail
+        raise _LawFailed
+
+
+def _battery(name):
+    """Turn law(an, tally) into law(an) -> LawResult(name, ...), the one
+    builder of a battery's result.  The battery adds to tally.checked as
+    it goes and stops at its first failed check through tally.fail."""
+    def decorate(fn):
+        @functools.wraps(fn)
+        def battery(an):
+            law = _Tally()
+            try:
+                fn(an, law)
+                ok = True
+            except _LawFailed:
+                ok = False
+            return LawResult(name, ok, law.checked, law.detail)
+        return battery
+    return decorate
+
+
+@_battery("difference_laws")
+def law_difference(an, law):
     frame = an.frame
     assembly = an.assembly
     subs = list(assembly)
@@ -272,101 +303,73 @@ def law_difference(an):
         try:
             return assembly.index_of_mask(mask)
         except KeyError:
-            raise _NotEvenASublocale(mask) from None
+            law.fail(f"a difference is not a sublocale (mask {mask:#x})",
+                     checked=0)
 
     diff = [[subl.difference(s, t).mask for t in subs] for s in subs]
-    joined = [[frame.meet_close_mask(masks[i] | masks[j]) for j in range(k)]
-              for i in range(k)]
     supp = [subl.supplement(t).mask for t in subs]
-    try:
-        return _difference_scan(frame, assembly, subs, masks, zero_mask,
-                                idx, diff, joined, supp)
-    except _NotEvenASublocale as exc:
-        return LawResult("difference_laws", False, 0,
-                         f"a difference is not a sublocale "
-                         f"(mask {exc.args[0]:#x})")
-
-
-def _difference_scan(frame, assembly, subs, masks, zero_mask, idx, diff,
-                     joined, supp):
-    k = len(subs)
-    checked = 0
     for i in range(k):
         for j in range(k):
-            checked += 3
+            law.checked += 3
             d = diff[i][j]
             if d & ~masks[i]:
-                return LawResult("difference_laws", False, checked,
-                                 f"S\\T beyond S at {subs[i]!r}, {subs[j]!r}")
+                law.fail(f"S\\T beyond S at {subs[i]!r}, {subs[j]!r}")
             if (d == zero_mask) != (masks[i] & ~masks[j] == 0):
-                return LawResult("difference_laws", False, checked,
-                                 f"S\\T=0 iff S<=T fails at {subs[i]!r}, {subs[j]!r}")
+                law.fail(f"S\\T=0 iff S<=T fails at {subs[i]!r}, {subs[j]!r}")
             if masks[j] & supp[j] == zero_mask and d != masks[i] & supp[j]:
-                return LawResult("difference_laws", False, checked,
-                                 f"S\\C law fails at {subs[i]!r}, {subs[j]!r}")
-    if k <= TRIPLE_SCAN_LIMIT:
-        for i in range(k):
-            drow = diff[i]
-            for j in range(k):
-                dij = drow[j]
-                dj = diff[idx(dij)]
-                for r in range(k):
-                    checked += 3
-                    if drow[idx(masks[j] & masks[r])] != \
-                            joined[idx(dij)][idx(drow[r])]:
-                        return LawResult(
-                            "difference_laws", False, checked,
-                            f"S\\(T&R) law fails at {subs[i]!r},{subs[j]!r},{subs[r]!r}")
-                    if dj[r] != diff[idx(drow[r])][j]:
-                        return LawResult(
-                            "difference_laws", False, checked,
-                            f"(S\\T)\\R law fails at {subs[i]!r},{subs[j]!r},{subs[r]!r}")
-                    if bool(dij & ~masks[r]) != bool(masks[i] & ~joined[j][r]):
-                        return LawResult(
-                            "difference_laws", False, checked,
-                            f"residuation fails at {subs[i]!r},{subs[j]!r},{subs[r]!r}")
-    return LawResult("difference_laws", True, checked)
+                law.fail(f"S\\C law fails at {subs[i]!r}, {subs[j]!r}")
+    if k > TRIPLE_SCAN_LIMIT:
+        law.detail = "skipped: triple scan, assembly too large"
+        return
+    joined = [[frame.meet_close_mask(masks[i] | masks[j]) for j in range(k)]
+              for i in range(k)]
+    for i in range(k):
+        drow = diff[i]
+        for j in range(k):
+            dij = drow[j]
+            dj = diff[idx(dij)]
+            for r in range(k):
+                law.checked += 3
+                if drow[idx(masks[j] & masks[r])] != joined[idx(dij)][idx(drow[r])]:
+                    law.fail(f"S\\(T&R) law fails at {subs[i]!r},{subs[j]!r},{subs[r]!r}")
+                if dj[r] != diff[idx(drow[r])][j]:
+                    law.fail(f"(S\\T)\\R law fails at {subs[i]!r},{subs[j]!r},{subs[r]!r}")
+                if bool(dij & ~masks[r]) != bool(masks[i] & ~joined[j][r]):
+                    law.fail(f"residuation fails at {subs[i]!r},{subs[j]!r},{subs[r]!r}")
 
 
-def law_open_closed(an):
+@_battery("open_closed_identities")
+def law_open_closed(an, law):
     frame = an.frame
     n = frame.n
     opens = [subl.open_sublocale(frame, a) for a in range(n)]
     closeds = [subl.closed_sublocale(frame, a) for a in range(n)]
     booleans = [subl.boolean_sublocale(frame, a) for a in range(n)]
-    checked = 0
     for a in range(n):
         for b in range(n):
-            checked += 5
+            law.checked += 5
             jj, mm = int(frame.join[a, b]), int(frame.meet[a, b])
             if closeds[jj] != subl.sublocale_meet(frame, [closeds[a], closeds[b]]):
-                return LawResult("open_closed_identities", False, checked,
-                                 f"closed-of-join at ({a},{b})")
+                law.fail(f"closed-of-join at ({a},{b})")
             if opens[jj] != subl.sublocale_join(frame, [opens[a], opens[b]]):
-                return LawResult("open_closed_identities", False, checked,
-                                 f"open-of-join at ({a},{b})")
+                law.fail(f"open-of-join at ({a},{b})")
             if closeds[mm] != subl.sublocale_join(frame, [closeds[a], closeds[b]]):
-                return LawResult("open_closed_identities", False, checked,
-                                 f"closed-of-meet at ({a},{b})")
+                law.fail(f"closed-of-meet at ({a},{b})")
             if opens[mm] != subl.sublocale_meet(frame, [opens[a], opens[b]]):
-                return LawResult("open_closed_identities", False, checked,
-                                 f"open-of-meet at ({a},{b})")
+                law.fail(f"open-of-meet at ({a},{b})")
             if booleans[frame.imp_rows[a][b]] != \
                     subl.sublocale_meet(frame, [opens[a], booleans[b]]):
-                return LawResult("open_closed_identities", False, checked,
-                                 f"boolean-of-implication at ({a},{b})")
+                law.fail(f"boolean-of-implication at ({a},{b})")
     for a in range(n):
-        checked += 2
+        law.checked += 2
         if subl.sublocale_meet(frame, [opens[a], closeds[a]]) != subl.zero(frame):
-            return LawResult("open_closed_identities", False, checked,
-                             f"open meet closed not zero at {a}")
+            law.fail(f"open meet closed not zero at {a}")
         if subl.sublocale_join(frame, [opens[a], closeds[a]]) != subl.whole(frame):
-            return LawResult("open_closed_identities", False, checked,
-                             f"open join closed not whole at {a}")
-    return LawResult("open_closed_identities", True, checked)
+            law.fail(f"open join closed not whole at {a}")
 
 
-def law_zero_dimensional(an):
+@_battery("zero_dimensionality")
+def law_zero_dimensional(an, law):
     """Every sublocale is the meet of the basic complemented ones above it."""
     frame = an.frame
     n = frame.n
@@ -376,99 +379,96 @@ def law_zero_dimensional(an):
             basics[x, y] = subl.sublocale_join(
                 frame, [subl.open_sublocale(frame, x),
                         subl.closed_sublocale(frame, y)])
-    checked = 0
     for s in an.assembly:
-        checked += 1
+        law.checked += 1
         acc = (1 << n) - 1
         for b in basics.values():
             if s.members <= b.members:
                 acc &= b.mask
         if acc != s.mask:
-            return LawResult("zero_dimensionality", False, checked,
-                             f"not an intersection of basics: {s!r}")
-    return LawResult("zero_dimensionality", True, checked)
+            law.fail(f"not an intersection of basics: {s!r}")
 
 
-def law_nucleus_roundtrip(an):
-    checked = 0
+@_battery("nucleus_roundtrip")
+def law_nucleus_roundtrip(an, law):
     for s in an.assembly:
-        checked += 1
+        law.checked += 1
         nu = subl.sublocale_to_nucleus(s)
         if subl.nucleus_to_sublocale(nu) != s:
-            return LawResult("nucleus_roundtrip", False, checked, repr(s))
-    return LawResult("nucleus_roundtrip", True, checked)
+            law.fail(repr(s))
 
 
-def law_covered_degeneracy(an):
+@_battery("covered_degeneracy")
+def law_covered_degeneracy(an, law):
     """Finite degeneracy: primes and covered primes coincide, also inside
     every sublocale (the divergence needs an infinite frame)."""
+    law.checked = 1
     if frames.covered_primes(an.frame) != frames.primes(an.frame):
-        return LawResult("covered_degeneracy", False, 1, "frame level")
-    checked = 1
+        law.fail("frame level")
     for s in an.assembly:
-        checked += 1
+        law.checked += 1
         if sy.sub_covered_primes(s) != sy.sub_primes(s):
-            return LawResult("covered_degeneracy", False, checked, repr(s))
-    return LawResult("covered_degeneracy", True, checked)
+            law.fail(repr(s))
 
 
-def law_spectra(an):
+@_battery("spectra")
+def law_spectra(an, law):
     frame = an.frame
     spec = spaces.spectrum(frame)
-    checked = 2
+    law.checked = 2
     if not spaces.is_sober(spec.space):
-        return LawResult("spectra", False, checked, "spectrum not sober")
+        law.fail("spectrum not sober")
     if not spaces.is_td(spaces.spectrum_td(frame).space):
-        return LawResult("spectra", False, checked, "covered spectrum not td")
+        law.fail("covered spectrum not td")
     # finite frames are spatial: the counit is injective
-    checked += 1
+    law.checked += 1
     if len(set(spec.sigma)) != frame.n:
-        return LawResult("spectra", False, checked, "counit not injective")
+        law.fail("counit not injective")
     for s in an.assembly:
-        checked += 1
+        law.checked += 1
         if sy.points_of(s) != an.points & s.members:
-            return LawResult("spectra", False, checked,
-                             f"intrinsic vs ambient points differ on {s!r}")
-    return LawResult("spectra", True, checked)
+            law.fail(f"intrinsic vs ambient points differ on {s!r}")
 
 
-def law_td_adjunction(an):
+@_battery("td_adjunction")
+def law_td_adjunction(an, law):
     frame = an.frame
-    report = sy.check_td_adjunction(frame, an.cap)
+    report = sy.check_td_adjunction(an.assembly, an.cap)
+    law.checked = report.checked
     if not report.passed:
-        return LawResult("td_adjunction", False, report.checked,
-                         report.failures[0])
-    checked = report.checked
+        law.fail(report.failures[0])
     d_fam = sorted(an.d_family, key=Sublocale.sort_key)
     sp_d = {s: sy.td_spatialization(s) for s in d_fam}
     for s in d_fam:
-        checked += 2
+        law.checked += 2
         if not sp_d[s].members <= s.members:
-            return LawResult("td_adjunction", False, checked,
-                             f"td-spatialization inflates {s!r}")
+            law.fail(f"td-spatialization inflates {s!r}")
         if sp_d[s] != sy.td_spatialization(sp_d[s]):
-            return LawResult("td_adjunction", False, checked,
-                             f"td-spatialization not idempotent on {s!r}")
+            law.fail(f"td-spatialization not idempotent on {s!r}")
+    # the image meet law depends only on sp_d[s] meet sp_d[t]: check each once
+    image_meet_holds = {}
     for s in d_fam:
         for t in d_fam:
-            checked += 1
+            law.checked += 1
             if s.members <= t.members and not sp_d[s].members <= sp_d[t].members:
-                return LawResult("td_adjunction", False, checked,
-                                 "td-spatialization not monotone")
+                law.fail("td-spatialization not monotone")
             j = subl.sublocale_join(frame, [s, t])
             if sp_d[j] != subl.sublocale_join(frame, [sp_d[s], sp_d[t]]):
-                return LawResult("td_adjunction", False, checked,
-                                 f"join not preserved at {s!r}, {t!r}")
-            # meets inside the image go through the operator once more
-            image_meet = sy.td_spatialization(
-                subl.sublocale_meet(frame, [sp_d[s], sp_d[t]]))
-            below = [sp_d[r] for r in d_fam
-                     if sp_d[r].members <= sp_d[s].members & sp_d[t].members]
-            if subl.sublocale_join(frame, below) != image_meet:
-                return LawResult("td_adjunction", False, checked,
-                                 f"image meet law fails at {s!r}, {t!r}")
+                law.fail(f"join not preserved at {s!r}, {t!r}")
+            inter = sp_d[s].mask & sp_d[t].mask
+            if inter not in image_meet_holds:
+                # meets inside the image go through the operator once more
+                image_meet = sy.td_spatialization(
+                    subl.sublocale_meet(frame, [sp_d[s], sp_d[t]]))
+                below = [sp_d[r] for r in d_fam if not sp_d[r].mask & ~inter]
+                image_meet_holds[inter] = \
+                    subl.sublocale_join(frame, below) == image_meet
+            if not image_meet_holds[inter]:
+                law.fail(f"image meet law fails at {s!r}, {t!r}")
     # covered points distribute over joins of d-sublocales, families <= 3
-    if len(d_fam) <= TRIPLE_SCAN_LIMIT:
+    if len(d_fam) > TRIPLE_SCAN_LIMIT:
+        law.detail = "skipped: triple join scan, D-family too large"
+    else:
         covered_by_mask = {}
 
         def covered_of_mask(mask):
@@ -479,93 +479,81 @@ def law_td_adjunction(an):
 
         for size in (2, 3):
             for fam in itertools.combinations(d_fam, size):
-                checked += 1
+                law.checked += 1
                 jmask = frame.meet_close_mask(
                     fam[0].mask | fam[1].mask | fam[-1].mask)
                 union = frozenset().union(*(covered_of_mask(s.mask) for s in fam))
                 if covered_of_mask(jmask) != union:
-                    return LawResult("td_adjunction", False, checked,
-                                     "covered points of join differ from union")
+                    law.fail("covered points of join differ from union")
     # classical adjunction law, same shape with plain primes; the meet
     # closure is checked against its second route, the join of points
     pts = sorted(an.points)
-    subs = list(an.assembly)
+    sub_points = [(s, sy.points_of(s)) for s in an.assembly]
     for sel in range(1 << len(pts)):
         y = frozenset(pts[i] for i in frames.bits_of(sel))
         m = sy.meet_closure(frame, sy.PrimeSubset(frame, y, classical=True))
-        checked += 1
+        law.checked += 1
         if m != subl.sublocale_join(
                 frame, [Sublocale(frame, {frame.top, p}) for p in y]):
-            return LawResult("td_adjunction", False, checked,
-                             "meet closure disagrees with the join of points")
-        for s in subs:
-            checked += 1
-            if (m.members <= s.members) != (y <= sy.points_of(s)):
-                return LawResult("td_adjunction", False, checked,
-                                 "classical adjunction law fails")
-    return LawResult("td_adjunction", True, checked)
+            law.fail("meet closure disagrees with the join of points")
+        for s, points in sub_points:
+            law.checked += 1
+            if (m.members <= s.members) != (y <= points):
+                law.fail("classical adjunction law fails")
 
 
-def law_d_family_closure(an):
+@_battery("d_family_closure")
+def law_d_family_closure(an, law):
     frame = an.frame
     d_fam = an.d_family
-    checked = 0
     if an.whole not in d_fam:
-        return LawResult("d_family_closure", False, 1, "whole frame not in family")
+        law.fail("whole frame not in family", checked=1)
     if not an.smooth <= d_fam:
-        return LawResult("d_family_closure", False, 1, "smooth not inside family")
+        law.fail("smooth not inside family", checked=1)
     for s in d_fam:
         for t in d_fam:
-            checked += 1
+            law.checked += 1
             if not sy.is_d_sublocale(subl.sublocale_join(frame, [s, t])):
-                return LawResult("d_family_closure", False, checked,
-                                 f"join escapes at {s!r}, {t!r}")
+                law.fail(f"join escapes at {s!r}, {t!r}")
     for s in d_fam:
         for t in an.assembly:
-            checked += 1
+            law.checked += 1
             if not sy.is_d_sublocale(subl.difference(s, t)):
-                return LawResult("d_family_closure", False, checked,
-                                 f"difference escapes at {s!r}, {t!r}")
-    return LawResult("d_family_closure", True, checked)
+                law.fail(f"difference escapes at {s!r}, {t!r}")
 
 
-def law_assembly_order(an):
+@_battery("assembly_order")
+def law_assembly_order(an, law):
     """The order frame of the assembly really is the reversed coframe."""
     assembly = an.assembly
     order = assembly.order_frame
     frame = an.frame
-    checked = 0
     for i, s in enumerate(assembly):
         for j, t in enumerate(assembly):
-            checked += 2
+            law.checked += 2
             inter = subl.sublocale_meet(frame, [s, t])
             if assembly[int(order.join[i, j])] != inter:
-                return LawResult("assembly_order", False, checked,
-                                 "order join is not intersection")
+                law.fail("order join is not intersection")
             if assembly[int(order.meet[i, j])] != \
                     subl.sublocale_join(frame, [s, t]):
-                return LawResult("assembly_order", False, checked,
-                                 "order meet is not sublocale join")
+                law.fail("order meet is not sublocale join")
     # covered primes of the reversed assembly are the one-point sublocales
     expected = {assembly.index_of(Sublocale(frame, {frame.top, p}))
                 for p in an.covered}
     got = frames.covered_primes(order)
-    checked += 1
+    law.checked += 1
     if got != frozenset(expected):
-        return LawResult("assembly_order", False, checked,
-                         "covered primes of the assembly are not the "
-                         "one-point sublocales")
+        law.fail("covered primes of the assembly are not the "
+                 "one-point sublocales")
     # the td-spatial members form the boolean sublocale at the
     # td-spatialization of the whole frame
     sp_index = assembly.index_of(sy.td_spatialization(an.whole))
     bool_at = subl.boolean_sublocale(order, sp_index)
     image = {assembly.index_of(sy.td_spatialization(s)) for s in an.d_family}
-    checked += 1
+    law.checked += 1
     if frozenset(image) != bool_at.members:
-        return LawResult("assembly_order", False, checked,
-                         "td-spatial members differ from the boolean "
-                         "sublocale at the td-spatialization")
-    return LawResult("assembly_order", True, checked)
+        law.fail("td-spatial members differ from the boolean "
+                 "sublocale at the td-spatialization")
 
 
 def _interior_operators(frame):
@@ -598,93 +586,80 @@ def _interior_operators(frame):
     return ops
 
 
-def law_interior_operators(an):
+@_battery("interior_operators")
+def law_interior_operators(an, law):
     """Image lattices of interior operators behave as the host lattice for
     joins, with meets corrected through the operator; the surjection onto
     the image preserves meets."""
     frame = an.frame
-    checked = 0
     for table in _interior_operators(frame):
         image = sorted(set(table))
         for x in image:
             if table[x] != x:
-                return LawResult("interior_operators", False, checked,
-                                 "image not fixed")
+                law.fail("image not fixed")
         for x in image:
             for y in image:
-                checked += 2
+                law.checked += 2
                 j = int(frame.join[x, y])
                 if table[j] != j:
-                    return LawResult("interior_operators", False, checked,
-                                     "join left the image")
+                    law.fail("join left the image")
                 m_host = int(frame.meet[x, y])
                 m_img = table[m_host]
                 # greatest lower bound within the image
                 below = [z for z in image if frame.leq[z, x] and frame.leq[z, y]]
                 if frame.join_of(below) != m_img:
-                    return LawResult("interior_operators", False, checked,
-                                     "image meet is not the corrected meet")
+                    law.fail("image meet is not the corrected meet")
                 if table[m_host] != table[int(frame.meet[table[x], table[y]])]:
-                    return LawResult("interior_operators", False, checked,
-                                     "surjection fails to preserve meets")
-    return LawResult("interior_operators", True, checked)
+                    law.fail("surjection fails to preserve meets")
 
 
-def law_lifting(an):
-    frame = an.frame
+@_battery("lifting")
+def law_lifting(an, law):
     if len(an.assembly) > TRIPLE_SCAN_LIMIT:
-        return LawResult("lifting", True, 0, "skipped: assembly too large")
-    checked = 0
+        law.detail = "skipped: assembly too large"
+        return
     for s in an.assembly:
-        checked += 1
-        lift = sy.lift_surjection(frame, s, an.cap)
+        law.checked += 1
+        lift = sy.lift_surjection(an.assembly, s, an.cap)
         # the adjoint-pair constructor has already verified meet/join
         # preservation and the adjunction; spot-check surjectivity
         if set(lift.pair.hom) != set(range(lift.pair.target.n)):
-            return LawResult("lifting", False, checked,
-                             f"lift onto {s!r} is not surjective")
-    return LawResult("lifting", True, checked)
+            law.fail(f"lift onto {s!r} is not surjective")
 
 
-def law_essential_primes(an):
+@_battery("essential_primes")
+def law_essential_primes(an, law):
     frame = an.frame
     pts = sorted(an.points)
-    checked = 0
     for a in range(frame.n):
         ess = sy.essential_primes(frame, a)
         abse = sy.absolutely_essential_primes(frame, a)
         above = sy.primes_above(frame, a)
         # absolute essentiality == membership in every prime decomposition
         for p in above:
-            checked += 1
+            law.checked += 1
             in_every = all(
                 p in sel
                 for sel in ({pts[i] for i in frames.bits_of(bitsel)}
                             for bitsel in range(1 << len(pts)))
                 if frame.meet_of(sel) == a)
             if in_every != (p in abse):
-                return LawResult("essential_primes", False, checked,
-                                 f"absolute essentiality mismatch at a={a} p={p}")
+                law.fail(f"absolute essentiality mismatch at a={a} p={p}")
             weak = sy.weakly_covered(frame, p)
             if (p in abse) != (weak and p in ess):
-                return LawResult("essential_primes", False, checked,
-                                 f"weakly-covered split fails at a={a} p={p}")
+                law.fail(f"weakly-covered split fails at a={a} p={p}")
         # essential primes are the points of the boolean sublocale at a
-        checked += 1
+        law.checked += 1
         if ess != sy.points_of(subl.boolean_sublocale(frame, a)):
-            return LawResult("essential_primes", False, checked,
-                             f"essential primes differ from boolean points at {a}")
+            law.fail(f"essential primes differ from boolean points at {a}")
         # covered and essential implies absolutely essential
-        checked += 1
+        law.checked += 1
         if not (ess & an.covered) <= abse:
-            return LawResult("essential_primes", False, checked,
-                             f"covered essential not absolute at {a}")
+            law.fail(f"covered essential not absolute at {a}")
     for p in pts:
-        checked += 1
+        law.checked += 1
         if p not in sy.essential_primes(frame, p):
-            return LawResult("essential_primes", False, checked,
-                             f"prime {p} not essential for itself")
-    return LawResult("essential_primes", True, checked)
+            law.fail(f"prime {p} not essential for itself")
 
 
 LAW_BATTERIES = (

@@ -108,6 +108,13 @@ class TestAdjunction:
         for f in fixture_frames.values():
             assert sy.check_td_adjunction(f).passed
 
+    def test_assembly_gives_the_frame_report(self, fixture_frames):
+        for f in fixture_frames.values():
+            by_frame = sy.check_td_adjunction(f)
+            by_assembly = sy.check_td_adjunction(subl.enumerate_assembly(f))
+            assert (by_assembly.checked, by_assembly.failures) == \
+                (by_frame.checked, by_frame.failures)
+
     def test_empty_subset_consistent(self, chain3):
         z = sy.meet_closure(chain3, ())
         for s in subl.enumerate_assembly(chain3):
@@ -163,6 +170,14 @@ class TestLifting:
             cut = t.members & s.members
             translated = {lift.target_members.index(a) for a in cut}
             assert lift.target_subs[lift.pair.hom[i]].members == translated
+
+    def test_lift_from_assembly_matches_frame(self, square):
+        assembly = subl.enumerate_assembly(square)
+        for s in assembly:
+            by_frame = sy.lift_surjection(square, s)
+            by_assembly = sy.lift_surjection(assembly, s)
+            assert by_assembly.source_subs == by_frame.source_subs
+            assert by_assembly.pair.hom == by_frame.pair.hom
 
     def test_not_liftable_guard(self, chain3, monkeypatch):
         monkeypatch.setattr(sy, "is_d_sublocale", lambda s: False)

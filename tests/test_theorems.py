@@ -1,3 +1,5 @@
+import pytest
+
 from localelab import frames
 from localelab import sublocales as subl
 from localelab import subsystems as sy
@@ -126,6 +128,30 @@ class TestLawBatteryDetails:
         monkeypatch.setattr(theorems, "TRIPLE_SCAN_LIMIT", 0)
         result = theorems.law_lifting(an)
         assert result.ok and "skipped" in result.detail
+
+    @pytest.mark.parametrize("battery", [theorems.law_difference,
+                                         theorems.law_td_adjunction])
+    def test_dropped_triple_scan_is_reported(self, battery, monkeypatch):
+        an = sy.FrameAnalysis(chain(3))
+        full = battery(an)
+        monkeypatch.setattr(theorems, "TRIPLE_SCAN_LIMIT", 0)
+        cut = battery(an)
+        assert full.ok and full.detail == ""
+        assert cut.ok and cut.detail.startswith("skipped: ")
+        assert cut.checked < full.checked
+
+    def test_battery_names_in_order(self, chain3):
+        assert [fn.__name__ for fn in theorems.LAW_BATTERIES] == [
+            "law_difference", "law_open_closed", "law_zero_dimensional",
+            "law_nucleus_roundtrip", "law_covered_degeneracy", "law_spectra",
+            "law_td_adjunction", "law_d_family_closure", "law_assembly_order",
+            "law_interior_operators", "law_lifting", "law_essential_primes"]
+        results = theorems.run_law_batteries(sy.FrameAnalysis(chain3))
+        assert [r.name for r in results] == [
+            "difference_laws", "open_closed_identities", "zero_dimensionality",
+            "nucleus_roundtrip", "covered_degeneracy", "spectra",
+            "td_adjunction", "d_family_closure", "assembly_order",
+            "interior_operators", "lifting", "essential_primes"]
 
     def test_verdict_reports_engine_errors(self, chain3, monkeypatch):
         def boom(*a, **k):
