@@ -106,6 +106,26 @@ def _check_distributive(meet, join):
         raise NonDistributive((int(a), int(b), int(c)))
 
 
+class _Memo:
+    """What the sublocale engine computes once per frame (see sublocales).
+
+    subs maps a mask to the frame's one Sublocale object; valid holds the
+    masks that passed Sublocale._validate (a failure is never recorded);
+    joins maps the union mask of sublocale_join to its meet closure;
+    differences maps (sub.mask, other.mask) to the mask of difference;
+    difference_tables holds the tables difference reads, once built.
+    """
+
+    __slots__ = ("subs", "valid", "joins", "differences", "difference_tables")
+
+    def __init__(self):
+        self.subs = {}
+        self.valid = set()
+        self.joins = {}
+        self.differences = {}
+        self.difference_tables = None
+
+
 class FiniteFrame:
     """A validated finite frame.
 
@@ -140,6 +160,12 @@ class FiniteFrame:
 
     def __repr__(self):
         return f"FiniteFrame(n={self.n})"
+
+    @cached_property
+    def _memo(self):
+        """Private memo of the sublocale engine's results; it lives and
+        dies with the frame, so no module-level cache keeps frames alive."""
+        return _Memo()
 
     @cached_property
     def top(self):

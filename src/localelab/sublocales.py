@@ -9,7 +9,7 @@ difference, and exhaustive assembly enumeration.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from . import frames
 from .frames import bits_of, elements_of_mask, mask_of
@@ -45,10 +45,11 @@ class Sublocale:
         self.frame = frame
         self.members = members
         self.mask = mask_of(members)
-        if _validate:
+        if _validate and self.mask not in frame._memo.valid:
             self._validate()
 
     def _validate(self):
+        """Check both closure conditions; callers skip masks already valid."""
         frame, mask = self.frame, self.mask
         if not mask >> frame.top & 1:
             raise NotASublocale("missing the top element")
@@ -66,6 +67,7 @@ class Sublocale:
                 if not mask >> row[s] & 1:
                     raise NotASublocale(
                         f"not closed under implication: {a} -> {s} = {row[s]} missing")
+        frame._memo.valid.add(mask)
 
     def __contains__(self, x):
         return x in self.members
@@ -108,7 +110,15 @@ def _same_frame(*subs):
 
 
 def _from_mask(frame, mask, _validate=False):
-    return Sublocale(frame, elements_of_mask(mask), _validate=_validate)
+    """The frame's one Sublocale with this mask, validated once if asked."""
+    memo = frame._memo
+    sub = memo.subs.get(mask)
+    if sub is None:
+        sub = memo.subs[mask] = Sublocale(frame, elements_of_mask(mask),
+                                          _validate=False)
+    if _validate and mask not in memo.valid:
+        sub._validate()
+    return sub
 
 
 def sublocale_closure_mask(frame, seed_mask):
@@ -145,7 +155,7 @@ def zero(frame):
 
 def open_sublocale(frame, a):
     """o(a) = {a -> b : b in L}."""
-    return Sublocale(frame, {frame.imp_rows[a][b] for b in range(frame.n)})
+    return _from_mask(frame, mask_of(frame.imp_rows[a]), _validate=True)
 
 
 def closed_sublocale(frame, a):
@@ -155,7 +165,8 @@ def closed_sublocale(frame, a):
 
 def boolean_sublocale(frame, a):
     """b(a) = {b -> a : b in L}; checked to be Boolean as a lattice."""
-    sub = Sublocale(frame, {frame.imp_rows[b][a] for b in range(frame.n)})
+    sub = _from_mask(frame, mask_of(frame.imp_rows[b][a] for b in range(frame.n)),
+                     _validate=True)
     bot = frame.meet_of(sub.members)
     for x in sub.members:
         c = frame.imp_rows[x][a]
@@ -222,7 +233,13 @@ def sublocale_join(frame, parts):
     m = 0
     for p in parts:
         m |= p.mask
-    return _from_mask(frame, frame.meet_close_mask(m), _validate=True)
+    joins = frame._memo.joins
+    closed = joins.get(m)
+    if closed is None:
+        closed = frame.meet_close_mask(m)
+    sub = _from_mask(frame, closed, _validate=True)
+    joins[m] = closed
+    return sub
 
 
 def sublocale_meet(frame, parts):
@@ -256,7 +273,6 @@ def is_codense(sub):
     return True
 
 
-@lru_cache(maxsize=None)
 def _difference_tables(frame):
     """Masks used by the co-Heyting difference.
 
@@ -281,7 +297,7 @@ def _difference_tables(frame):
             prow.append(frame.up_masks[x] & open_masks[y])
         basic.append(tuple(brow))
         pieces.append(tuple(prow))
-    return tuple(basic), tuple(pieces), open_masks
+    return tuple(basic), tuple(pieces)
 
 
 def difference(sub, other):
@@ -292,16 +308,25 @@ def difference(sub, other):
     sub meet c(x) meet o(y).
     """
     frame = _same_frame(sub, other)
-    basic, pieces, _ = _difference_tables(frame)
-    t_mask = other.mask
-    acc = 1 << frame.top
-    for x in range(frame.n):
-        brow = basic[x]
-        prow = pieces[x]
-        for y in range(frame.n):
-            if t_mask & ~brow[y] == 0:
-                acc |= sub.mask & prow[y]
-    return _from_mask(frame, frame.meet_close_mask(acc), _validate=True)
+    memo = frame._memo
+    key = (sub.mask, other.mask)
+    closed = memo.differences.get(key)
+    if closed is None:
+        if memo.difference_tables is None:
+            memo.difference_tables = _difference_tables(frame)
+        basic, pieces = memo.difference_tables
+        t_mask = other.mask
+        acc = 1 << frame.top
+        for x in range(frame.n):
+            brow = basic[x]
+            prow = pieces[x]
+            for y in range(frame.n):
+                if t_mask & ~brow[y] == 0:
+                    acc |= sub.mask & prow[y]
+        closed = frame.meet_close_mask(acc)
+    result = _from_mask(frame, closed, _validate=True)
+    memo.differences[key] = closed
+    return result
 
 
 def supplement(sub):
@@ -377,10 +402,14 @@ def enumerate_assembly(frame, cap=1 << 16):
 
     Starts from {top} and repeatedly adds one element and re-closes;
     every sublocale is its own closure, so all of them are reached.
-    Raises CapExceeded as soon as the count passes the cap.
+    The assembly of a finite frame is the powerset of its primes, so a
+    frame with 2^|primes| > cap is refused before any closure, with the
+    count cap + 1 at which the expansion would have stopped.
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
+    if 1 << len(frames.primes(frame)) > cap:
+        raise CapExceeded(cap + 1)
     start = sublocale_closure_mask(frame, 0)
     seen = {start}
     frontier = [start]

@@ -505,11 +505,12 @@ def law_td_adjunction(an, law):
 @_battery("d_family_closure")
 def law_d_family_closure(an, law):
     frame = an.frame
-    d_fam = an.d_family
-    if an.whole not in d_fam:
+    if an.whole not in an.d_family:
         law.fail("whole frame not in family", checked=1)
-    if not an.smooth <= d_fam:
+    if not an.smooth <= an.d_family:
         law.fail("smooth not inside family", checked=1)
+    # a fixed order, so a failure names the same pair and count every run
+    d_fam = sorted(an.d_family, key=Sublocale.sort_key)
     for s in d_fam:
         for t in d_fam:
             law.checked += 1

@@ -243,6 +243,9 @@ GOLDEN_VERIFY = {
 }
 GOLDEN_ANALYZE_KEYVALUE = \
     "9b928babe0c02f6126d0963b61af7f37f61d79076a008c6ee7108482b10ee657"
+# recorded while the cap was still found by walking the frontier to cap + 1
+GOLDEN_ANALYZE_REFUSED = \
+    "3cd13b5e86a14c17ef1504cae2469914f4e11f7d288200992fb164e9cfa5e69d"
 GOLDEN_DOT = {
     "frame_0001.assembly.dot":
         "6d691bc4738e9b7bd5e3a71efe62fb715568b2ea83f57acb9f3bb97d8d39f298",
@@ -289,6 +292,22 @@ class TestGolden:
         code, text = run(["analyze", "--format", "keyvalue", *random_frames])
         assert code == cli.EXIT_OK
         assert sha256(text) == GOLDEN_ANALYZE_KEYVALUE
+
+    def test_analyze_refused_keyvalue(self, tmp_path):
+        paths = []
+        for name, a, b in (("chain22", 22, 1), ("grid10x10", 10, 10),
+                           ("grid14x14", 14, 14)):
+            covers = [(i * b + j, (i + 1) * b + j)
+                      for i in range(a - 1) for j in range(b)]
+            covers += [(i * b + j, i * b + j + 1)
+                       for i in range(a) for j in range(b - 1)]
+            path = str(tmp_path / f"{name}.frame")
+            frames.save_frame(frames.frame_from_covers(a * b, covers), path)
+            paths.append(path)
+        code, text = run(["analyze", "--format", "keyvalue", "--cap", "4096", *paths])
+        assert code == cli.EXIT_CAP
+        assert text.count("cap_reached=4097") == 3
+        assert sha256(text) == GOLDEN_ANALYZE_REFUSED
 
     def test_dot_files(self, random_frames, tmp_path):
         out_dir = tmp_path / "dot"

@@ -8,6 +8,7 @@ from localelab.sublocales import (CapExceeded, MixedFrames,
                                   NotASublocale, Nucleus, Sublocale)
 
 import oracle
+from conftest import boolean_square, chain
 
 
 def members(frame, mask):
@@ -61,6 +62,25 @@ class TestEnumeration:
         with pytest.raises(CapExceeded) as exc:
             subl.enumerate_assembly(square, cap=2)
         assert exc.value.count == 3
+
+    def test_cap_refusal_matches_bruteforce_size(self, small_corpus):
+        for f in small_corpus:
+            size = len(oracle.assembly_bruteforce(f))
+            for cap in (size - 1, size):
+                if cap < 1:
+                    continue
+                if size > cap:
+                    with pytest.raises(CapExceeded) as exc:
+                        subl.enumerate_assembly(f, cap=cap)
+                    assert exc.value.count == cap + 1
+                else:
+                    assert len(subl.enumerate_assembly(f, cap=cap)) == size
+
+    def test_cap_refused_before_any_closure(self):
+        f = chain(6)
+        with pytest.raises(CapExceeded):
+            subl.enumerate_assembly(f, cap=31)
+        assert "imp" not in f.__dict__
 
 
 class TestGenerate:
@@ -274,3 +294,41 @@ class TestAssemblyOrder:
                     if s.members <= b.members:
                         acc &= b.members
                 assert acc == s.members
+
+
+class TestFrameMemo:
+    def test_one_object_per_mask(self, square):
+        assembly = subl.enumerate_assembly(square)
+        for s in assembly:
+            assert subl._from_mask(square, s.mask) is s
+            assert subl.sublocale_join(square, [s, s]) is s
+            assert subl.sublocale_meet(square, [s]) is s
+
+    def test_failed_validation_is_never_remembered(self):
+        f = boolean_square()
+        p, q = sorted(frames.primes(f))
+        mask = frames.mask_of({p, q, f.top})
+        for _ in range(2):
+            with pytest.raises(NotASublocale):
+                subl._from_mask(f, mask, _validate=True)
+        subl._from_mask(f, mask)            # interned without validation
+        with pytest.raises(NotASublocale):
+            subl._from_mask(f, mask, _validate=True)
+
+    def test_warm_memo_gives_the_results_of_a_fresh_frame(self, small_corpus):
+        def results(f, pairs, cold=False):
+            out = []
+            for s, t in pairs:
+                if cold:
+                    vars(f).pop("_memo", None)   # a new, empty memo per pair
+                s, t = subl._from_mask(f, s.mask), subl._from_mask(f, t.mask)
+                out.append((subl.sublocale_join(f, [s, t]).mask,
+                            subl.difference(s, t).mask))
+            return out
+
+        for f in small_corpus:
+            subs = list(subl.enumerate_assembly(f))
+            pairs = list(itertools.product(subs, repeat=2))
+            results(f, pairs)
+            fresh = frames.FiniteFrame(f.leq, labels=f.labels)
+            assert results(f, pairs) == results(fresh, pairs, cold=True)

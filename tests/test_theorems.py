@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 
 from localelab import frames
@@ -152,6 +155,24 @@ class TestLawBatteryDetails:
             "nucleus_roundtrip", "covered_degeneracy", "spectra",
             "td_adjunction", "d_family_closure", "assembly_order",
             "interior_operators", "lifting", "essential_primes"]
+
+    def test_d_family_closure_repeats_across_copies(self, monkeypatch):
+        # the failing pair and count must not depend on hash order
+        rel = frames.transitive_reflexive_closure(4, [(0, 1)])
+        mutants.difference_without_decomposition(monkeypatch)
+        first, second = (
+            theorems.law_d_family_closure(sy.FrameAnalysis(frames.downset_lattice(rel)))
+            for _ in range(2))
+        assert not first.ok
+        assert first == second
+
+    def test_frame_is_freed_after_verification(self):
+        f = chain(4)
+        ref = weakref.ref(f)
+        assert theorems.verify_frame_theorems(f).passed
+        del f
+        gc.collect()
+        assert ref() is None
 
     def test_verdict_reports_engine_errors(self, chain3, monkeypatch):
         def boom(*a, **k):
