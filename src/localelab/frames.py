@@ -75,35 +75,75 @@ def _check_poset(leq):
         raise NonPoset("transitivity fails", (int(i), int(j)))
 
 
+# Largest number of cells a table builder holds in one temporary.  Rows are
+# processed in blocks of at most this many cells (at least one row), so a
+# frame with n**3 <= BLOCK_CELLS takes one pass and a large frame never
+# holds an n**3 temporary.
+BLOCK_CELLS = 1 << 18
+
+
+def _row_blocks(n):
+    """Row ranges [lo, hi) whose n x n slabs fit in BLOCK_CELLS cells,
+    one row at least."""
+    step = max(1, BLOCK_CELLS // (n * n))
+    for lo in range(0, n, step):
+        yield lo, min(n, lo + step)
+
+
 def _bound_table(leq, upper):
     """Table of least upper bounds (upper=True) or greatest lower bounds.
 
-    Raises NonLattice naming the first pair without one.
+    The bound of {i, j} is the common bound with the largest row, accepted
+    only if its row is the whole set of common bounds.  A common bound's
+    row lies inside that set, so it is enough to compare sizes.  Raises
+    NonLattice naming the first pair (i <= j, row-major) without one.
     """
     n = leq.shape[0]
-    rows = leq if upper else leq.T
-    # the set of common bounds determines the bound: it must be the row of
-    # exactly one element
-    row_id = {tuple(rows[i]): i for i in range(n)}
-    table = np.zeros((n, n), dtype=np.int32)
-    for i in range(n):
-        for j in range(i, n):
-            k = row_id.get(tuple(rows[i] & rows[j]))
-            if k is None:
-                raise NonLattice((i, j), "join" if upper else "meet")
-            table[i, j] = table[j, i] = k
+    rows = leq if upper else np.ascontiguousarray(leq.T)
+    size = rows.sum(axis=1)
+    # columns ranked by decreasing row size: the first common bound is the
+    # candidate
+    order = np.argsort(-size, kind="stable")
+    ranked = rows[:, order]
+    table = np.empty((n, n), dtype=np.int32)
+    for lo, hi in _row_blocks(n):
+        common = ranked[lo:hi, None, :] & ranked[None, :, :]
+        best = order[common.argmax(axis=2)]
+        bad = size[best] != common.sum(axis=2)
+        if bad.any():
+            # a bad (i, j) with j < i was already met as (j, i), so the
+            # first bad cell in row-major order has i <= j
+            i, j = np.argwhere(bad)[0]
+            raise NonLattice((int(lo + i), int(j)), "join" if upper else "meet")
+        table[lo:hi] = best
     return table
 
 
-def _check_distributive(meet, join):
-    n = meet.shape[0]
-    # a meet (b join c) == (a meet b) join (a meet c), full triple scan
-    lhs = meet[np.arange(n)[:, None, None], join[None, :, :]]
-    rhs = join[meet[:, :, None], meet[:, None, :]]
-    bad = lhs != rhs
-    if bad.any():
-        a, b, c = np.argwhere(bad)[0]
-        raise NonDistributive((int(a), int(b), int(c)))
+def _check_distributive(leq, meet, join):
+    """Raise NonDistributive unless a meet (b join c) = (a meet b) join (a meet c).
+
+    A finite lattice is distributive exactly when every join-irreducible j
+    is join-prime, j <= x join y forcing j <= x or j <= y (Birkhoff).  With
+    below(x) the join-irreducibles below x, below(x meet y) is below(x) &
+    below(y) and below(x) | below(y) lies in below(x join y), so the test
+    is a count per pair: |below(x join y)| + |below(x meet y)| =
+    |below(x)| + |below(y)|.  Only when that fails does the triple scan
+    run, one a at a time, to name the lexicographically first witness.
+    """
+    n = leq.shape[0]
+    idx = np.arange(n)
+    # x is join-reducible when two elements other than x join to it
+    reducible = np.zeros(n, dtype=bool)
+    reducible[join[(join != idx[:, None]) & (join != idx[None, :])]] = True
+    count = leq[~reducible].sum(axis=0)
+    if (count[join] + count[meet] == count[:, None] + count[None, :]).all():
+        return
+    for a in range(n):
+        ma = meet[a]
+        bad = ma[join] != join[ma[:, None], ma[None, :]]
+        if bad.any():
+            b, c = np.argwhere(bad)[0]
+            raise NonDistributive((a, int(b), int(c)))
 
 
 class _Memo:
@@ -129,9 +169,13 @@ class _Memo:
 class FiniteFrame:
     """A validated finite frame.
 
-    leq is a read-only boolean matrix; meet/join/imp are cached n x n
-    tables.  Instances hash and compare by identity, so sublocales of one
-    frame always reference the same object.
+    leq is a read-only boolean matrix; meet, join and imp are read-only
+    n x n tables.  meet and join are built at construction and imp on
+    first use, each by numpy passes over blocks of rows holding at most
+    BLOCK_CELLS cells, so a large frame never holds an n^3 temporary;
+    distributivity is checked by join-primality (_check_distributive).
+    Instances hash and compare by identity, so sublocales of one frame
+    always reference the same object.
     """
 
     def __init__(self, leq, labels=None):
@@ -149,7 +193,7 @@ class FiniteFrame:
         self.join = _bound_table(leq, upper=True)
         self.meet.flags.writeable = False
         self.join.flags.writeable = False
-        _check_distributive(self.meet, self.join)
+        _check_distributive(leq, self.meet, self.join)
         if labels is None:
             labels = tuple(str(i) for i in range(n))
         else:
@@ -184,29 +228,35 @@ class FiniteFrame:
 
     @cached_property
     def imp(self):
-        """Heyting table: imp[a, b] is the largest c with a meet c <= b."""
+        """Heyting table: imp[a, b] is the largest c with a meet c <= b.
+
+        {c : a meet c <= b} is the downset of imp[a, b], so imp[a, b] is
+        its member with the largest downset: the first one when elements
+        are ranked by decreasing downset size.
+        """
         n = self.n
-        meet, join, leq = self.meet, self.join, self.leq
-        out = np.zeros((n, n), dtype=np.int32)
-        for a in range(n):
-            ok = leq[meet[a]]          # ok[c, b] iff a meet c <= b
-            for b in range(n):
-                cand = np.flatnonzero(ok[:, b])
-                r = int(cand[0])
-                for c in cand[1:]:
-                    r = int(join[r, c])
-                out[a, b] = r
+        order = np.argsort(-self.leq.sum(axis=0), kind="stable")
+        ranked_meet = self.meet[:, order]
+        below = np.ascontiguousarray(self.leq.T)    # below[b, x]: x <= b
+        out = np.empty((n, n), dtype=np.int32)
+        for lo, hi in _row_blocks(n):
+            ok = below[:, ranked_meet[lo:hi]]        # ok[b, a, r]
+            out[lo:hi] = order[ok.argmax(axis=2)].T
         out.flags.writeable = False
         return out
 
     # plain-int copies of the tables for bitmask-heavy inner loops
     @cached_property
     def meet_rows(self):
-        return tuple(tuple(int(x) for x in row) for row in self.meet)
+        return tuple(map(tuple, self.meet.tolist()))
+
+    @cached_property
+    def join_rows(self):
+        return tuple(map(tuple, self.join.tolist()))
 
     @cached_property
     def imp_rows(self):
-        return tuple(tuple(int(x) for x in row) for row in self.imp)
+        return tuple(map(tuple, self.imp.tolist()))
 
     @cached_property
     def up_masks(self):
@@ -245,22 +295,21 @@ class FiniteFrame:
     def _covered_primes(self):
         out = set()
         for p in self._primes:
-            above = [x for x in range(self.n) if self.leq[p, x] and x != p]
-            if self.meet_of(above) != p:
+            if self.meet_of(bits_of(self.up_masks[p] & ~(1 << p))) != p:
                 out.add(p)
         return frozenset(out)
 
     def meet_of(self, elements):
         """Meet of an iterable of elements; the empty meet is the top."""
-        r = self.top
+        meet, r = self.meet_rows, self.top
         for x in elements:
-            r = int(self.meet[r, x])
+            r = meet[r][x]
         return r
 
     def join_of(self, elements):
-        r = self.bottom
+        join, r = self.join_rows, self.bottom
         for x in elements:
-            r = int(self.join[r, x])
+            r = join[r][x]
         return r
 
     def meet_close_mask(self, mask):

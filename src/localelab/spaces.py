@@ -9,8 +9,8 @@ Subspaces induce sublocales through the largest-open nucleus.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -123,17 +123,25 @@ class OmegaFrame:
         return self.opens[i]
 
 
-@lru_cache(maxsize=None)
+# omega's results, keyed weakly by space: an entry goes with the space it
+# was built for, so no open-set frame is kept for the life of the process
+_omega_of = weakref.WeakKeyDictionary()
+
+
 def omega(sp):
     """Open-set lattice of a space, ordered by inclusion.
 
-    Cached per space so that sublocales built from one space share a
-    frame object.
+    Equal spaces share one result while the space it was built for is
+    alive, so sublocales built from one space share a frame object.
     """
-    opens = sorted(sp.opens, key=lambda u: (len(u), tuple(sorted(u))))
-    leq = frames.inclusion_order(frames.mask_of(u) for u in opens)
-    labels = ["{" + ",".join(str(x) for x in sorted(u)) + "}" for u in opens]
-    return OmegaFrame(frames.verify_frame(leq, labels=labels), tuple(opens))
+    om = _omega_of.get(sp)
+    if om is None:
+        opens = sorted(sp.opens, key=lambda u: (len(u), tuple(sorted(u))))
+        leq = frames.inclusion_order(frames.mask_of(u) for u in opens)
+        labels = ["{" + ",".join(str(x) for x in sorted(u)) + "}" for u in opens]
+        om = _omega_of[sp] = OmegaFrame(frames.verify_frame(leq, labels=labels),
+                                        tuple(opens))
+    return om
 
 
 @dataclass(frozen=True)

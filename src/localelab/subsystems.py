@@ -18,6 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from . import frames
+from . import spaces
 from . import sublocales as subl
 from .frames import bits_of, mask_of
 from .sublocales import Assembly, Sublocale
@@ -66,8 +67,7 @@ def sub_covered_primes(sub):
     frame = sub.frame
     out = set()
     for p in sub_primes(sub):
-        above = [x for x in sub.members if frame.leq[p, x] and x != p]
-        if frame.meet_of(above) != p:
+        if frame.meet_of(bits_of(frame.up_masks[p] & sub.mask & ~(1 << p))) != p:
             out.add(p)
     return frozenset(out)
 
@@ -511,6 +511,17 @@ class FrameAnalysis:
     @cached_property
     def spatial_family(self):
         return spatial_sublocales(self.assembly)
+
+    @cached_property
+    def td_spatializations(self):
+        """td_spatialization of every D-sublocale, computed once."""
+        return {s: td_spatialization(s) for s in self.d_family}
+
+    @cached_property
+    def spectrum(self):
+        """The classical spectrum; holding its space keeps spaces.omega's
+        frame for it alive while this analysis is."""
+        return spaces.spectrum(self.frame)
 
     @cached_property
     def points(self):

@@ -95,7 +95,7 @@ def td_spatial_suite(an):
 
 def strongly_td_spatial_suite(an):
     frame = an.frame
-    spec = spaces.spectrum(frame)
+    spec = an.spectrum
     covered_all = an.covered == an.points
     injective = len(set(spec.sigma)) == frame.n
     spatial_frame, _ = subl.family_order_frame(an.spatial_family)
@@ -141,7 +141,7 @@ def total_td_spatiality_suite(an):
         ("all_d_sublocales_td_spatial",
          all(_intrinsically_td_spatial(s) for s in d_fam)),
         ("td_spatialization_fixes_d",
-         all(sy.td_spatialization(s) == s for s in d_fam)),
+         all(an.td_spatializations[s] == s for s in d_fam)),
         ("d_lattice_powerset",
          is_boolean_lattice(d_frame) and d_frame.n == 1 << len(an.covered)),
         ("d_lattice_spatial_boolean",
@@ -414,7 +414,7 @@ def law_covered_degeneracy(an, law):
 @_battery("spectra")
 def law_spectra(an, law):
     frame = an.frame
-    spec = spaces.spectrum(frame)
+    spec = an.spectrum
     law.checked = 2
     if not spaces.is_sober(spec.space):
         law.fail("spectrum not sober")
@@ -438,7 +438,7 @@ def law_td_adjunction(an, law):
     if not report.passed:
         law.fail(report.failures[0])
     d_fam = sorted(an.d_family, key=Sublocale.sort_key)
-    sp_d = {s: sy.td_spatialization(s) for s in d_fam}
+    sp_d = an.td_spatializations
     for s in d_fam:
         law.checked += 2
         if not sp_d[s].members <= s.members:
@@ -550,7 +550,7 @@ def law_assembly_order(an, law):
     # td-spatialization of the whole frame
     sp_index = assembly.index_of(sy.td_spatialization(an.whole))
     bool_at = subl.boolean_sublocale(order, sp_index)
-    image = {assembly.index_of(sy.td_spatialization(s)) for s in an.d_family}
+    image = {assembly.index_of(t) for t in an.td_spatializations.values()}
     law.checked += 1
     if frozenset(image) != bool_at.members:
         law.fail("td-spatial members differ from the boolean "

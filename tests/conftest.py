@@ -30,6 +30,13 @@ def n5_relation():
         5, [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)])
 
 
+def grid_relation(a, b):
+    """Order of the a x b grid, the product of an a-chain and a b-chain."""
+    covers = [(i * b + j, (i + 1) * b + j) for i in range(a - 1) for j in range(b)]
+    covers += [(i * b + j, i * b + j + 1) for i in range(a) for j in range(b - 1)]
+    return frames.transitive_reflexive_closure(a * b, covers)
+
+
 @pytest.fixture(scope="session")
 def chain2():
     return chain(2)

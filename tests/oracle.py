@@ -34,6 +34,21 @@ def assembly_bruteforce(frame):
     return sorted(int(m) for m in masks[ok])
 
 
+def glb_bruteforce(leq, a, b):
+    """Greatest lower bound of a and b by scanning leq; None if none exists."""
+    lows = leq[:, a] & leq[:, b]
+    # k is the greatest one when every lower bound j has j <= k
+    best = np.flatnonzero(lows & (leq | ~lows[:, None]).all(axis=0))
+    return int(best[0]) if len(best) else None
+
+
+def lub_bruteforce(leq, a, b):
+    """Least upper bound of a and b by scanning leq; None if none exists."""
+    ups = leq[a] & leq[b]
+    best = np.flatnonzero(ups & (leq | ~ups[None, :]).all(axis=1))
+    return int(best[0]) if len(best) else None
+
+
 def heyting_bruteforce(frame, a, b):
     """The unique maximal c with a meet c <= b, found by scanning."""
     cands = [c for c in range(frame.n) if frame.leq[frame.meet[a, c], b]]

@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import io
 import os
+import weakref
 
 import pytest
 
@@ -75,6 +77,17 @@ class TestVerify:
         assert code == cli.EXIT_OK
         assert "result: PASS" in text
         assert "failures: 0" in text
+
+    def test_no_frame_outlives_the_run(self, tmp_path):
+        gc.collect()
+        before = weakref.WeakSet(o for o in gc.get_objects()
+                                 if isinstance(o, frames.FiniteFrame))
+        code, _ = run(["verify", "--seed", "1", "--bound", "4", "--count", "60",
+                       "--out-dir", str(tmp_path)])
+        assert code == cli.EXIT_OK
+        gc.collect()
+        assert not [o for o in gc.get_objects()
+                    if isinstance(o, frames.FiniteFrame) and o not in before]
 
     def test_empty_run_warns(self):
         code, text = run(["verify", "--count", "0"])
@@ -246,6 +259,21 @@ GOLDEN_ANALYZE_KEYVALUE = \
 # recorded while the cap was still found by walking the frontier to cap + 1
 GOLDEN_ANALYZE_REFUSED = \
     "3cd13b5e86a14c17ef1504cae2469914f4e11f7d288200992fb164e9cfa5e69d"
+# frame files rejected by analyze: (file text, report), exit code 2 and
+# nothing on stderr
+GOLDEN_REJECTED = {
+    "m3": ("elements: 5\ncover: 0 1\ncover: 0 2\ncover: 0 3\n"
+           "cover: 1 4\ncover: 2 4\ncover: 3 4\n",
+           "rejected: not distributive: 1 meet (2 join 3) != "
+           "(1 meet 2) join (1 meet 3)\n"),
+    "n5": ("elements: 5\ncover: 0 1\ncover: 1 2\ncover: 2 4\n"
+           "cover: 0 3\ncover: 3 4\n",
+           "rejected: not distributive: 2 meet (1 join 3) != "
+           "(2 meet 1) join (2 meet 3)\n"),
+    "two_tops": ("elements: 5\ncover: 0 1\ncover: 0 2\ncover: 1 3\n"
+                 "cover: 2 3\ncover: 1 4\ncover: 2 4\n",
+                 "rejected: not a lattice: pair (3, 4) has no meet\n"),
+}
 GOLDEN_DOT = {
     "frame_0001.assembly.dot":
         "6d691bc4738e9b7bd5e3a71efe62fb715568b2ea83f57acb9f3bb97d8d39f298",
@@ -308,6 +336,14 @@ class TestGolden:
         assert code == cli.EXIT_CAP
         assert text.count("cap_reached=4097") == 3
         assert sha256(text) == GOLDEN_ANALYZE_REFUSED
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_REJECTED))
+    def test_analyze_rejection(self, name, tmp_path, capsys):
+        text, expected = GOLDEN_REJECTED[name]
+        path = tmp_path / f"{name}.frame"
+        path.write_text(text)
+        code, out = run(["analyze", str(path)])
+        assert (code, out, capsys.readouterr().err) == (2, expected, "")
 
     def test_dot_files(self, random_frames, tmp_path):
         out_dir = tmp_path / "dot"

@@ -1,3 +1,6 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +10,7 @@ from localelab.frames import (NonDistributive, NonLattice, NonPoset,
                               FrameFormatError)
 
 import oracle
-from conftest import chain, m3_relation, n5_relation
+from conftest import chain, grid_relation, m3_relation, n5_relation
 
 
 class TestVerifyFrame:
@@ -57,6 +60,77 @@ def _is_distributivity_witness(rel, a, b, c):
         return bots[0]
 
     return glb(a, lub(b, c)) != lub(glb(a, b), glb(a, c))
+
+
+class TestBoundTables:
+    def test_agree_with_bruteforce(self, small_corpus):
+        larger = [frames.verify_frame(grid_relation(10, 10)), chain(22)]
+        for f in list(small_corpus) + larger:
+            for a in range(f.n):
+                for b in range(f.n):
+                    assert f.meet[a, b] == oracle.glb_bruteforce(f.leq, a, b)
+                    assert f.join[a, b] == oracle.lub_bruteforce(f.leq, a, b)
+
+    def test_grid_stays_within_a_memory_bound(self):
+        # validation and the Heyting table hold O(n^2) tables and one block
+        # of BLOCK_CELLS cells at a time: about 1.2 MB for this 196-element
+        # grid, where a single n^3 int32 temporary would take 30 MB
+        rel = grid_relation(14, 14)
+        tracemalloc.start()
+        try:
+            frames.verify_frame(rel).imp
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+
+
+def _expected_rejection(rel):
+    """What verify_frame must raise on a poset, found by brute force: the
+    first pair (i <= j, row-major) without a meet, else without a join,
+    else the lexicographically first distributivity triple; None if the
+    poset is a frame."""
+    n = len(rel)
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    for kind, bound in (("meet", oracle.glb_bruteforce),
+                        ("join", oracle.lub_bruteforce)):
+        for i, j in pairs:
+            if bound(rel, i, j) is None:
+                return NonLattice, ((i, j), kind)
+    meet = [[oracle.glb_bruteforce(rel, i, j) for j in range(n)] for i in range(n)]
+    join = [[oracle.lub_bruteforce(rel, i, j) for j in range(n)] for i in range(n)]
+    for a, b, c in itertools.product(range(n), repeat=3):
+        if meet[a][join[b][c]] != join[meet[a][b]][meet[a][c]]:
+            return NonDistributive, (a, b, c)
+    return None
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_rejection_witness_matches_bruteforce(data):
+    # a random poset on k points between a new bottom 0 and top k + 1,
+    # then relabelled
+    k = data.draw(st.integers(0, 7))
+    pairs = [(i, j) for i in range(1, k + 1) for j in range(i + 1, k + 1)]
+    keep = data.draw(st.lists(st.booleans(), min_size=len(pairs),
+                              max_size=len(pairs)))
+    chosen = [p for p, kept in zip(pairs, keep) if kept]
+    covers = (chosen + [(0, i) for i in range(1, k + 2)]
+              + [(i, k + 1) for i in range(1, k + 1)])
+    perm = data.draw(st.permutations(range(k + 2)))
+    rel = frames.transitive_reflexive_closure(
+        k + 2, [(perm[i], perm[j]) for i, j in covers])
+    expected = _expected_rejection(rel)
+    if expected is None:
+        frames.verify_frame(rel)
+        return
+    with pytest.raises(expected[0]) as exc:
+        frames.verify_frame(rel)
+    if expected[0] is NonLattice:
+        assert (exc.value.pair, exc.value.kind) == expected[1]
+    else:
+        assert exc.value.triple == expected[1]
+        assert _is_distributivity_witness(rel, *exc.value.triple)
 
 
 class TestHeyting:

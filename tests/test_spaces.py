@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 
 from localelab import frames
@@ -46,6 +49,16 @@ class TestOmega:
     def test_cached_frame_identity(self):
         assert spaces.omega(spaces.sierpinski()).frame is \
             spaces.omega(spaces.sierpinski()).frame
+
+    def test_frame_shared_while_its_space_lives(self):
+        a, b = spaces.sierpinski(), spaces.sierpinski()
+        frame = spaces.omega(a).frame
+        assert b is not a
+        assert spaces.omega(b).frame is frame
+        ref = weakref.ref(frame)
+        del a, b, frame
+        gc.collect()
+        assert ref() is None
 
 
 class TestSpectrum:
