@@ -151,19 +151,24 @@ class _Memo:
 
     subs maps a mask to the frame's one Sublocale object; valid holds the
     masks that passed Sublocale._validate (a failure is never recorded);
-    joins maps the union mask of sublocale_join to its meet closure;
-    differences maps (sub.mask, other.mask) to the mask of difference;
-    difference_tables holds the tables difference reads, once built.
+    closures maps an input mask of sublocale_join or difference to its
+    meet closure, the one kernel result both read; unions maps
+    other.mask to the mask U(other) of pieces that difference intersects
+    with sub; difference_tables holds the tables U is built from, once
+    built; spectra maps a mask to its intrinsic (primes, covered primes)
+    (see subsystems).
     """
 
-    __slots__ = ("subs", "valid", "joins", "differences", "difference_tables")
+    __slots__ = ("subs", "valid", "closures", "unions", "difference_tables",
+                 "spectra")
 
     def __init__(self):
         self.subs = {}
         self.valid = set()
-        self.joins = {}
-        self.differences = {}
+        self.closures = {}
+        self.unions = {}
         self.difference_tables = None
+        self.spectra = {}
 
 
 class FiniteFrame:

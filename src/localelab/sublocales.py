@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from functools import cached_property
 
+import numpy as np
+
 from . import frames
 from .frames import bits_of, elements_of_mask, mask_of
 
@@ -233,13 +235,16 @@ def sublocale_join(frame, parts):
     m = 0
     for p in parts:
         m |= p.mask
-    joins = frame._memo.joins
-    closed = joins.get(m)
+    return _from_mask(frame, _meet_closed(frame, m), _validate=True)
+
+
+def _meet_closed(frame, mask):
+    """frame.meet_close_mask(mask), computed once per frame and mask."""
+    closures = frame._memo.closures
+    closed = closures.get(mask)
     if closed is None:
-        closed = frame.meet_close_mask(m)
-    sub = _from_mask(frame, closed, _validate=True)
-    joins[m] = closed
-    return sub
+        closed = closures[mask] = frame.meet_close_mask(mask)
+    return closed
 
 
 def sublocale_meet(frame, parts):
@@ -274,30 +279,41 @@ def is_codense(sub):
 
 
 def _difference_tables(frame):
-    """Masks used by the co-Heyting difference.
+    """The distinct basic sublocales o(x) join c(y), each paired with the
+    union of the pieces c(x) meet o(y) of every (x, y) that gives it.
 
-    basic[x][y] is o(x) join c(y); an element t belongs to it exactly when
-    (x -> t) meet (y join t) = t, so no join computation is needed.  piece
-    masks are the complements c(x) meet o(y).
+    An element t belongs to o(x) join c(y) exactly when
+    (x -> t) meet (y join t) = t, so no join computation is needed; for
+    each x one numpy gather tests every (y, t).
     """
     n = frame.n
-    imp, meet, join = frame.imp_rows, frame.meet_rows, frame.join
-    open_masks = tuple(mask_of(set(imp[a])) for a in range(n))
-    basic = []
-    pieces = []
+    open_masks = [mask_of(frame.imp_rows[a]) for a in range(n)]
+    elements = np.arange(n)
+    tables = {}
     for x in range(n):
-        brow = []
-        prow = []
+        inside = frame.meet[frame.imp[x][None, :], frame.join] == elements
+        rows = np.packbits(inside, axis=1, bitorder="little")
+        up = frame.up_masks[x]
         for y in range(n):
-            m = 0
-            for t in range(n):
-                if meet[imp[x][t]][int(join[y, t])] == t:
-                    m |= 1 << t
-            brow.append(m)
-            prow.append(frame.up_masks[x] & open_masks[y])
-        basic.append(tuple(brow))
-        pieces.append(tuple(prow))
-    return tuple(basic), tuple(pieces)
+            basic = int.from_bytes(rows[y].tobytes(), "little")
+            tables[basic] = tables.get(basic, 0) | up & open_masks[y]
+    return tuple(tables.items())
+
+
+def _pieces_union(frame, t_mask):
+    """U(T): the union of the pieces c(x) meet o(y) over every (x, y)
+    with T inside o(x) join c(y); computed once per frame and T."""
+    memo = frame._memo
+    union = memo.unions.get(t_mask)
+    if union is None:
+        if memo.difference_tables is None:
+            memo.difference_tables = _difference_tables(frame)
+        union = 0
+        for basic, pieces in memo.difference_tables:
+            if t_mask & ~basic == 0:
+                union |= pieces
+        memo.unions[t_mask] = union
+    return union
 
 
 def difference(sub, other):
@@ -305,28 +321,12 @@ def difference(sub, other):
 
     Computed by decomposing `other` as the intersection of every
     complemented o(x) join c(y) above it and joining the pieces
-    sub meet c(x) meet o(y).
+    sub meet c(x) meet o(y): the meet closure of top and sub meet U(other),
+    where U (_pieces_union) depends on other alone.
     """
     frame = _same_frame(sub, other)
-    memo = frame._memo
-    key = (sub.mask, other.mask)
-    closed = memo.differences.get(key)
-    if closed is None:
-        if memo.difference_tables is None:
-            memo.difference_tables = _difference_tables(frame)
-        basic, pieces = memo.difference_tables
-        t_mask = other.mask
-        acc = 1 << frame.top
-        for x in range(frame.n):
-            brow = basic[x]
-            prow = pieces[x]
-            for y in range(frame.n):
-                if t_mask & ~brow[y] == 0:
-                    acc |= sub.mask & prow[y]
-        closed = frame.meet_close_mask(acc)
-    result = _from_mask(frame, closed, _validate=True)
-    memo.differences[key] = closed
-    return result
+    acc = 1 << frame.top | sub.mask & _pieces_union(frame, other.mask)
+    return _from_mask(frame, _meet_closed(frame, acc), _validate=True)
 
 
 def supplement(sub):
@@ -364,17 +364,29 @@ def family_order_frame(subs):
 
 
 class Assembly:
-    """All sublocales of a frame, with a deterministic index.
+    """All sublocales of a frame, indexed by the primes they contain.
 
-    order_frame materialises the reverse-inclusion order (the dual of the
-    coframe of sublocales) as a FiniteFrame through family_order_frame, so
-    the whole element-level toolkit applies to the assembly itself.
+    With the frame's primes sorted, by_primes[bits] is the mask of the
+    meet closure of top and {primes[i] : bit i of bits}, and primes_of
+    maps each mask back to its bits.  Every sublocale is such a closure,
+    so joins are ORs of bits (join_mask), intersections ANDs and
+    differences bits & ~bits.  sublocales lists the members sorted by
+    Sublocale.sort_key.  order_frame materialises the reverse-inclusion
+    order (the dual of the coframe of sublocales) as a FiniteFrame
+    through family_order_frame, so the whole element-level toolkit
+    applies to the assembly itself.  d_order is left for
+    subsystems.lift_surjection, which keeps the D-family and its order
+    frame there once built.
     """
 
-    def __init__(self, frame, sublocales):
+    def __init__(self, frame, by_primes):
         self.frame = frame
-        self.sublocales = tuple(sorted(sublocales, key=Sublocale.sort_key))
+        self.by_primes = tuple(by_primes)
+        self.primes_of = {m: bits for bits, m in enumerate(self.by_primes)}
+        self.sublocales = tuple(sorted((_from_mask(frame, m) for m in self.by_primes),
+                                       key=Sublocale.sort_key))
         self._index = {s.mask: i for i, s in enumerate(self.sublocales)}
+        self.d_order = None
 
     def __len__(self):
         return len(self.sublocales)
@@ -391,38 +403,50 @@ class Assembly:
     def index_of_mask(self, mask):
         return self._index[mask]
 
+    def join_mask(self, a, b):
+        """Mask of the join of the members with masks a and b."""
+        return self.by_primes[self.primes_of[a] | self.primes_of[b]]
+
     @cached_property
     def order_frame(self):
         """Reverse inclusion as a FiniteFrame: i <= j iff S_i contains S_j."""
         return family_order_frame(self.sublocales)[0]
 
 
-def enumerate_assembly(frame, cap=1 << 16):
-    """Every sublocale exactly once, by closure-system frontier expansion.
+def _prime_subset_closures(frame, primes):
+    """closures[bits]: mask of the meet closure of top and the primes[i]
+    with bit i set in bits.
 
-    Starts from {top} and repeatedly adds one element and re-closes;
-    every sublocale is its own closure, so all of them are reached.
-    The assembly of a finite frame is the powerset of its primes, so a
-    frame with 2^|primes| > cap is refused before any closure, with the
-    count cap + 1 at which the expansion would have stopped.
+    Grown one prime at a time: for a meet-closed m holding top, the meet
+    closure of m and p is m with p and every s meet p, s in m, added.
+    """
+    meet = frame.meet_rows
+    closures = [1 << frame.top]
+    for p in primes:
+        row = meet[p]
+        for i in range(len(closures)):
+            m = grown = closures[i]
+            for s in bits_of(m):
+                grown |= 1 << row[s]
+            closures.append(grown)
+    return closures
+
+
+def enumerate_assembly(frame, cap=1 << 16):
+    """Every sublocale exactly once, indexed by the primes it contains.
+
+    The assembly of a finite frame is the powerset of its primes
+    (Birkhoff): every sublocale is the meet closure of the primes in it,
+    the meet closure of any set of primes is a sublocale, and the primes
+    of that closure are the set itself.  So a frame with
+    2^|primes| > cap is refused before any closure, with the count
+    cap + 1 at which a walk over the sublocales would have stopped, and
+    otherwise the closures are grown over the sorted primes.  The
+    frontier walk (tests/oracle.py) is the second route to the same set.
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
-    if 1 << len(frames.primes(frame)) > cap:
+    primes = sorted(frames.primes(frame))
+    if 1 << len(primes) > cap:
         raise CapExceeded(cap + 1)
-    start = sublocale_closure_mask(frame, 0)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        new = []
-        for m in frontier:
-            rest = (1 << frame.n) - 1 & ~m
-            for x in bits_of(rest):
-                grown = sublocale_closure_mask(frame, m | 1 << x)
-                if grown not in seen:
-                    seen.add(grown)
-                    if len(seen) > cap:
-                        raise CapExceeded(len(seen))
-                    new.append(grown)
-        frontier = new
-    return Assembly(frame, [_from_mask(frame, m) for m in seen])
+    return Assembly(frame, _prime_subset_closures(frame, primes))

@@ -39,37 +39,44 @@ class PreconditionFailed(ValueError):
 # ---------------------------------------------------------------------------
 # intrinsic spectra of a sublocale (as a lattice in its own right)
 
-def sub_primes(sub):
-    """Primes of the sublocale as its own lattice.
+def _spectra(sub):
+    """(primes, covered primes) of the sublocale as its own lattice,
+    computed once per frame and mask.
 
-    Meets in a sublocale agree with meets in the frame, so this is a
-    plain meet-irreducibility scan over the members.
-    """
-    frame = sub.frame
-    members = sorted(sub.members)
-    meet = frame.meet_rows
-    reducible = set()
-    for i, x in enumerate(members):
-        row = meet[x]
-        for y in members[i + 1:]:
-            m = row[y]
-            if m != x and m != y:
-                reducible.add(m)
-    return frozenset(sub.members - reducible - {frame.top})
-
-
-def sub_covered_primes(sub):
-    """Covered primes of the sublocale as its own lattice.
-
+    Meets in a sublocale agree with meets in the frame, so the primes
+    come from a plain meet-irreducibility scan over the members.  A prime
     p is covered when the meet of the members strictly above p stays
     strictly above p (so no subset of members can reach p without p).
     """
     frame = sub.frame
-    out = set()
-    for p in sub_primes(sub):
-        if frame.meet_of(bits_of(frame.up_masks[p] & sub.mask & ~(1 << p))) != p:
-            out.add(p)
-    return frozenset(out)
+    spectra = frame._memo.spectra
+    got = spectra.get(sub.mask)
+    if got is None:
+        members = sorted(sub.members)
+        meet = frame.meet_rows
+        reducible = set()
+        for i, x in enumerate(members):
+            row = meet[x]
+            for y in members[i + 1:]:
+                m = row[y]
+                if m != x and m != y:
+                    reducible.add(m)
+        primes = frozenset(sub.members - reducible - {frame.top})
+        covered = frozenset(
+            p for p in primes
+            if frame.meet_of(bits_of(frame.up_masks[p] & sub.mask & ~(1 << p))) != p)
+        got = spectra[sub.mask] = (primes, covered)
+    return got
+
+
+def sub_primes(sub):
+    """Primes of the sublocale as its own lattice."""
+    return _spectra(sub)[0]
+
+
+def sub_covered_primes(sub):
+    """Covered primes of the sublocale as its own lattice."""
+    return _spectra(sub)[1]
 
 
 def points_of(sub):
@@ -92,7 +99,11 @@ def covered_points_of(sub):
 
 
 def is_d_sublocale(sub):
-    """True iff every intrinsic covered prime is covered in the frame."""
+    """True iff every intrinsic covered prime is covered in the frame.
+
+    The intrinsic side is memoised per mask; the ambient side is read
+    from frames.covered_primes on every call.
+    """
     return covered_points_of(sub) <= frames.covered_primes(sub.frame)
 
 
@@ -226,30 +237,33 @@ def joins_of_complemented(assembly):
     The other published description of the smooth sublocales; asserted
     equal to the double-supplement fixpoints in the tests.
     """
-    return _join_closure(assembly.frame, complemented_sublocales(assembly))
+    return _join_closure(assembly, complemented_sublocales(assembly))
 
 
 def joins_of_closed(assembly):
     """All joins of closed sublocales (the empty join included)."""
     frame = assembly.frame
     gens = [subl.closed_sublocale(frame, a) for a in range(frame.n)]
-    return _join_closure(frame, gens)
+    return _join_closure(assembly, gens)
 
 
-def _join_closure(frame, generators):
-    out = {subl.zero(frame)}
-    out.update(generators)
+def _join_closure(assembly, generators):
+    """The zero sublocale and the generators, closed under binary joins
+    read from the assembly's prime-subset table (Assembly.join_mask)."""
+    frame = assembly.frame
+    gens = [g.mask for g in generators]
+    out = {subl.zero(frame).mask, *gens}
     frontier = list(out)
     while frontier:
         new = []
         for s in frontier:
-            for g in generators:
-                j = subl.sublocale_join(frame, [s, g])
+            for g in gens:
+                j = assembly.join_mask(s, g)
                 if j not in out:
                     out.add(j)
                     new.append(j)
         frontier = new
-    return frozenset(out)
+    return frozenset(subl._from_mask(frame, m) for m in out)
 
 
 def d_sublocales(assembly):
@@ -383,14 +397,17 @@ def lift_surjection(frame, sub, cap=1 << 16):
     D-sublocale.  The returned AdjointPair lives on the reverse-inclusion
     order frames, and is checked to preserve meets, joins, and the
     closed-sublocale generators with elements of sub.  frame may also be
-    its already enumerated Assembly.
+    its already enumerated Assembly, which then keeps the source side (the
+    D-family and its order frame) for every later lift.
     """
     if not is_d_sublocale(sub):
         raise NotLiftable(f"{sub!r} is not a D-sublocale")
     assembly = _assembly_of(frame, cap)
     frame = assembly.frame
-    src_family = d_sublocales(assembly)
-    src_frame, src_subs = subl.family_order_frame(src_family)
+    if assembly.d_order is None:
+        family = d_sublocales(assembly)
+        assembly.d_order = (family, *subl.family_order_frame(family))
+    src_family, src_frame, src_subs = assembly.d_order
 
     sub_frame, members = sublocale_frame(sub)
     pos = {a: i for i, a in enumerate(members)}

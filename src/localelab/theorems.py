@@ -308,9 +308,12 @@ def law_difference(an, law):
 
     diff = [[subl.difference(s, t).mask for t in subs] for s in subs]
     supp = [subl.supplement(t).mask for t in subs]
+    # the second route: S\T holds exactly the primes of S not in T
+    by_primes = assembly.by_primes
+    bits = [assembly.primes_of[m] for m in masks]
     for i in range(k):
         for j in range(k):
-            law.checked += 3
+            law.checked += 4
             d = diff[i][j]
             if d & ~masks[i]:
                 law.fail(f"S\\T beyond S at {subs[i]!r}, {subs[j]!r}")
@@ -318,11 +321,15 @@ def law_difference(an, law):
                 law.fail(f"S\\T=0 iff S<=T fails at {subs[i]!r}, {subs[j]!r}")
             if masks[j] & supp[j] == zero_mask and d != masks[i] & supp[j]:
                 law.fail(f"S\\C law fails at {subs[i]!r}, {subs[j]!r}")
+            if d != by_primes[bits[i] & ~bits[j]]:
+                law.fail(f"S\\T prime-subset law fails at {subs[i]!r}, {subs[j]!r}")
     if k > TRIPLE_SCAN_LIMIT:
         law.detail = "skipped: triple scan, assembly too large"
         return
-    joined = [[frame.meet_close_mask(masks[i] | masks[j]) for j in range(k)]
-              for i in range(k)]
+    # the join route this battery judges against: its own closures, off
+    # the frame memo that difference reads
+    close = functools.cache(frame.meet_close_mask)
+    joined = [[close(masks[i] | masks[j]) for j in range(k)] for i in range(k)]
     for i in range(k):
         drow = diff[i]
         for j in range(k):
@@ -470,6 +477,8 @@ def law_td_adjunction(an, law):
         law.detail = "skipped: triple join scan, D-family too large"
     else:
         covered_by_mask = {}
+        # joins closed here, off the frame memo of sublocale_join
+        close = functools.cache(frame.meet_close_mask)
 
         def covered_of_mask(mask):
             if mask not in covered_by_mask:
@@ -480,8 +489,7 @@ def law_td_adjunction(an, law):
         for size in (2, 3):
             for fam in itertools.combinations(d_fam, size):
                 law.checked += 1
-                jmask = frame.meet_close_mask(
-                    fam[0].mask | fam[1].mask | fam[-1].mask)
+                jmask = close(fam[0].mask | fam[1].mask | fam[-1].mask)
                 union = frozenset().union(*(covered_of_mask(s.mask) for s in fam))
                 if covered_of_mask(jmask) != union:
                     law.fail("covered points of join differ from union")
@@ -531,13 +539,15 @@ def law_assembly_order(an, law):
     frame = an.frame
     for i, s in enumerate(assembly):
         for j, t in enumerate(assembly):
-            law.checked += 2
+            law.checked += 3
             inter = subl.sublocale_meet(frame, [s, t])
             if assembly[int(order.join[i, j])] != inter:
                 law.fail("order join is not intersection")
-            if assembly[int(order.meet[i, j])] != \
-                    subl.sublocale_join(frame, [s, t]):
+            join = subl.sublocale_join(frame, [s, t])
+            if assembly[int(order.meet[i, j])] != join:
                 law.fail("order meet is not sublocale join")
+            if assembly.join_mask(s.mask, t.mask) != join.mask:
+                law.fail(f"prime-subset join law fails at {s!r}, {t!r}")
     # covered primes of the reversed assembly are the one-point sublocales
     expected = {assembly.index_of(Sublocale(frame, {frame.top, p}))
                 for p in an.covered}

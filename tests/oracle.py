@@ -1,9 +1,11 @@
 """Independent brute-force oracles.
 
 Everything here recomputes results straight from definitions, without
-touching the closure-system enumeration, the implication table, or the
+touching the prime-subset enumeration, the implication table, or the
 decomposition formula that the engine uses.  Oracles stay slow and dumb
-on purpose.
+on purpose.  The one exception is assembly_frontier, the frontier walk
+over sublocale_closure_mask that the engine used to enumerate with; it
+stays here as the second route to the assembly.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from localelab import frames
+from localelab import sublocales as subl
 from localelab.sublocales import Sublocale
 
 
@@ -32,6 +35,28 @@ def assembly_bruteforce(frame):
             if h != s:
                 ok &= ~(member[:, s] & ~member[:, h])
     return sorted(int(m) for m in masks[ok])
+
+
+def assembly_frontier(frame):
+    """All sublocale masks by closure-system frontier expansion.
+
+    Starts from {top} and repeatedly adds one element and re-closes;
+    every sublocale is its own closure, so all of them are reached.
+    """
+    start = subl.sublocale_closure_mask(frame, 0)
+    seen = {start}
+    frontier = [start]
+    full = (1 << frame.n) - 1
+    while frontier:
+        new = []
+        for m in frontier:
+            for x in frames.bits_of(full & ~m):
+                grown = subl.sublocale_closure_mask(frame, m | 1 << x)
+                if grown not in seen:
+                    seen.add(grown)
+                    new.append(grown)
+        frontier = new
+    return sorted(seen)
 
 
 def glb_bruteforce(leq, a, b):

@@ -218,4 +218,4 @@ def test_criterion_9_mutation_sensitivity(named_fixtures, monkeypatch):
         an = sy.FrameAnalysis(chain(3))
         suite = theorems.covered_primes_suite(an)
         assert {v for _, v in suite.conditions} == {True, False}
-    _report(9, "all three documented mutants are caught by the suites")
+    _report(9, "every documented mutant is caught by the suites")

@@ -47,8 +47,10 @@ class TestOmega:
         assert om.frame.n == 2
 
     def test_cached_frame_identity(self):
-        assert spaces.omega(spaces.sierpinski()).frame is \
-            spaces.omega(spaces.sierpinski()).frame
+        # both spaces are held, so the first one's entry is still cached
+        # when the second, equal space asks for its frame
+        first, second = spaces.sierpinski(), spaces.sierpinski()
+        assert spaces.omega(first).frame is spaces.omega(second).frame
 
     def test_frame_shared_while_its_space_lives(self):
         a, b = spaces.sierpinski(), spaces.sierpinski()

@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from localelab import frames
 from localelab import sublocales as subl
@@ -81,6 +82,36 @@ class TestEnumeration:
         with pytest.raises(CapExceeded):
             subl.enumerate_assembly(f, cap=31)
         assert "imp" not in f.__dict__
+
+
+@st.composite
+def posets(draw, max_points=6):
+    """A random poset on 0..max_points points, as a closed order relation."""
+    k = draw(st.integers(0, max_points))
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return frames.transitive_reflexive_closure(
+        k, [pair for pair, kept in zip(pairs, keep) if kept])
+
+
+@settings(max_examples=60, deadline=None)
+@given(posets())
+def test_prime_subset_index_matches_both_routes(rel):
+    f = frames.downset_lattice(rel)
+    assembly = subl.enumerate_assembly(f)
+    got = sorted(s.mask for s in assembly)
+    assert got == oracle.assembly_frontier(f)
+    if f.n <= 16:
+        assert got == oracle.assembly_bruteforce(f)
+    primes = sorted(frames.primes(f))
+    assert len(assembly.by_primes) == len(assembly.primes_of) == 1 << len(primes)
+    for bits, mask in enumerate(assembly.by_primes):
+        assert assembly.primes_of[mask] == bits
+        # the closure holds exactly the primes that its bits name
+        assert [p for p in primes if mask >> p & 1] == \
+            [primes[i] for i in frames.bits_of(bits)]
+    for mask, bits in assembly.primes_of.items():
+        assert assembly.by_primes[bits] == mask
 
 
 class TestGenerate:
