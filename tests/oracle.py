@@ -3,9 +3,9 @@
 Everything here recomputes results straight from definitions, without
 touching the prime-subset enumeration, the implication table, or the
 decomposition formula that the engine uses.  Oracles stay slow and dumb
-on purpose.  The one exception is assembly_frontier, the frontier walk
-over sublocale_closure_mask that the engine used to enumerate with; it
-stays here as the second route to the assembly.
+on purpose.  The one exception is assembly_frontier, a frontier walk
+over the engine's sublocale_closure_mask: the second route to the
+assembly, beside the prime-subset enumeration.
 """
 
 from __future__ import annotations
