@@ -415,18 +415,23 @@ def covered_primes(frame):
     return frame._covered_primes
 
 
+def meets_of_points(frame, points, elements=None):
+    """Every element (every one of the frame by default) is the meet of
+    the given points above it."""
+    up, pts = frame.up_masks, mask_of(points)
+    if elements is None:
+        elements = range(frame.n)
+    return all(frame.meet_of(bits_of(up[a] & pts)) == a for a in elements)
+
+
 def is_spatial(frame):
     """Every element is a meet of the primes above it."""
-    ps = primes(frame)
-    return all(frame.meet_of(p for p in ps if frame.leq[a, p]) == a
-               for a in range(frame.n))
+    return meets_of_points(frame, primes(frame))
 
 
 def is_td_spatial(frame):
     """Every element is a meet of the covered primes above it."""
-    ps = covered_primes(frame)
-    return all(frame.meet_of(p for p in ps if frame.leq[a, p]) == a
-               for a in range(frame.n))
+    return meets_of_points(frame, covered_primes(frame))
 
 
 def is_strongly_td_spatial(frame):
@@ -435,12 +440,14 @@ def is_strongly_td_spatial(frame):
 
 def is_subfit(frame):
     """Whenever a is not below b there is c with a join c = 1 != b join c."""
-    n, leq, join, top = frame.n, frame.leq, frame.join, frame.top
+    n, up, join, top = frame.n, frame.up_masks, frame.join_rows, frame.top
     for a in range(n):
+        row_a = join[a]
         for b in range(n):
-            if leq[a, b]:
+            if up[a] >> b & 1:
                 continue
-            if not any(join[a, c] == top and join[b, c] != top for c in range(n)):
+            row_b = join[b]
+            if not any(row_a[c] == top and row_b[c] != top for c in range(n)):
                 return False
     return True
 
@@ -571,6 +578,12 @@ def parse_frame_text(text):
     for i in labels:
         if not 0 <= i < n:
             raise FrameFormatError(f"label id out of range: {i}")
+    # the Hasse diagram of a finite lattice is connected, so n elements
+    # need n - 1 distinct covers; checked before anything n-sized is built
+    distinct = len({(i, j) for i, j, _ in covers})
+    if n >= 2 and distinct < n - 1:
+        raise FrameFormatError(f"{n} elements need at least {n - 1} distinct "
+                               f"'cover' lines, got {distinct}")
     label_list = [labels.get(i, str(i)) for i in range(n)]
     return frame_from_covers(n, [(i, j) for i, j, _ in covers], labels=label_list)
 

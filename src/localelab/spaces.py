@@ -156,7 +156,8 @@ class SpectrumSpace:
 def _spectrum_from(frame, prime_list):
     prime_list = sorted(prime_list)
     pos = {p: i for i, p in enumerate(prime_list)}
-    sigma = tuple(frozenset(pos[p] for p in prime_list if not frame.leq[a, p])
+    up = frame.up_masks
+    sigma = tuple(frozenset(pos[p] for p in prime_list if not up[a] >> p & 1)
                   for a in range(frame.n))
     sp = FiniteSpace(len(prime_list), frozenset(sigma))
     return SpectrumSpace(sp, tuple(prime_list), sigma)

@@ -80,20 +80,21 @@ class Sublocale:
     def __iter__(self):
         return iter(sorted(self.members))
 
+    # mask and members determine each other, so the int stands in for the set
     def __eq__(self, other):
         return (isinstance(other, Sublocale)
-                and other.frame is self.frame and other.members == self.members)
+                and other.frame is self.frame and other.mask == self.mask)
 
     def __hash__(self):
-        return hash((id(self.frame), self.members))
+        return hash(self.mask)
 
     def __le__(self, other):
         _same_frame(self, other)
-        return self.members <= other.members
+        return self.mask & ~other.mask == 0
 
     def __lt__(self, other):
         _same_frame(self, other)
-        return self.members < other.members
+        return self.mask != other.mask and self.mask & ~other.mask == 0
 
     def sort_key(self):
         return tuple(sorted(self.members))
@@ -170,17 +171,18 @@ def boolean_sublocale(frame, a):
     sub = _from_mask(frame, mask_of(frame.imp_rows[b][a] for b in range(frame.n)),
                      _validate=True)
     bot = frame.meet_of(sub.members)
+    meet, join, imp = frame.meet_rows, frame.join_rows, frame.imp_rows
     for x in sub.members:
-        c = frame.imp_rows[x][a]
-        if c not in sub.members or frame.meet[x, c] != bot \
-                or sub_nucleus_image(sub, frame.join[x, c]) != frame.top:
+        c = imp[x][a]
+        if not sub.mask >> c & 1 or meet[x][c] != bot \
+                or sub_nucleus_image(sub, join[x][c]) != frame.top:
             raise NotASublocale(f"b({a}) is not Boolean at {x}")
     return sub
 
 
 def sub_nucleus_image(sub, a):
     """nu_S(a): the least member of S above a."""
-    return sub.frame.meet_of(s for s in sub.members if sub.frame.leq[a, s])
+    return sub.frame.meet_of(bits_of(sub.mask & sub.frame.up_masks[a]))
 
 
 class Nucleus:
@@ -194,14 +196,15 @@ class Nucleus:
         if len(self.table) != frame.n:
             raise ValueError("nucleus table has wrong length")
         if _validate:
-            t = self.table
+            t, up, meet = self.table, frame.up_masks, frame.meet_rows
             for a in range(frame.n):
-                if not frame.leq[a, t[a]]:
+                if not up[a] >> t[a] & 1:
                     raise ValueError(f"not inflationary at {a}")
                 if t[t[a]] != t[a]:
                     raise ValueError(f"not idempotent at {a}")
+                row, t_row = meet[a], meet[t[a]]
                 for b in range(frame.n):
-                    if t[frame.meet[a, b]] != frame.meet[t[a], t[b]]:
+                    if t[row[b]] != t_row[t[b]]:
                         raise ValueError(f"does not preserve {a} meet {b}")
 
     def __call__(self, a):

@@ -190,19 +190,20 @@ def check_td_adjunction(frame, cap=1 << 16):
     """
     assembly = _assembly_of(frame, cap)
     frame = assembly.frame
-    dsubs = [(s, covered_points_of(s)) for s in assembly if is_d_sublocale(s)]
+    dsubs = [(s, mask_of(covered_points_of(s))) for s in assembly if is_d_sublocale(s)]
     pts = sorted(frames.covered_primes(frame))
     failures = []
     checked = 0
     for sel in range(1 << len(pts)):
         y = frozenset(pts[i] for i in bits_of(sel))
+        y_mask = mask_of(y)
         m = meet_closure(frame, y)
         if covered_points_of(m) != y:
             failures.append(f"covered points of closure of {sorted(y)} differ")
         for s, covered in dsubs:
             checked += 1
-            lhs = m.members <= s.members
-            rhs = y <= covered
+            lhs = m.mask & ~s.mask == 0
+            rhs = y_mask & ~covered == 0
             if lhs != rhs:
                 failures.append(
                     f"law fails for Y={sorted(y)} S={s!r}: {lhs} vs {rhs}")
@@ -292,8 +293,9 @@ class AdjointPair:
         self.target = target
         self.hom = tuple(int(x) for x in hom)
         if right is None:
+            up = target.up_masks
             right = [source.join_of(a for a in range(source.n)
-                                    if target.leq[self.hom[a], b])
+                                    if up[self.hom[a]] >> b & 1)
                      for b in range(target.n)]
         self.right = tuple(int(x) for x in right)
         if _validate:
@@ -305,15 +307,19 @@ class AdjointPair:
             raise ValueError("map tables have wrong lengths")
         if h[src.top] != tgt.top or h[src.bottom] != tgt.bottom:
             raise ValueError("homomorphism does not preserve the bounds")
+        src_meet, src_join = src.meet_rows, src.join_rows
+        tgt_meet, tgt_join = tgt.meet_rows, tgt.join_rows
         for a in range(src.n):
+            sm, sj, tm, tj = src_meet[a], src_join[a], tgt_meet[h[a]], tgt_join[h[a]]
             for b in range(src.n):
-                if h[src.meet[a, b]] != tgt.meet[h[a], h[b]]:
+                if h[sm[b]] != tm[h[b]]:
                     raise ValueError(f"meet of ({a},{b}) not preserved")
-                if h[src.join[a, b]] != tgt.join[h[a], h[b]]:
+                if h[sj[b]] != tj[h[b]]:
                     raise ValueError(f"join of ({a},{b}) not preserved")
+        src_up, tgt_up = src.up_masks, tgt.up_masks
         for a in range(src.n):
             for b in range(tgt.n):
-                if bool(tgt.leq[h[a], b]) != bool(src.leq[a, self.right[b]]):
+                if tgt_up[h[a]] >> b & 1 != src_up[a] >> self.right[b] & 1:
                     raise ValueError(f"adjunction law fails at ({a},{b})")
 
 
@@ -443,7 +449,7 @@ def lift_surjection(frame, sub, cap=1 << 16):
     for a in sub.members:
         c_src = subl.closed_sublocale(frame, a)
         i = next(k for k, t in enumerate(src_subs) if t == c_src)
-        expect = frozenset(pos[x] for x in sub.members if frame.leq[a, x])
+        expect = frozenset(pos[x] for x in bits_of(sub.mask & frame.up_masks[a]))
         if tgt_subs[pair.hom[i]].members != expect:
             raise NotLiftable(f"closed-generator square fails at {a}")
     return AssemblyLift(pair, src_subs, tgt_subs, members)
@@ -453,7 +459,8 @@ def lift_surjection(frame, sub, cap=1 << 16):
 # essential primes
 
 def primes_above(frame, a):
-    return frozenset(p for p in frames.primes(frame) if frame.leq[a, p])
+    up = frame.up_masks[a]
+    return frozenset(p for p in frames.primes(frame) if up >> p & 1)
 
 
 def _require_meet_of_primes(frame, a):
@@ -468,7 +475,8 @@ def essential_primes(frame, a):
     pts = _require_meet_of_primes(frame, a)
     out = set()
     for p in pts:
-        rest = [q for q in pts if not frame.leq[p, q]]
+        up = frame.up_masks[p]
+        rest = [q for q in pts if not up >> q & 1]
         if frame.meet_of(rest) != a:
             out.add(p)
     return frozenset(out)
@@ -487,7 +495,8 @@ def absolutely_essential_primes(frame, a):
 
 def weakly_covered(frame, p):
     """p differs from the meet of the primes strictly above it."""
-    stricter = [q for q in frames.primes(frame) if frame.leq[p, q] and q != p]
+    up = frame.up_masks[p] & ~(1 << p)
+    stricter = [q for q in frames.primes(frame) if up >> q & 1]
     return frame.meet_of(stricter) != p
 
 
@@ -495,7 +504,16 @@ def weakly_covered(frame, p):
 # a cached bundle of everything the classifier and theorem suites consume
 
 class FrameAnalysis:
-    """Lazily computed subsystems of one frame's assembly."""
+    """Lazily computed subsystems of one frame's assembly.
+
+    joins, meets and differences are the pair tables the batteries read
+    binary sublocale operations from: with S_i the i-th member of the
+    assembly, joins[i][j] is sublocale_join of S_i and S_j, meets[i][j]
+    their sublocale_meet and differences[i][j] the difference S_i minus
+    S_j.  Each is k x k over the whole assembly, every ordered pair
+    computed once through the sublocales module attribute, so a
+    commutativity slip still shows in the table.
+    """
 
     def __init__(self, frame, cap=1 << 16):
         self.frame = frame
@@ -504,6 +522,22 @@ class FrameAnalysis:
     @cached_property
     def assembly(self):
         return subl.enumerate_assembly(self.frame, self.cap)
+
+    def _pair_table(self, op):
+        subs = self.assembly.sublocales
+        return tuple(tuple(op(s, t) for t in subs) for s in subs)
+
+    @cached_property
+    def joins(self):
+        return self._pair_table(lambda s, t: subl.sublocale_join(self.frame, [s, t]))
+
+    @cached_property
+    def meets(self):
+        return self._pair_table(lambda s, t: subl.sublocale_meet(self.frame, [s, t]))
+
+    @cached_property
+    def differences(self):
+        return self._pair_table(lambda s, t: subl.difference(s, t))
 
     @cached_property
     def whole(self):
@@ -524,6 +558,12 @@ class FrameAnalysis:
     @cached_property
     def d_family(self):
         return d_sublocales(self.assembly)
+
+    @cached_property
+    def d_indices(self):
+        """Assembly indices of the D-family, in assembly order (which is
+        Sublocale.sort_key order)."""
+        return tuple(i for i, s in enumerate(self.assembly) if s in self.d_family)
 
     @cached_property
     def spatial_family(self):

@@ -55,25 +55,19 @@ class LawResult:
 
 def is_boolean_lattice(frame):
     """Every element complemented: meet to bottom, join to top."""
-    n, meet, join = frame.n, frame.meet, frame.join
+    n, meet, join = frame.n, frame.meet_rows, frame.join_rows
     bot, top = frame.bottom, frame.top
-    return all(any(meet[x, y] == bot and join[x, y] == top for y in range(n))
+    return all(any(m == bot and j == top for m, j in zip(meet[x], join[x]))
                for x in range(n))
 
 
 def _intrinsically_td_spatial(sub):
     """Every member is the meet of the sublocale's covered points above it."""
-    cov = sy.covered_points_of(sub)
-    frame = sub.frame
-    return all(frame.meet_of(p for p in cov if frame.leq[s, p]) == s
-               for s in sub.members)
+    return frames.meets_of_points(sub.frame, sy.covered_points_of(sub), sub.members)
 
 
 def _intrinsically_spatial(sub):
-    pts = sy.points_of(sub)
-    frame = sub.frame
-    return all(frame.meet_of(p for p in pts if frame.leq[s, p]) == s
-               for s in sub.members)
+    return frames.meets_of_points(sub.frame, sy.points_of(sub), sub.members)
 
 
 # ---------------------------------------------------------------------------
@@ -117,9 +111,9 @@ def strongly_td_spatial_suite(an):
 def covered_primes_suite(an):
     every = frozenset(an.assembly)
     d_fam = an.d_family
-    closed_pairs = all(
-        subl.sublocale_meet(an.frame, [s, t]) in d_fam
-        for s in d_fam for t in d_fam)
+    meets = an.meets
+    closed_pairs = all(meets[i][j] in d_fam
+                       for i in an.d_indices for j in an.d_indices)
     return SuiteResult("covered_primes_characterization", (
         ("all_primes_covered", an.covered == an.points),
         ("spatialpart_in_smooth", an.spatial_family <= an.smooth),
@@ -306,7 +300,7 @@ def law_difference(an, law):
             law.fail(f"a difference is not a sublocale (mask {mask:#x})",
                      checked=0)
 
-    diff = [[subl.difference(s, t).mask for t in subs] for s in subs]
+    diff = [[d.mask for d in row] for row in an.differences]
     supp = [subl.supplement(t).mask for t in subs]
     # the second route: S\T holds exactly the primes of S not in T
     by_primes = assembly.by_primes
@@ -353,9 +347,10 @@ def law_open_closed(an, law):
     closeds = [subl.closed_sublocale(frame, a) for a in range(n)]
     booleans = [subl.boolean_sublocale(frame, a) for a in range(n)]
     for a in range(n):
+        join_row, meet_row = frame.join_rows[a], frame.meet_rows[a]
         for b in range(n):
             law.checked += 5
-            jj, mm = int(frame.join[a, b]), int(frame.meet[a, b])
+            jj, mm = join_row[b], meet_row[b]
             if closeds[jj] != subl.sublocale_meet(frame, [closeds[a], closeds[b]]):
                 law.fail(f"closed-of-join at ({a},{b})")
             if opens[jj] != subl.sublocale_join(frame, [opens[a], opens[b]]):
@@ -440,33 +435,40 @@ def law_spectra(an, law):
 @_battery("td_adjunction")
 def law_td_adjunction(an, law):
     frame = an.frame
-    report = sy.check_td_adjunction(an.assembly, an.cap)
+    assembly = an.assembly
+    report = sy.check_td_adjunction(assembly, an.cap)
     law.checked = report.checked
     if not report.passed:
         law.fail(report.failures[0])
-    d_fam = sorted(an.d_family, key=Sublocale.sort_key)
+    d_idx = an.d_indices
+    d_fam = [assembly[i] for i in d_idx]
     sp_d = an.td_spatializations
     for s in d_fam:
         law.checked += 2
-        if not sp_d[s].members <= s.members:
+        if sp_d[s].mask & ~s.mask:
             law.fail(f"td-spatialization inflates {s!r}")
         if sp_d[s] != sy.td_spatialization(sp_d[s]):
             law.fail(f"td-spatialization not idempotent on {s!r}")
+    # sp[i]: the td-spatialization of member i, with its assembly index
+    sp = {i: sp_d[assembly[i]] for i in d_idx}
+    sp_at = {i: assembly.index_of(sp[i]) for i in d_idx}
+    joins = an.joins
     # the image meet law depends only on sp_d[s] meet sp_d[t]: check each once
     image_meet_holds = {}
-    for s in d_fam:
-        for t in d_fam:
+    for i in d_idx:
+        s, sp_s, join_row, sp_row = assembly[i], sp[i], joins[i], joins[sp_at[i]]
+        for j in d_idx:
             law.checked += 1
-            if s.members <= t.members and not sp_d[s].members <= sp_d[t].members:
+            t, sp_t = assembly[j], sp[j]
+            if s.mask & ~t.mask == 0 and sp_s.mask & ~sp_t.mask:
                 law.fail("td-spatialization not monotone")
-            j = subl.sublocale_join(frame, [s, t])
-            if sp_d[j] != subl.sublocale_join(frame, [sp_d[s], sp_d[t]]):
+            if sp_d[join_row[j]] != sp_row[sp_at[j]]:
                 law.fail(f"join not preserved at {s!r}, {t!r}")
-            inter = sp_d[s].mask & sp_d[t].mask
+            inter = sp_s.mask & sp_t.mask
             if inter not in image_meet_holds:
                 # meets inside the image go through the operator once more
                 image_meet = sy.td_spatialization(
-                    subl.sublocale_meet(frame, [sp_d[s], sp_d[t]]))
+                    subl.sublocale_meet(frame, [sp_s, sp_t]))
                 below = [sp_d[r] for r in d_fam if not sp_d[r].mask & ~inter]
                 image_meet_holds[inter] = \
                     subl.sublocale_join(frame, below) == image_meet
@@ -496,39 +498,37 @@ def law_td_adjunction(an, law):
     # classical adjunction law, same shape with plain primes; the meet
     # closure is checked against its second route, the join of points
     pts = sorted(an.points)
-    sub_points = [(s, sy.points_of(s)) for s in an.assembly]
+    sub_points = [(s.mask, frames.mask_of(sy.points_of(s))) for s in assembly]
     for sel in range(1 << len(pts)):
         y = frozenset(pts[i] for i in frames.bits_of(sel))
+        y_mask = frames.mask_of(y)
         m = sy.meet_closure(frame, sy.PrimeSubset(frame, y, classical=True))
         law.checked += 1
         if m != subl.sublocale_join(
                 frame, [Sublocale(frame, {frame.top, p}) for p in y]):
             law.fail("meet closure disagrees with the join of points")
-        for s, points in sub_points:
+        for s_mask, points in sub_points:
             law.checked += 1
-            if (m.members <= s.members) != (y <= points):
+            if (m.mask & ~s_mask == 0) != (y_mask & ~points == 0):
                 law.fail("classical adjunction law fails")
 
 
 @_battery("d_family_closure")
 def law_d_family_closure(an, law):
-    frame = an.frame
     if an.whole not in an.d_family:
         law.fail("whole frame not in family", checked=1)
     if not an.smooth <= an.d_family:
         law.fail("smooth not inside family", checked=1)
-    # a fixed order, so a failure names the same pair and count every run
-    d_fam = sorted(an.d_family, key=Sublocale.sort_key)
-    for s in d_fam:
-        for t in d_fam:
-            law.checked += 1
-            if not sy.is_d_sublocale(subl.sublocale_join(frame, [s, t])):
-                law.fail(f"join escapes at {s!r}, {t!r}")
-    for s in d_fam:
-        for t in an.assembly:
-            law.checked += 1
-            if not sy.is_d_sublocale(subl.difference(s, t)):
-                law.fail(f"difference escapes at {s!r}, {t!r}")
+    # assembly order, so a failure names the same pair and count every run
+    subs = an.assembly.sublocales
+    for table, others, what in ((an.joins, an.d_indices, "join"),
+                                (an.differences, range(len(subs)), "difference")):
+        for i in an.d_indices:
+            row = table[i]
+            for j in others:
+                law.checked += 1
+                if not sy.is_d_sublocale(row[j]):
+                    law.fail(f"{what} escapes at {subs[i]!r}, {subs[j]!r}")
 
 
 @_battery("assembly_order")
@@ -537,17 +537,20 @@ def law_assembly_order(an, law):
     assembly = an.assembly
     order = assembly.order_frame
     frame = an.frame
-    for i, s in enumerate(assembly):
-        for j, t in enumerate(assembly):
+    masks = [s.mask for s in assembly]
+    for i, s in enumerate(masks):
+        order_join, order_meet = order.join_rows[i], order.meet_rows[i]
+        meet_row, join_row = an.meets[i], an.joins[i]
+        for j, t in enumerate(masks):
             law.checked += 3
-            inter = subl.sublocale_meet(frame, [s, t])
-            if assembly[int(order.join[i, j])] != inter:
+            if masks[order_join[j]] != meet_row[j].mask:
                 law.fail("order join is not intersection")
-            join = subl.sublocale_join(frame, [s, t])
-            if assembly[int(order.meet[i, j])] != join:
+            join = join_row[j].mask
+            if masks[order_meet[j]] != join:
                 law.fail("order meet is not sublocale join")
-            if assembly.join_mask(s.mask, t.mask) != join.mask:
-                law.fail(f"prime-subset join law fails at {s!r}, {t!r}")
+            if assembly.join_mask(s, t) != join:
+                law.fail(f"prime-subset join law fails at "
+                         f"{assembly[i]!r}, {assembly[j]!r}")
     # covered primes of the reversed assembly are the one-point sublocales
     expected = {assembly.index_of(Sublocale(frame, {frame.top, p}))
                 for p in an.covered}
@@ -571,25 +574,24 @@ def _interior_operators(frame):
     """Interior operators to exercise: crops by one element, operators
     induced by pair-generated join-closed subsets, and a few random
     join-closed subsets (seeded by the frame size, so runs stay stable)."""
+    n, meet, join, up = frame.n, frame.meet_rows, frame.join_rows, frame.up_masks
     ops = []
-    for c in range(frame.n):
-        ops.append(tuple(int(frame.meet[x, c]) for x in range(frame.n)))
+    for c in range(n):
+        ops.append(tuple(meet[x][c] for x in range(n)))
 
     def from_join_closed(closed):
-        return tuple(frame.join_of(c for c in closed if frame.leq[c, x])
-                     for x in range(frame.n))
+        return tuple(frame.join_of(c for c in closed if up[c] >> x & 1)
+                     for x in range(n))
 
-    for a in range(frame.n):
-        for b in range(a + 1, frame.n):
-            ops.append(from_join_closed(
-                {frame.bottom, a, b, int(frame.join[a, b])}))
-    rng = __import__("random").Random(frame.n * 7919 + 1)
+    for a in range(n):
+        for b in range(a + 1, n):
+            ops.append(from_join_closed({frame.bottom, a, b, join[a][b]}))
+    rng = __import__("random").Random(n * 7919 + 1)
     for _ in range(5):
-        seed = {frame.bottom} | {rng.randrange(frame.n) for _ in range(3)}
+        seed = {frame.bottom} | {rng.randrange(n) for _ in range(3)}
         closed = set(seed)
         while True:
-            grown = closed | {int(frame.join[x, y])
-                              for x in closed for y in closed}
+            grown = closed | {join[x][y] for x in closed for y in closed}
             if grown == closed:
                 break
             closed = grown
@@ -603,24 +605,27 @@ def law_interior_operators(an, law):
     joins, with meets corrected through the operator; the surjection onto
     the image preserves meets."""
     frame = an.frame
+    meet, join, up = frame.meet_rows, frame.join_rows, frame.up_masks
     for table in _interior_operators(frame):
         image = sorted(set(table))
         for x in image:
             if table[x] != x:
                 law.fail("image not fixed")
         for x in image:
+            join_row, meet_row, table_row = join[x], meet[x], meet[table[x]]
             for y in image:
                 law.checked += 2
-                j = int(frame.join[x, y])
+                j = join_row[y]
                 if table[j] != j:
                     law.fail("join left the image")
-                m_host = int(frame.meet[x, y])
+                m_host = meet_row[y]
                 m_img = table[m_host]
                 # greatest lower bound within the image
-                below = [z for z in image if frame.leq[z, x] and frame.leq[z, y]]
+                both = 1 << x | 1 << y
+                below = [z for z in image if up[z] & both == both]
                 if frame.join_of(below) != m_img:
                     law.fail("image meet is not the corrected meet")
-                if table[m_host] != table[int(frame.meet[table[x], table[y]])]:
+                if table[m_host] != table[table_row[table[y]]]:
                     law.fail("surjection fails to preserve meets")
 
 
@@ -715,11 +720,17 @@ class FrameVerdict:
 
 
 def verify_frame_theorems(frame, cap=1 << 16, name="frame"):
-    """Run every suite and battery on one frame, trapping engine errors."""
+    """Run every suite and battery on one frame, trapping engine errors.
+
+    An assembly over the cap is no engine error: CapExceeded propagates,
+    for the caller to report the frame as not verified.
+    """
     an = sy.FrameAnalysis(frame, cap)
     try:
         suites = run_theorem_suites(an)
         laws = run_law_batteries(an)
+    except subl.CapExceeded:
+        raise
     except Exception as exc:           # an engine crash is a failed verdict
         return FrameVerdict(name, [], [], error=f"{type(exc).__name__}: {exc}")
     return FrameVerdict(name, suites, laws)

@@ -7,6 +7,8 @@ breakage propagates into the laws instead of tripping input validation
 immediately.
 """
 
+import functools
+
 from localelab import frames
 from localelab import sublocales as subl
 from localelab import subsystems as sy
@@ -17,6 +19,7 @@ REAL_DIFFERENCE = subl.difference
 REAL_PIECES_UNION = subl._pieces_union
 REAL_PRIME_CLOSURES = subl._prime_subset_closures
 REAL_SPECTRA = sy._spectra
+REAL_DIFFERENCES = sy.FrameAnalysis.differences.func
 
 
 def underreport_covered_primes(monkeypatch):
@@ -80,6 +83,26 @@ def spectra_of_another_mask(monkeypatch):
     monkeypatch.setattr(sy, "_spectra", mutant)
 
 
+def _replace_pair_table(monkeypatch, name, build):
+    table = functools.cached_property(build)
+    table.__set_name__(sy.FrameAnalysis, name)
+    monkeypatch.setattr(sy.FrameAnalysis, name, table)
+
+
+def pair_differences_transposed(monkeypatch):
+    """FrameAnalysis.differences holding difference(T, S) at [i][j]."""
+    _replace_pair_table(monkeypatch, "differences",
+                        lambda an: tuple(zip(*REAL_DIFFERENCES(an))))
+
+
+def pair_joins_ignoring_second(monkeypatch):
+    """FrameAnalysis.joins holding the join of S alone at [i][j], as if T
+    added nothing."""
+    def mutant(an):
+        return an._pair_table(lambda s, t: subl.sublocale_join(an.frame, [s]))
+    _replace_pair_table(monkeypatch, "joins", mutant)
+
+
 ALL_MUTANTS = (
     ("covered_prime_underreporting", underreport_covered_primes),
     ("join_without_meet_closure", join_without_meet_closure),
@@ -88,4 +111,6 @@ ALL_MUTANTS = (
     ("enumeration_dropping_last_prime", enumeration_dropping_last_prime),
     ("table_join_ignoring_second", table_join_ignoring_second),
     ("spectra_of_another_mask", spectra_of_another_mask),
+    ("pair_differences_transposed", pair_differences_transposed),
+    ("pair_joins_ignoring_second", pair_joins_ignoring_second),
 )

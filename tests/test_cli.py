@@ -2,6 +2,7 @@ import gc
 import hashlib
 import io
 import os
+import time
 import weakref
 
 import pytest
@@ -107,6 +108,15 @@ class TestVerify:
     def test_cap_guard(self):
         code, text = run(["verify", "--cap", "0", "--count", "1"])
         assert code == cli.EXIT_PARSE
+
+    def test_cap_hit_is_reported_and_exits_3(self, tmp_path):
+        code, text = run(["verify", "--seed", "1", "--bound", "4", "--count", "6",
+                          "--cap", "4", "--out-dir", str(tmp_path)])
+        assert code == cli.EXIT_CAP
+        assert "frame 3: elements=5 cap exceeded at 5\n" in text
+        assert "frame 5: elements=6 cap exceeded at 5\n" in text
+        assert "FAIL" not in text
+        assert not list(tmp_path.iterdir())
 
     def test_failure_writes_reloadable_witness(self, tmp_path, monkeypatch):
         mutants.underreport_covered_primes(monkeypatch)
@@ -223,6 +233,19 @@ class TestDot:
         code, text = run(["dot", chain3_file, "--out-dir", str(tmp_path),
                           "--cap", "1"])
         assert code == cli.EXIT_CAP
+
+
+class TestHostileInput:
+    def test_huge_declared_size_refused_quickly(self, tmp_path):
+        path = tmp_path / "huge.frame"
+        path.write_text("elements: 1000000000\n")
+        assert path.stat().st_size == 21
+        start = time.perf_counter()
+        code, text = run(["analyze", str(path)])
+        assert time.perf_counter() - start < 0.5
+        assert code == cli.EXIT_PARSE
+        assert text == ("error: 1000000000 elements need at least 999999999 "
+                        "distinct 'cover' lines, got 0\n")
 
 
 class TestEnvironment:

@@ -299,6 +299,20 @@ class TestTextFormat:
         with pytest.raises(FrameFormatError):
             frames.parse_frame_text("cover: 0 1\n")
 
+    def test_too_few_covers_refused(self):
+        with pytest.raises(FrameFormatError, match="at least 2 distinct 'cover'"):
+            frames.parse_frame_text("elements: 3\ncover: 0 1\ncover: 0 1\n")
+
+    def test_declared_size_costs_nothing_before_refusal(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(FrameFormatError):
+                frames.parse_frame_text("elements: 1000000000\n")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 10
+
     def test_labels_applied(self):
         f = frames.parse_frame_text("elements: 2\ncover: 0 1\nlabel: 0 bot\n")
         assert f.labels == ("bot", "1")

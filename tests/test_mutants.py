@@ -28,6 +28,8 @@ KILLED_BY = {
     "enumeration_dropping_last_prime": ("square", theorems.assembly_powerset_suite),
     "table_join_ignoring_second": ("square", theorems.law_assembly_order),
     "spectra_of_another_mask": ("square", theorems.law_spectra),
+    "pair_differences_transposed": ("square", theorems.law_difference),
+    "pair_joins_ignoring_second": ("square", theorems.law_assembly_order),
 }
 FRAMES = {"chain3": lambda: chain(3), "square": boolean_square}
 

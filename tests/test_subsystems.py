@@ -245,3 +245,25 @@ class TestOnePointComplementedLemma:
             for p in frames.primes(f):
                 one_point = Sublocale(f, {f.top, p})
                 assert subl.is_complemented(one_point) == (p in cov)
+
+
+class TestPairTables:
+    def test_entries_match_the_public_operations(self, small_corpus):
+        # each entry against the operation itself, on a copy of the frame
+        # with nothing memoised
+        for f in small_corpus:
+            an = sy.FrameAnalysis(f)
+            fresh = frames.FiniteFrame(f.leq, f.labels)
+            subs = [Sublocale(fresh, s.members) for s in an.assembly]
+            for i, s in enumerate(subs):
+                for j, t in enumerate(subs):
+                    assert an.joins[i][j].mask == \
+                        subl.sublocale_join(fresh, [s, t]).mask
+                    assert an.meets[i][j].mask == \
+                        subl.sublocale_meet(fresh, [s, t]).mask
+                    assert an.differences[i][j].mask == subl.difference(s, t).mask
+
+    def test_d_indices_follow_the_assembly(self, square):
+        an = sy.FrameAnalysis(square)
+        assert [an.assembly[i] for i in an.d_indices] == \
+            sorted(an.d_family, key=Sublocale.sort_key)
