@@ -42,7 +42,7 @@ print("\nadjunction law checked", report.checked, "times:",
       "pass" if report.passed else report.failures[0])
 
 # lifting the surjection onto a sublocale to the assemblies
-lift = sy.lift_surjection(chain3, c_a)
+lift = sy.lift_surjection(assembly, c_a)
 print("\nlift onto c(a): maps", len(lift.source_subs), "sublocales onto",
       len(lift.target_subs))
 for i, s in enumerate(lift.source_subs):

@@ -156,11 +156,12 @@ class _Memo:
     other.mask to the mask U(other) of pieces that difference intersects
     with sub; difference_tables holds the tables U is built from, once
     built; spectra maps a mask to its intrinsic (primes, covered primes)
-    (see subsystems).
+    (see subsystems); orders maps the masks of a family of sublocales, in
+    Sublocale.sort_key order, to its family_order_frame result.
     """
 
     __slots__ = ("subs", "valid", "closures", "unions", "difference_tables",
-                 "spectra")
+                 "spectra", "orders")
 
     def __init__(self):
         self.subs = {}
@@ -169,6 +170,7 @@ class _Memo:
         self.unions = {}
         self.difference_tables = None
         self.spectra = {}
+        self.orders = {}
 
 
 class FiniteFrame:

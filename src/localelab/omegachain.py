@@ -223,6 +223,7 @@ def chain_join(c, d):
 
 
 def chain_subset(c, d):
+    """c inside d, for two sublocale or two point-set descriptions."""
     finite, tail = _combine(c, d, lambda a, b: a and not b)
     return tail is None and not finite and (d.bottom or not c.bottom)
 
@@ -260,27 +261,13 @@ def chain_ptd_whole():
     return chain_point_set(tail=Tail(1, (True,)))
 
 
-def point_set_subset(a, b):
-    finite, tail = _combine(a, b, lambda x, y: x and not y)
-    return tail is None and not finite and (b.bottom or not a.bottom)
-
-
 def chain_is_d_sublocale(c):
     """Covered primes of the sublocale must be covered in the chain.
 
     All levels are covered in the chain, the bottom never is; so this
     fails exactly when the bottom is covered inside the sublocale.
     """
-    return point_set_subset(chain_ptd(c), chain_ptd_whole())
-
-
-def surjection_is_d_homomorphism(c):
-    """Does the localic inclusion of the sublocale preserve covered primes?
-
-    Same content as chain_is_d_sublocale; named for use where the map,
-    not the subset, is in view.
-    """
-    return chain_is_d_sublocale(c)
+    return chain_subset(chain_ptd(c), chain_ptd_whole())
 
 
 # ---------------------------------------------------------------------------

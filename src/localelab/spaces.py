@@ -76,15 +76,13 @@ def sierpinski():
 
 
 def from_preorder(rel):
-    """The topology of all upsets of a preorder (every finite space arises so)."""
+    """The topology of all upsets of a preorder (every finite space arises so).
+
+    The upsets of rel are the downsets of its transpose.
+    """
     rel = np.asarray(rel, dtype=bool)
-    m = rel.shape[0]
-    ups = set()
-    for mask in range(1 << m):
-        pts = frozenset(frames.bits_of(mask))
-        if all(rel[x, y] <= (y in pts) for x in pts for y in range(m)):
-            ups.add(pts)
-    return FiniteSpace(m, frozenset(ups))
+    ups = (frozenset(frames.bits_of(u)) for u in frames.downsets(rel.T))
+    return FiniteSpace(rel.shape[0], frozenset(ups))
 
 
 def all_spaces(points):
@@ -95,13 +93,9 @@ def all_spaces(points):
     pairs = [(i, j) for i in range(points) for j in range(points) if i != j]
     out = []
     for mask in range(1 << len(pairs)):
-        rel = np.eye(points, dtype=bool)
-        for t in frames.bits_of(mask):
-            rel[pairs[t]] = True
-        closed = rel.copy()
-        for k in range(points):
-            closed |= closed[:, k, None] & closed[None, k, :]
-        if (closed == rel).all():
+        chosen = [pairs[t] for t in frames.bits_of(mask)]
+        rel = frames.transitive_reflexive_closure(points, chosen)
+        if rel.sum() == points + len(chosen):    # already transitive
             out.append(from_preorder(rel))
     return out
 

@@ -9,8 +9,6 @@ difference, and exhaustive assembly enumeration.
 
 from __future__ import annotations
 
-from functools import cached_property
-
 import numpy as np
 
 from . import frames
@@ -356,14 +354,22 @@ def is_complemented(sub):
 
 
 def family_order_frame(subs):
-    """Reverse-inclusion order frame of a family of sublocales.
+    """Reverse-inclusion order frame of a family of sublocales of one frame.
 
-    The one builder of such frames.  Returns (frame, members sorted by
+    The one builder of such frames, and their one cache: each distinct
+    family is built and validated once per frame, whatever order its
+    members come in.  Returns (frame, members as a tuple sorted by
     Sublocale.sort_key); i <= j iff members[i] contains members[j].
     """
-    subs = sorted(subs, key=Sublocale.sort_key)
-    leq = frames.inclusion_order(s.mask for s in subs).T
-    return frames.verify_frame(leq, labels=[repr(s) for s in subs]), subs
+    subs = tuple(sorted(subs, key=Sublocale.sort_key))
+    orders = _same_frame(*subs)._memo.orders
+    masks = tuple(s.mask for s in subs)
+    got = orders.get(masks)
+    if got is None:
+        leq = frames.inclusion_order(masks).T
+        got = orders[masks] = (
+            frames.verify_frame(leq, labels=[repr(s) for s in subs]), subs)
+    return got
 
 
 class Assembly:
@@ -374,12 +380,7 @@ class Assembly:
     maps each mask back to its bits.  Every sublocale is such a closure,
     so joins are ORs of bits (join_mask), intersections ANDs and
     differences bits & ~bits.  sublocales lists the members sorted by
-    Sublocale.sort_key.  order_frame materialises the reverse-inclusion
-    order (the dual of the coframe of sublocales) as a FiniteFrame
-    through family_order_frame, so the whole element-level toolkit
-    applies to the assembly itself.  d_order is left for
-    subsystems.lift_surjection, which keeps the D-family and its order
-    frame there once built.
+    Sublocale.sort_key, the order family_order_frame gives them.
     """
 
     def __init__(self, frame, by_primes):
@@ -389,7 +390,6 @@ class Assembly:
         self.sublocales = tuple(sorted((_from_mask(frame, m) for m in self.by_primes),
                                        key=Sublocale.sort_key))
         self._index = {s.mask: i for i, s in enumerate(self.sublocales)}
-        self.d_order = None
 
     def __len__(self):
         return len(self.sublocales)
@@ -409,11 +409,6 @@ class Assembly:
     def join_mask(self, a, b):
         """Mask of the join of the members with masks a and b."""
         return self.by_primes[self.primes_of[a] | self.primes_of[b]]
-
-    @cached_property
-    def order_frame(self):
-        """Reverse inclusion as a FiniteFrame: i <= j iff S_i contains S_j."""
-        return family_order_frame(self.sublocales)[0]
 
 
 def _prime_subset_closures(frame, primes):

@@ -21,7 +21,7 @@ from . import frames
 from . import spaces
 from . import sublocales as subl
 from .frames import bits_of, mask_of
-from .sublocales import Assembly, Sublocale
+from .sublocales import Sublocale
 
 
 class NotDSublocale(ValueError):
@@ -69,23 +69,13 @@ def _spectra(sub):
     return got
 
 
-def sub_primes(sub):
-    """Primes of the sublocale as its own lattice."""
-    return _spectra(sub)[0]
-
-
-def sub_covered_primes(sub):
-    """Covered primes of the sublocale as its own lattice."""
-    return _spectra(sub)[1]
-
-
 def points_of(sub):
     """The classical spectrum of a sublocale: its intrinsic primes.
 
     For sublocales these coincide with the ambient primes lying inside,
     which the tests assert; the intrinsic computation is the definition.
     """
-    return sub_primes(sub)
+    return _spectra(sub)[0]
 
 
 def covered_points_of(sub):
@@ -95,7 +85,7 @@ def covered_points_of(sub):
     members: the divergence of the two is exactly what makes a sublocale
     fail to interact well with the covered-prime duality.
     """
-    return sub_covered_primes(sub)
+    return _spectra(sub)[1]
 
 
 def is_d_sublocale(sub):
@@ -180,15 +170,14 @@ class AdjunctionReport:
         return f"AdjunctionReport({state}, checked={self.checked})"
 
 
-def check_td_adjunction(frame, cap=1 << 16):
+def check_td_adjunction(assembly):
     """Verify the adjunction law between covered-prime subsets and D-sublocales.
 
-    frame may also be its already enumerated Assembly.  For every
-    D-sublocale S and every subset Y of the covered primes:
-    meet_closure(Y) <= S iff Y <= covered_points_of(S); additionally
-    taking covered points of a meet closure must give the subset back.
+    For every D-sublocale S of the enumerated assembly and every subset Y
+    of the covered primes: meet_closure(Y) <= S iff Y <= covered_points_of(S);
+    additionally taking covered points of a meet closure must give the
+    subset back.
     """
-    assembly = _assembly_of(frame, cap)
     frame = assembly.frame
     dsubs = [(s, mask_of(covered_points_of(s))) for s in assembly if is_d_sublocale(s)]
     pts = sorted(frames.covered_primes(frame))
@@ -208,12 +197,6 @@ def check_td_adjunction(frame, cap=1 << 16):
                 failures.append(
                     f"law fails for Y={sorted(y)} S={s!r}: {lhs} vs {rhs}")
     return AdjunctionReport(checked, failures)
-
-
-def _assembly_of(frame_or_assembly, cap=1 << 16):
-    if isinstance(frame_or_assembly, Assembly):
-        return frame_or_assembly
-    return subl.enumerate_assembly(frame_or_assembly, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -395,25 +378,21 @@ class AssemblyLift:
         self.target_members = target_members
 
 
-def lift_surjection(frame, sub, cap=1 << 16):
+def lift_surjection(assembly, sub, cap=1 << 16):
     """Lift the surjection onto `sub` to the assemblies of D-sublocales.
 
-    The lift sends a D-sublocale T to T meet sub (meet taken in the
-    family of D-sublocales); it exists exactly when sub itself is a
-    D-sublocale.  The returned AdjointPair lives on the reverse-inclusion
-    order frames, and is checked to preserve meets, joins, and the
-    closed-sublocale generators with elements of sub.  frame may also be
-    its already enumerated Assembly, which then keeps the source side (the
-    D-family and its order frame) for every later lift.
+    The lift sends a D-sublocale T of the enumerated assembly to T meet
+    sub (meet taken in the family of D-sublocales); it exists exactly when
+    sub itself is a D-sublocale.  The returned AdjointPair lives on the
+    reverse-inclusion order frames, and is checked to preserve meets,
+    joins, and the closed-sublocale generators with elements of sub.  cap
+    bounds the enumeration of sub's own assembly.
     """
     if not is_d_sublocale(sub):
         raise NotLiftable(f"{sub!r} is not a D-sublocale")
-    assembly = _assembly_of(frame, cap)
     frame = assembly.frame
-    if assembly.d_order is None:
-        family = d_sublocales(assembly)
-        assembly.d_order = (family, *subl.family_order_frame(family))
-    src_family, src_frame, src_subs = assembly.d_order
+    src_family = d_sublocales(assembly)
+    src_frame, src_subs = subl.family_order_frame(src_family)
 
     sub_frame, members = sublocale_frame(sub)
     pos = {a: i for i, a in enumerate(members)}

@@ -150,7 +150,7 @@ def total_td_spatiality_suite(an):
 def assembly_powerset_suite(an):
     frame = an.frame
     every = list(an.assembly)
-    order = an.assembly.order_frame
+    order, _ = subl.family_order_frame(an.assembly)
     covered_all = an.covered == an.points
     totally_spatial = an.spatial_family == frozenset(an.assembly)
     zero = subl.zero(frame)
@@ -167,7 +167,7 @@ def assembly_powerset_suite(an):
          totally_spatial and frames.is_strongly_td_spatial(frame)),
         ("all_sublocales_strongly_td",
          all(_intrinsically_spatial(s)
-             and sy.sub_covered_primes(s) == sy.sub_primes(s) for s in every)),
+             and sy.covered_points_of(s) == sy.points_of(s) for s in every)),
         ("assembly_powerset",
          is_boolean_lattice(order) and order.n == 1 << len(an.covered)),
         ("assembly_spatial_boolean",
@@ -409,7 +409,7 @@ def law_covered_degeneracy(an, law):
         law.fail("frame level")
     for s in an.assembly:
         law.checked += 1
-        if sy.sub_covered_primes(s) != sy.sub_primes(s):
+        if sy.covered_points_of(s) != sy.points_of(s):
             law.fail(repr(s))
 
 
@@ -436,7 +436,7 @@ def law_spectra(an, law):
 def law_td_adjunction(an, law):
     frame = an.frame
     assembly = an.assembly
-    report = sy.check_td_adjunction(assembly, an.cap)
+    report = sy.check_td_adjunction(assembly)
     law.checked = report.checked
     if not report.passed:
         law.fail(report.failures[0])
@@ -527,7 +527,7 @@ def law_d_family_closure(an, law):
             row = table[i]
             for j in others:
                 law.checked += 1
-                if not sy.is_d_sublocale(row[j]):
+                if row[j] not in an.d_family:
                     law.fail(f"{what} escapes at {subs[i]!r}, {subs[j]!r}")
 
 
@@ -535,7 +535,7 @@ def law_d_family_closure(an, law):
 def law_assembly_order(an, law):
     """The order frame of the assembly really is the reversed coframe."""
     assembly = an.assembly
-    order = assembly.order_frame
+    order, _ = subl.family_order_frame(assembly)
     frame = an.frame
     masks = [s.mask for s in assembly]
     for i, s in enumerate(masks):

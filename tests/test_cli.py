@@ -116,6 +116,9 @@ class TestVerify:
         assert "frame 3: elements=5 cap exceeded at 5\n" in text
         assert "frame 5: elements=6 cap exceeded at 5\n" in text
         assert "FAIL" not in text
+        # two of the six frames were never verified: no PASS
+        assert text.endswith("frames: 6 failures: 0 cap exceeded: 2\n"
+                             "result: INCOMPLETE\n")
         assert not list(tmp_path.iterdir())
 
     def test_failure_writes_reloadable_witness(self, tmp_path, monkeypatch):

@@ -164,9 +164,9 @@ class TestDFamily:
         assert kinds == {True, False}
 
     def test_surjection_d_homomorphism_examples(self):
-        assert not oc.surjection_is_d_homomorphism(
-            oc.chain_sublocale(bottom=True))
-        assert oc.surjection_is_d_homomorphism(oc.chain_whole())
+        # the inclusion preserves covered primes exactly on D-sublocales
+        assert not oc.chain_is_d_sublocale(oc.chain_sublocale(bottom=True))
+        assert oc.chain_is_d_sublocale(oc.chain_whole())
 
 
 class TestTruncation:

@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from localelab import frames
+from localelab import frames, theorems
 from localelab import sublocales as subl
 from localelab.sublocales import (CapExceeded, MixedFrames,
                                   NotASublocale, Nucleus, Sublocale)
@@ -285,7 +285,7 @@ class TestDifference:
 class TestAssemblyOrder:
     def test_three_chain_order_frame(self, chain3):
         assembly = subl.enumerate_assembly(chain3)
-        order = assembly.order_frame
+        order, _ = subl.family_order_frame(assembly)
         assert order.n == 4
         assert assembly[order.top] == subl.zero(chain3)
         assert assembly[order.bottom] == subl.whole(chain3)
@@ -295,17 +295,17 @@ class TestAssemblyOrder:
             assembly = subl.enumerate_assembly(f)
             shuffled = list(assembly)[::-1]
             order, subs = subl.family_order_frame(shuffled)
-            assert subs == sorted(shuffled, key=Sublocale.sort_key)
+            assert subs == tuple(sorted(shuffled, key=Sublocale.sort_key))
+            assert subs == assembly.sublocales
             assert order.labels == tuple(repr(s) for s in subs)
             for i, s in enumerate(subs):
                 for j, t in enumerate(subs):
                     assert order.leq[i, j] == (t.members <= s.members)
-            assert (assembly.order_frame.leq == order.leq).all()
 
     def test_meet_join_agree_with_set_ops(self, small_corpus):
         for f in (f for f in small_corpus if f.n <= 6):
             assembly = subl.enumerate_assembly(f)
-            order = assembly.order_frame
+            order, _ = subl.family_order_frame(assembly)
             for i, s in enumerate(assembly):
                 for j, t in enumerate(assembly):
                     assert assembly[int(order.join[i, j])].members == \
@@ -325,6 +325,48 @@ class TestAssemblyOrder:
                     if s.members <= b.members:
                         acc &= b.members
                 assert acc == s.members
+
+
+class TestFamilyOrderMemo:
+    def test_each_family_gets_its_own_order(self):
+        f = chain(3)
+        assembly = subl.enumerate_assembly(f)
+        closed = {subl.closed_sublocale(f, a) for a in range(f.n)}
+        assert len(closed) < len(assembly)
+        for family in (assembly, closed, assembly):
+            order, subs = subl.family_order_frame(family)
+            assert subs == tuple(sorted(family, key=Sublocale.sort_key))
+            assert order.n == len(family)
+            for i, s in enumerate(subs):
+                for j, t in enumerate(subs):
+                    assert order.leq[i, j] == (t.members <= s.members)
+
+    def test_equal_family_in_another_order_is_the_same_frame(self, square):
+        assembly = subl.enumerate_assembly(square)
+        order, subs = subl.family_order_frame(assembly)
+        again, subs_again = subl.family_order_frame(
+            set(reversed(assembly.sublocales)))
+        assert again is order
+        assert subs_again is subs
+
+    def test_verify_builds_each_distinct_family_order_once(self, monkeypatch):
+        # the 16-element frame of 6 primes of the verify_large benchmark:
+        # its smooth, spatial and D-families and its assembly coincide, so
+        # the frame itself, one family order frame and the open-set frame
+        # of its spectrum are all the frames built
+        real = frames.FiniteFrame.__init__
+        built = []
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(frames.FiniteFrame, "__init__", counting)
+        pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (4, 2), (4, 3)]
+        f = frames.downset_lattice(frames.transitive_reflexive_closure(6, pairs))
+        assert (f.n, len(frames.primes(f))) == (16, 6)
+        assert theorems.verify_frame_theorems(f).passed
+        assert len(built) == 3
 
 
 class TestFrameMemo:
