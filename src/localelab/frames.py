@@ -47,75 +47,195 @@ class FrameFormatError(FrameError):
         self.line = line
 
 
-def transitive_reflexive_closure(n, pairs):
-    """Boolean n x n matrix: reflexive-transitive closure of the given pairs."""
-    rel = np.eye(n, dtype=bool)
-    for i, j in pairs:
-        if not (0 <= i < n and 0 <= j < n):
-            raise FrameFormatError(f"element out of range: ({i}, {j})")
-        rel[i, j] = True
-    # Warshall
-    for k in range(n):
-        rel |= rel[:, k, None] & rel[None, k, :]
-    return rel
+# Largest number of bytes a kernel holds in one temporary.  Rows are
+# processed in blocks that fit (at least one row), so a small frame takes
+# one pass and a large frame never holds an n^3 temporary.
+BLOCK_BYTES = 1 << 18
+
+# Order kernels on frames of at most this many elements loop over Python
+# int rows; larger frames go through numpy words.  Timed on downset
+# lattices, the int loops win up to 16 elements and numpy from 17 on:
+# numpy's fixed cost per call against n^2 Python steps.
+INT_ROW_BITS = 16
 
 
-def _check_poset(leq):
-    n = leq.shape[0]
-    diag = leq[np.diag_indices(n)]
-    if not diag.all():
-        raise NonPoset("missing reflexivity", int(np.flatnonzero(~diag)[0]))
-    sym = leq & leq.T & ~np.eye(n, dtype=bool)
-    if sym.any():
-        i, j = np.argwhere(sym)[0]
-        raise NonPoset("antisymmetry fails", (int(i), int(j)))
-    closed = leq | (leq @ leq)
-    if (closed & ~leq).any():
-        i, j = np.argwhere(closed & ~leq)[0]
-        raise NonPoset("transitivity fails", (int(i), int(j)))
-
-
-# Largest number of cells a table builder holds in one temporary.  Rows are
-# processed in blocks of at most this many cells (at least one row), so a
-# frame with n**3 <= BLOCK_CELLS takes one pass and a large frame never
-# holds an n**3 temporary.
-BLOCK_CELLS = 1 << 18
-
-
-def _row_blocks(n):
-    """Row ranges [lo, hi) whose n x n slabs fit in BLOCK_CELLS cells,
-    one row at least."""
-    step = max(1, BLOCK_CELLS // (n * n))
+def _row_blocks(n, row_bytes):
+    """Row ranges [lo, hi) of an n-row kernel whose temporaries take
+    row_bytes bytes per row, each range within BLOCK_BYTES, one row at
+    least."""
+    step = max(1, BLOCK_BYTES // row_bytes)
     for lo in range(0, n, step):
         yield lo, min(n, lo + step)
 
 
-def _bound_table(leq, upper):
-    """Table of least upper bounds (upper=True) or greatest lower bounds.
+def _packed_words(matrix):
+    """The rows of a boolean matrix as little-endian 64-bit words: bit j
+    of row i is bit j % 64 of words[i, j // 64], one word at least."""
+    n, width = matrix.shape
+    packed = np.zeros((n, 8 * max(1, -(-width // 64))), dtype=np.uint8)
+    packed[:, :-(-width // 8)] = np.packbits(matrix, axis=1, bitorder="little")
+    return packed.view("<u8")
 
-    The bound of {i, j} is the common bound with the largest row, accepted
-    only if its row is the whole set of common bounds.  A common bound's
-    row lies inside that set, so it is enough to compare sizes.  Raises
-    NonLattice naming the first pair (i <= j, row-major) without one.
+
+def _int_rows(words):
+    """Each row of a word array as one Python int mask."""
+    raw, step = words.tobytes(), 8 * words.shape[1]
+    return [int.from_bytes(raw[lo:lo + step], "little")
+            for lo in range(0, len(raw), step)]
+
+
+def _matrix_of_rows(rows, width):
+    """Boolean matrix whose row i holds the bits of the int rows[i]."""
+    size = -(-width // 8)
+    raw = b"".join(r.to_bytes(size, "little") for r in rows)
+    packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(rows), size)
+    return np.unpackbits(packed, axis=1, count=width, bitorder="little").view(bool)
+
+
+def _lowest_bits(words):
+    """Index of the lowest set bit of each word (-1 for a zero word)."""
+    low = words & (~words + np.uint64(1))
+    return np.frexp(low.astype(np.float64))[1] - 1
+
+
+def transitive_reflexive_closure(n, pairs):
+    """Boolean n x n matrix: reflexive-transitive closure of the given pairs.
+
+    Each row is an int mask, its own bit ORed with the rows of its
+    successors, repeated until no row changes, so a cycle ends like any
+    other input.  Rows are visited successors first (Kahn's order, then
+    whatever lies on or below a cycle), so an acyclic relation settles in
+    one pass, O(pairs * n / 64) word operations, and the next confirms it.
     """
-    n = leq.shape[0]
-    rows = leq if upper else np.ascontiguousarray(leq.T)
-    size = rows.sum(axis=1)
-    # columns ranked by decreasing row size: the first common bound is the
-    # candidate
-    order = np.argsort(-size, kind="stable")
-    ranked = rows[:, order]
+    succ = [[] for _ in range(n)]
+    pred = [[] for _ in range(n)]
+    for i, j in pairs:
+        if not (0 <= i < n and 0 <= j < n):
+            raise FrameFormatError(f"element out of range: ({i}, {j})")
+        if i != j:
+            succ[i].append(j)
+            pred[j].append(i)
+    waiting = [len(s) for s in succ]
+    order = [i for i in range(n) if not waiting[i]]
+    for j in order:
+        for i in pred[j]:
+            waiting[i] -= 1
+            if not waiting[i]:
+                order.append(i)
+    order += [i for i in range(n) if waiting[i]]
+    rows = [1 << i for i in range(n)]
+    changed = True
+    while changed:
+        changed = False
+        for i in order:
+            row = old = rows[i]
+            for j in succ[i]:
+                row |= rows[j]
+            if row != old:
+                rows[i] = row
+                changed = True
+    return _matrix_of_rows(rows, n)
+
+
+def _or_of_rows_under(leq, up, words):
+    """acc[i]: the OR of the rows up[k] over every k in up[i], as ints;
+    leq is the boolean matrix of the rows and words their packed form.
+
+    Up to INT_ROW_BITS rows are ORed as ints, more as numpy words, one
+    block of rows at a time.
+    """
+    if len(up) <= INT_ROW_BITS:
+        acc = []
+        for m in up:
+            a = 0
+            while m:
+                low = m & -m
+                a |= up[low.bit_length() - 1]
+                m ^= low
+            acc.append(a)
+        return acc
+    n, w = words.shape
+    acc = np.empty_like(words)
+    for lo, hi in _row_blocks(n, 8 * n * w):
+        picked = np.where(leq[lo:hi, :, None], words[None, :, :], np.uint64(0))
+        acc[lo:hi] = np.bitwise_or.reduce(picked, axis=1)
+    return _int_rows(acc)
+
+
+def _check_poset(leq, up, down, words):
+    """Raise NonPoset for the first failure, on the int rows up and down:
+    reflexivity by element; antisymmetry at the first pair (row-major)
+    with j in both up[i] and down[i]; transitivity at the first pair
+    with j in the OR of the rows under up[i] but not in up[i]."""
+    for i, row in enumerate(up):
+        if not row >> i & 1:
+            raise NonPoset("missing reflexivity", i)
+    for i in range(len(up)):
+        both = up[i] & down[i] & ~(1 << i)
+        if both:
+            raise NonPoset("antisymmetry fails", (i, (both & -both).bit_length() - 1))
+    for i, acc in enumerate(_or_of_rows_under(leq, up, words)):
+        extra = acc & ~up[i]
+        if extra:
+            raise NonPoset("transitivity fails", (i, (extra & -extra).bit_length() - 1))
+
+
+def _bound_table(matrix, rows, kind):
+    """Table of the bounds of each pair: joins when rows[i] is the int
+    mask of the upset of i (matrix its boolean form), meets when it is
+    the downset.  Raises NonLattice naming the first pair (i <= j,
+    row-major) without a bound.
+
+    The bound of {i, j}, if any, is the element whose row is the AND of
+    rows i and j: that element is a common bound, and every common bound
+    lies in its row.  Up to INT_ROW_BITS elements each AND is looked up
+    among the rows.  Beyond that, elements are ranked by decreasing row
+    size and the rows packed in that order as numpy words: every other
+    common bound lies beyond the bound, so has a smaller row and a later
+    rank, and the candidate is the lowest set bit of the AND, accepted
+    only if its own row is the whole AND.
+    """
+    if len(rows) <= INT_ROW_BITS:
+        return _bound_table_ints(rows, kind)
+    order = np.argsort(-matrix.sum(axis=1), kind="stable")
+    return _bound_table_words(_packed_words(matrix[:, order]), order, kind)
+
+
+def _bound_table_ints(rows, kind):
+    n = len(rows)
+    element = {row: x for x, row in enumerate(rows)}
+    table = [[0] * n for _ in range(n)]
+    for i, ri in enumerate(rows):
+        line = table[i]
+        for j in range(i, n):
+            best = element.get(ri & rows[j])
+            if best is None:
+                raise NonLattice((i, j), kind)
+            line[j] = table[j][i] = best
+    return np.array(table, dtype=np.int32)
+
+
+def _bound_table_words(ranked, order, kind):
+    n, w = ranked.shape
     table = np.empty((n, n), dtype=np.int32)
-    for lo, hi in _row_blocks(n):
-        common = ranked[lo:hi, None, :] & ranked[None, :, :]
-        best = order[common.argmax(axis=2)]
-        bad = size[best] != common.sum(axis=2)
+    for lo, hi in _row_blocks(n, 8 * n * w):
+        # rows lo..hi against columns lo..n; a column j < lo was met as row j
+        common = ranked[lo:hi, None, :] & ranked[None, lo:, :]
+        if w == 1:
+            rank = _lowest_bits(common[..., 0])
+        else:
+            first = (common != 0).argmax(axis=2)
+            word = np.take_along_axis(common, first[..., None], axis=2)[..., 0]
+            rank = 64 * first + _lowest_bits(word)
+        best = order[rank]
+        bad = ~(ranked[best] == common).all(axis=2)
         if bad.any():
-            # a bad (i, j) with j < i was already met as (j, i), so the
-            # first bad cell in row-major order has i <= j
+            # a bad (i, j) with j < i was met as (j, i) earlier in the
+            # block, so the first bad cell in row-major order has i <= j
             i, j = np.argwhere(bad)[0]
-            raise NonLattice((int(lo + i), int(j)), "join" if upper else "meet")
-        table[lo:hi] = best
+            raise NonLattice((int(lo + i), int(lo + j)), kind)
+        table[lo:hi, lo:] = best
+        table[lo:, lo:hi] = best.T
     return table
 
 
@@ -176,12 +296,14 @@ class _Memo:
 class FiniteFrame:
     """A validated finite frame.
 
-    leq is a read-only boolean matrix; meet, join and imp are read-only
-    n x n tables.  meet and join are built at construction and imp on
-    first use, each by numpy passes over blocks of rows holding at most
-    BLOCK_CELLS cells, so a large frame never holds an n^3 temporary;
-    distributivity is checked by join-primality (_check_distributive).
-    Instances hash and compare by identity, so sublocales of one frame
+    leq is a read-only boolean matrix and up_masks[a] the int mask of the
+    upset of a; meet, join and imp are read-only n x n tables.  The order
+    is checked, and meet and join are built, at construction on the up
+    and down rows, as Python ints up to INT_ROW_BITS elements and as
+    numpy 64-bit words in blocks of at most BLOCK_BYTES bytes beyond
+    that, so a large frame never holds an n^3 temporary.  imp is built
+    on first use by a blocked argmax; distributivity is checked by
+    join-primality (_check_distributive).  Instances hash and compare by identity, so sublocales of one frame
     always reference the same object.
     """
 
@@ -192,12 +314,16 @@ class FiniteFrame:
         n = leq.shape[0]
         if n == 0:
             raise NonLattice((), "top")
-        _check_poset(leq)
+        below = np.ascontiguousarray(leq.T)     # below[b, x]: x <= b
+        words = _packed_words(leq)
+        up, down = _int_rows(words), _int_rows(_packed_words(below))
+        _check_poset(leq, up, down, words)
         self.n = n
         leq.flags.writeable = False
         self.leq = leq
-        self.meet = _bound_table(leq, upper=False)
-        self.join = _bound_table(leq, upper=True)
+        self.up_masks = tuple(up)
+        self.meet = _bound_table(below, down, "meet")
+        self.join = _bound_table(leq, up, "join")
         self.meet.flags.writeable = False
         self.join.flags.writeable = False
         _check_distributive(leq, self.meet, self.join)
@@ -246,7 +372,7 @@ class FiniteFrame:
         ranked_meet = self.meet[:, order]
         below = np.ascontiguousarray(self.leq.T)    # below[b, x]: x <= b
         out = np.empty((n, n), dtype=np.int32)
-        for lo, hi in _row_blocks(n):
+        for lo, hi in _row_blocks(n, n * n):
             ok = below[:, ranked_meet[lo:hi]]        # ok[b, a, r]
             out[lo:hi] = order[ok.argmax(axis=2)].T
         out.flags.writeable = False
@@ -264,11 +390,6 @@ class FiniteFrame:
     @cached_property
     def imp_rows(self):
         return tuple(map(tuple, self.imp.tolist()))
-
-    @cached_property
-    def up_masks(self):
-        """up_masks[a]: bitmask of the upset of a."""
-        return tuple(mask_of(np.flatnonzero(self.leq[a])) for a in range(self.n))
 
     @cached_property
     def imp_closure_masks(self):
@@ -372,9 +493,13 @@ def inclusion_order(masks):
 
 
 def cover_relation(leq):
-    """covers[i, j] True iff j covers i in the partial order leq."""
+    """covers[i, j] True iff j covers i in the partial order leq: j is
+    strictly above i and in no strict upset of an element strictly above i."""
     lt = leq & ~np.eye(len(leq), dtype=bool)
-    return lt & ~(lt @ lt)
+    words = _packed_words(lt)
+    strict = _int_rows(words)
+    above = _or_of_rows_under(lt, strict, words)
+    return _matrix_of_rows([s & ~a for s, a in zip(strict, above)], len(leq))
 
 
 def verify_frame(leq, labels=None):

@@ -381,6 +381,8 @@ class Assembly:
     so joins are ORs of bits (join_mask), intersections ANDs and
     differences bits & ~bits.  sublocales lists the members sorted by
     Sublocale.sort_key, the order family_order_frame gives them.
+    d_family is None until subsystems.d_sublocales keeps the D-family
+    of this enumeration there.
     """
 
     def __init__(self, frame, by_primes):
@@ -390,6 +392,7 @@ class Assembly:
         self.sublocales = tuple(sorted((_from_mask(frame, m) for m in self.by_primes),
                                        key=Sublocale.sort_key))
         self._index = {s.mask: i for i, s in enumerate(self.sublocales)}
+        self.d_family = None
 
     def __len__(self):
         return len(self.sublocales)

@@ -251,7 +251,11 @@ def _join_closure(assembly, generators):
 
 
 def d_sublocales(assembly):
-    return frozenset(s for s in assembly if is_d_sublocale(s))
+    """The D-sublocales of an enumerated assembly, found once per
+    assembly and kept in assembly.d_family."""
+    if assembly.d_family is None:
+        assembly.d_family = frozenset(s for s in assembly if is_d_sublocale(s))
+    return assembly.d_family
 
 
 def spatial_sublocales(assembly):
@@ -408,11 +412,11 @@ def lift_surjection(assembly, sub, cap=1 << 16):
         members inside the plain intersection; when the intersection is
         itself in the family (always, for finite frames) this is just it.
         """
-        cut = t.members & sub.members
-        inter = Sublocale(frame, cut)
+        cut = t.mask & sub.mask
+        inter = subl._from_mask(frame, cut, _validate=True)
         if inter in src_family:
             return inter.members
-        inside = [cand for cand in src_subs if cand.members <= cut]
+        inside = [cand for cand in src_subs if cand.mask & ~cut == 0]
         return subl.sublocale_join(frame, inside).members
 
     hom = []

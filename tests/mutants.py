@@ -1,13 +1,18 @@
 """Deliberately broken variants of core operations and their fast paths.
 
-Used to prove the verification suites are not vacuous: each mutant must
-make at least one suite or battery fail (test_mutants.py names which).
+Used to prove the verification suites are not vacuous: each mutant in
+ALL_MUTANTS must make at least one suite or battery fail, and each in
+ORDER_MUTANTS at least one oracle check (test_mutants.py names which).
 The wrong results are built through the unvalidated constructor so the
 breakage propagates into the laws instead of tripping input validation
-immediately.
+immediately.  The ORDER_MUTANTS break the frame validation kernels; each
+is the kernel's own source with one statement edited (_edited), so it
+differs from the real kernel by exactly that statement.
 """
 
 import functools
+import inspect
+import textwrap
 
 from localelab import frames
 from localelab import sublocales as subl
@@ -113,4 +118,64 @@ ALL_MUTANTS = (
     ("spectra_of_another_mask", spectra_of_another_mask),
     ("pair_differences_transposed", pair_differences_transposed),
     ("pair_joins_ignoring_second", pair_joins_ignoring_second),
+)
+
+
+def _edited(module, name, old, new):
+    """module.name compiled from its own source with the one occurrence
+    of old replaced by new."""
+    source = textwrap.dedent(inspect.getsource(getattr(module, name)))
+    assert source.count(old) == 1, f"{name} no longer reads {old!r}"
+    namespace = dict(vars(module))
+    exec(compile(source.replace(old, new), f"<mutant of {name}>", "exec"), namespace)
+    return namespace[name]
+
+
+def _patch_edited(monkeypatch, name, old, new):
+    monkeypatch.setattr(frames, name, _edited(frames, name, old, new))
+
+
+def int_table_defaulting_missing_bound(monkeypatch):
+    """The int-row bound table takes i as the bound of {i, j} when no row
+    equals the AND of rows i and j."""
+    _patch_edited(monkeypatch, "_bound_table_ints",
+                  "element.get(ri & rows[j])", "element.get(ri & rows[j], i)")
+
+
+def word_table_skipping_row_equality(monkeypatch):
+    """The numpy-word bound table takes the lowest common bit as the
+    bound without testing that its row is the whole AND."""
+    _patch_edited(monkeypatch, "_bound_table_words",
+                  "bad = ~(ranked[best] == common).all(axis=2)",
+                  "bad = np.zeros(best.shape, dtype=bool)")
+
+
+def rows_dropping_top_word(monkeypatch):
+    """Packed rows of more than one word lose their last word."""
+    _patch_edited(monkeypatch, "_packed_words",
+                  'return packed.view("<u8")',
+                  'packed[:, max(8, packed.shape[1] - 8):] = 0; '
+                  'return packed.view("<u8")')
+
+
+def transitivity_checking_row_zero(monkeypatch):
+    """The poset check looks for a transitivity failure in row 0 only."""
+    _patch_edited(monkeypatch, "_check_poset",
+                  "enumerate(_or_of_rows_under(leq, up, words))",
+                  "enumerate(_or_of_rows_under(leq, up, words)[:1])")
+
+
+def closure_of_one_pass(monkeypatch):
+    """transitive_reflexive_closure stops after its first pass over the
+    rows, which settles an acyclic relation but not a cycle."""
+    _patch_edited(monkeypatch, "transitive_reflexive_closure",
+                  "    changed = True\n    while changed:", "    for changed in (True,):")
+
+
+ORDER_MUTANTS = (
+    ("int_table_defaulting_missing_bound", int_table_defaulting_missing_bound),
+    ("word_table_skipping_row_equality", word_table_skipping_row_equality),
+    ("rows_dropping_top_word", rows_dropping_top_word),
+    ("transitivity_checking_row_zero", transitivity_checking_row_zero),
+    ("closure_of_one_pass", closure_of_one_pass),
 )

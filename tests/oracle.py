@@ -10,6 +10,8 @@ assembly, beside the prime-subset enumeration.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from localelab import frames
@@ -72,6 +74,65 @@ def lub_bruteforce(leq, a, b):
     ups = leq[a] & leq[b]
     best = np.flatnonzero(ups & (leq | ~ups[None, :]).all(axis=1))
     return int(best[0]) if len(best) else None
+
+
+def poset_failure_bruteforce(rel):
+    """(reason, witness) of the first failed partial-order law, scanned
+    straight from the definitions: reflexivity by element, then
+    antisymmetry and transitivity by pair in row-major order; None for a
+    partial order."""
+    n = len(rel)
+    for i in range(n):
+        if not rel[i][i]:
+            return "missing reflexivity", i
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    for i, j in pairs:
+        if i != j and rel[i][j] and rel[j][i]:
+            return "antisymmetry fails", (i, j)
+    for i, j in pairs:
+        if not rel[i][j] and any(rel[i][k] and rel[k][j] for k in range(n)):
+            return "transitivity fails", (i, j)
+    return None
+
+
+def closure_bruteforce(n, pairs):
+    """Reflexive-transitive closure as nested lists, by a search from
+    every element along the pairs."""
+    succ = [[] for _ in range(n)]
+    for i, j in pairs:
+        succ[i].append(j)
+    out = []
+    for start in range(n):
+        seen = [False] * n
+        seen[start] = True
+        todo = [start]
+        while todo:
+            for j in succ[todo.pop()]:
+                if not seen[j]:
+                    seen[j] = True
+                    todo.append(j)
+        out.append(seen)
+    return out
+
+
+def frame_rejection_bruteforce(rel):
+    """What verify_frame must raise on a poset, found by brute force: the
+    first pair (i <= j, row-major) without a meet, else without a join,
+    else the lexicographically first distributivity triple, as
+    (exception class, (pair, kind) or triple); None if the poset is a
+    frame."""
+    n = len(rel)
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    for kind, bound in (("meet", glb_bruteforce), ("join", lub_bruteforce)):
+        for i, j in pairs:
+            if bound(rel, i, j) is None:
+                return frames.NonLattice, ((i, j), kind)
+    meet = [[glb_bruteforce(rel, i, j) for j in range(n)] for i in range(n)]
+    join = [[lub_bruteforce(rel, i, j) for j in range(n)] for i in range(n)]
+    for a, b, c in itertools.product(range(n), repeat=3):
+        if meet[a][join[b][c]] != join[meet[a][b]][meet[a][c]]:
+            return frames.NonDistributive, (a, b, c)
+    return None
 
 
 def heyting_bruteforce(frame, a, b):

@@ -1,4 +1,3 @@
-import itertools
 import tracemalloc
 
 import numpy as np
@@ -62,18 +61,125 @@ def _is_distributivity_witness(rel, a, b, c):
     return glb(a, lub(b, c)) != lub(glb(a, b), glb(a, c))
 
 
+class TestPosetRejection:
+    """NonPoset reasons and witnesses, each against the first failure
+    that a brute-force scan of the definitions finds."""
+
+    @staticmethod
+    def _rejection(rel):
+        with pytest.raises(NonPoset) as exc:
+            frames.verify_frame(rel)
+        got = (exc.value.reason, exc.value.witness)
+        assert got == oracle.poset_failure_bruteforce(rel.tolist())
+        return got
+
+    def test_missing_reflexivity(self):
+        rel = frames.transitive_reflexive_closure(5, [(i, i + 1) for i in range(4)])
+        rel[3, 3] = rel[4, 4] = False
+        assert self._rejection(rel) == ("missing reflexivity", 3)
+
+    def test_cycle(self):
+        rel = frames.transitive_reflexive_closure(
+            5, [(0, 1), (1, 4), (4, 2), (2, 1), (2, 3)])
+        assert self._rejection(rel) == ("antisymmetry fails", (1, 2))
+
+    def test_not_transitive(self):
+        # 1 < 3 < 4 without 1 < 4; row 0 (0 < 2) is transitive
+        rel = np.eye(5, dtype=bool)
+        rel[0, 2] = rel[1, 3] = rel[3, 4] = True
+        assert self._rejection(rel) == ("transitivity fails", (1, 4))
+
+    def test_not_transitive_past_one_word(self):
+        rel = frames.transitive_reflexive_closure(70, [(i, i + 1) for i in range(69)])
+        rel[5, 66] = False
+        assert self._rejection(rel) == ("transitivity fails", (5, 66))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_poset_rejection_matches_bruteforce(data):
+    # a random relation inside the integer order, perhaps with some
+    # reversed pairs and missing diagonal cells, then relabelled
+    n = data.draw(st.integers(1, 7))
+    rel = np.zeros((n, n), dtype=bool)
+    for i in range(n):
+        for j in range(n):
+            if i < j:
+                rel[i, j] = data.draw(st.booleans())
+            elif i == j:
+                rel[i, j] = data.draw(st.integers(0, 9)) > 0
+            else:
+                rel[i, j] = data.draw(st.integers(0, 9)) == 0
+    perm = data.draw(st.permutations(range(n)))
+    rel = rel[np.ix_(perm, perm)]
+    expected = oracle.poset_failure_bruteforce(rel.tolist())
+    if expected is None:
+        try:
+            frames.verify_frame(rel)
+        except NonPoset:
+            pytest.fail("a partial order was rejected as a non-poset")
+        except frames.FrameError:
+            pass
+        return
+    with pytest.raises(NonPoset) as exc:
+        frames.verify_frame(rel)
+    assert (exc.value.reason, exc.value.witness) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 80).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                         max_size=3 * n))))
+def test_closure_matches_bruteforce(case):
+    # random pairs: cycles, self-loops and repeats included
+    n, pairs = case
+    got = frames.transitive_reflexive_closure(n, pairs)
+    assert got.dtype == bool and got.shape == (n, n)
+    assert got.tolist() == oracle.closure_bruteforce(n, pairs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 80).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                         max_size=2 * n))))
+def test_cover_relation_matches_definition(case):
+    # pairs i < j only, so the closure is a partial order
+    n, pairs = case
+    pairs = [(i, j) for i, j in pairs if i < j]
+    leq = frames.transitive_reflexive_closure(n, pairs).tolist()
+    lt = [[leq[i][j] and i != j for j in range(n)] for i in range(n)]
+    expected = [[lt[i][j] and not any(lt[i][k] and lt[k][j] for k in range(n))
+                 for j in range(n)] for i in range(n)]
+    assert frames.cover_relation(np.array(leq)).tolist() == expected
+
+
+def _assert_tables_match_bruteforce(f):
+    assert (f.meet == f.meet.T).all() and (f.join == f.join.T).all()
+    for a in range(f.n):
+        for b in range(a, f.n):
+            assert f.meet[a, b] == oracle.glb_bruteforce(f.leq, a, b)
+            assert f.join[a, b] == oracle.lub_bruteforce(f.leq, a, b)
+
+
 class TestBoundTables:
     def test_agree_with_bruteforce(self, small_corpus):
         larger = [frames.verify_frame(grid_relation(10, 10)), chain(22)]
         for f in list(small_corpus) + larger:
-            for a in range(f.n):
-                for b in range(f.n):
-                    assert f.meet[a, b] == oracle.glb_bruteforce(f.leq, a, b)
-                    assert f.join[a, b] == oracle.lub_bruteforce(f.leq, a, b)
+            _assert_tables_match_bruteforce(f)
+
+    # one 64-bit word holds a row up to 64 elements; these sit on either
+    # side of one and two words
+    @pytest.mark.parametrize("n", [64, 65, 128, 129])
+    def test_chains_at_word_boundaries(self, n):
+        _assert_tables_match_bruteforce(chain(n))
+
+    @pytest.mark.parametrize("a, b", [(8, 8), (5, 13), (8, 16), (3, 43), (14, 14)])
+    def test_grids_at_word_boundaries(self, a, b):
+        _assert_tables_match_bruteforce(frames.verify_frame(grid_relation(a, b)))
 
     def test_grid_stays_within_a_memory_bound(self):
         # validation and the Heyting table hold O(n^2) tables and one block
-        # of BLOCK_CELLS cells at a time: about 1.2 MB for this 196-element
+        # of BLOCK_BYTES bytes at a time: about 1.2 MB for this 196-element
         # grid, where a single n^3 int32 temporary would take 30 MB
         rel = grid_relation(14, 14)
         tracemalloc.start()
@@ -84,32 +190,28 @@ class TestBoundTables:
             tracemalloc.stop()
         assert peak < 4 << 20
 
-
-def _expected_rejection(rel):
-    """What verify_frame must raise on a poset, found by brute force: the
-    first pair (i <= j, row-major) without a meet, else without a join,
-    else the lexicographically first distributivity triple; None if the
-    poset is a frame."""
-    n = len(rel)
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    for kind, bound in (("meet", oracle.glb_bruteforce),
-                        ("join", oracle.lub_bruteforce)):
-        for i, j in pairs:
-            if bound(rel, i, j) is None:
-                return NonLattice, ((i, j), kind)
-    meet = [[oracle.glb_bruteforce(rel, i, j) for j in range(n)] for i in range(n)]
-    join = [[oracle.lub_bruteforce(rel, i, j) for j in range(n)] for i in range(n)]
-    for a, b, c in itertools.product(range(n), repeat=3):
-        if meet[a][join[b][c]] != join[meet[a][b]][meet[a][c]]:
-            return NonDistributive, (a, b, c)
-    return None
+    def test_chain_file_stays_within_a_memory_bound(self):
+        # parsing and validating an 800-element chain file holds O(n^2)
+        # arrays: the int32 meet and join tables (2.6 MB each) and the
+        # int64 counts of the distributivity check (5.1 MB each), about
+        # 18 MB at the peak; one n x n x 13-word temporary would take
+        # 67 MB, and an n^3 boolean cube 512 MB
+        n = 800
+        text = f"elements: {n}\n" + "".join(f"cover: {i} {i + 1}\n"
+                                              for i in range(n - 1))
+        tracemalloc.start()
+        try:
+            f = frames.parse_frame_text(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert f.n == n and f.join[3, 700] == 700 and f.meet[3, 700] == 3
+        assert peak < 32 << 20
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.data())
-def test_rejection_witness_matches_bruteforce(data):
-    # a random poset on k points between a new bottom 0 and top k + 1,
-    # then relabelled
+def _draw_bounded_covers(data):
+    """Covers of a random poset on k <= 7 points between a new bottom 0
+    and top k + 1, with the element count k + 2."""
     k = data.draw(st.integers(0, 7))
     pairs = [(i, j) for i in range(1, k + 1) for j in range(i + 1, k + 1)]
     keep = data.draw(st.lists(st.booleans(), min_size=len(pairs),
@@ -117,10 +219,18 @@ def test_rejection_witness_matches_bruteforce(data):
     chosen = [p for p, kept in zip(pairs, keep) if kept]
     covers = (chosen + [(0, i) for i in range(1, k + 2)]
               + [(i, k + 1) for i in range(1, k + 1)])
-    perm = data.draw(st.permutations(range(k + 2)))
+    return k + 2, covers
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_rejection_witness_matches_bruteforce(data):
+    # a random bounded poset, relabelled
+    n, covers = _draw_bounded_covers(data)
+    perm = data.draw(st.permutations(range(n)))
     rel = frames.transitive_reflexive_closure(
-        k + 2, [(perm[i], perm[j]) for i, j in covers])
-    expected = _expected_rejection(rel)
+        n, [(perm[i], perm[j]) for i, j in covers])
+    expected = oracle.frame_rejection_bruteforce(rel)
     if expected is None:
         frames.verify_frame(rel)
         return
@@ -131,6 +241,45 @@ def test_rejection_witness_matches_bruteforce(data):
     else:
         assert exc.value.triple == expected[1]
         assert _is_distributivity_witness(rel, *exc.value.triple)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_rejection_witness_on_word_rows(data):
+    # a random bounded poset between a pad-chain below and a pad-chain
+    # above, relabelled: ranked by row size, the lower chain comes first
+    # in the join rows and the upper chain in the meet rows, so every
+    # candidate bound of two core elements lies past bit pad.  Both pads
+    # give numpy word rows: one word with pad 8, three with pad 64
+    n, covers = _draw_bounded_covers(data)
+    pad = data.draw(st.sampled_from([8, 64]))
+    total = n + 2 * pad
+    padded = ([(pad + i, pad + j) for i, j in covers]
+              + [(i, i + 1) for i in range(pad)]
+              + [(pad + n - 1 + i, pad + n + i) for i in range(pad)])
+    perm = data.draw(st.permutations(range(total)))
+    rel = frames.transitive_reflexive_closure(
+        total, [(perm[i], perm[j]) for i, j in padded])
+    # a chain element is comparable with every element, so the first
+    # pair without a bound is a pair of core elements
+    core = sorted(perm[pad + x] for x in range(n))
+    pairs = [(i, j) for i in core for j in core if i <= j]
+    for kind, bound in (("meet", oracle.glb_bruteforce),
+                        ("join", oracle.lub_bruteforce)):
+        missing = [(i, j) for i, j in pairs if bound(rel, i, j) is None]
+        if missing:
+            with pytest.raises(NonLattice) as exc:
+                frames.verify_frame(rel)
+            assert (exc.value.pair, exc.value.kind) == (missing[0], kind)
+            return
+    # a lattice: the chains keep it distributive exactly when the core is
+    core_expected = oracle.frame_rejection_bruteforce(frames.transitive_reflexive_closure(n, covers))
+    if core_expected is None:
+        frames.verify_frame(rel)
+        return
+    with pytest.raises(NonDistributive) as exc:
+        frames.verify_frame(rel)
+    assert _is_distributivity_witness(rel, *exc.value.triple)
 
 
 class TestHeyting:

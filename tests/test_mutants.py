@@ -1,16 +1,21 @@
-"""Each mutant in mutants.ALL_MUTANTS is killed by a named suite or battery.
+"""Each mutant in mutants.ALL_MUTANTS is killed by a named suite or battery,
+and each in mutants.ORDER_MUTANTS by a named oracle check.
 
 KILLED_BY pins, for every mutant, one frame and one suite or battery that
 must fail under it (without crashing) and pass without it, so a change
 that silences the check that used to catch a mutant shows up here by
-name.  Other checks may fail too; only the named one is pinned.
+name.  Other checks may fail too; only the named one is pinned.  The
+order mutants break frame validation, which verify's generated frames
+(all of them lattices of few elements) never reach, so ORDER_KILLED_BY
+pins an oracle comparison for each instead.
 """
 
 import io
 
+import numpy as np
 import pytest
 
-from localelab import cli
+from localelab import cli, frames
 from localelab import sublocales as subl
 from localelab import subsystems as sy
 from localelab import theorems
@@ -66,3 +71,93 @@ def test_enumeration_mutant_fails_the_frontier_oracle(monkeypatch):
     f = boolean_square()
     got = sorted(s.mask for s in subl.enumerate_assembly(f))
     assert got != oracle.assembly_frontier(f)
+
+
+def _two_tops(n):
+    """A chain of n - 2 elements with two incomparable elements above it:
+    they have no join."""
+    covers = [(i, i + 1) for i in range(n - 3)] + [(n - 3, n - 2), (n - 3, n - 1)]
+    return frames.transitive_reflexive_closure(n, covers)
+
+
+def _bowtie(n):
+    """A chain of n - 4 elements, two incomparable elements above it and
+    two more above both: the upper two have no meet, the lower two no join."""
+    c = n - 5
+    covers = [(i, i + 1) for i in range(c)] + [(c, c + 1), (c, c + 2)]
+    covers += [(a, b) for a in (c + 1, c + 2) for b in (c + 3, c + 4)]
+    return frames.transitive_reflexive_closure(n, covers)
+
+
+def _not_transitive(n, i, j):
+    """The order of an n-chain with the pair i < j (j > i + 1) taken out."""
+    rel = frames.transitive_reflexive_closure(n, [(k, k + 1) for k in range(n - 1)])
+    rel[i, j] = False
+    return rel
+
+
+def _rejections_match_oracle(rels):
+    """verify_frame raises what the brute-force oracles name on each rel."""
+    for rel in rels:
+        expected = (oracle.poset_failure_bruteforce(rel.tolist())
+                    or oracle.frame_rejection_bruteforce(rel))
+        try:
+            frames.verify_frame(rel)
+            got = None
+        except frames.NonPoset as exc:
+            got = (exc.reason, exc.witness)
+        except frames.NonLattice as exc:
+            got = (frames.NonLattice, (exc.pair, exc.kind))
+        except frames.NonDistributive as exc:
+            got = (frames.NonDistributive, exc.triple)
+        if got != expected:
+            return False
+    return True
+
+
+def _tables_match_oracle(n):
+    """The meet and join tables of the n-chain equal the oracle's."""
+    try:
+        f = chain(n)
+    except frames.FrameError:
+        return False
+    return all(f.meet[a, b] == oracle.glb_bruteforce(f.leq, a, b)
+               and f.join[a, b] == oracle.lub_bruteforce(f.leq, a, b)
+               for a in range(f.n) for b in range(f.n))
+
+
+def _closure_matches_oracle(n, pairs):
+    return (frames.transitive_reflexive_closure(n, pairs).tolist()
+            == oracle.closure_bruteforce(n, pairs))
+
+
+# order mutant -> the oracle comparison that must fail under it; the
+# narrow cases have at most frames.INT_ROW_BITS elements, the wide ones
+# more, in one, two and three 64-bit words
+WIDE = frames.INT_ROW_BITS + 4
+ORDER_KILLED_BY = {
+    "int_table_defaulting_missing_bound":
+        lambda: _rejections_match_oracle([np.eye(2, dtype=bool), _two_tops(5),
+                                          _bowtie(7)]),
+    "word_table_skipping_row_equality":
+        lambda: _rejections_match_oracle([_two_tops(WIDE), _bowtie(70), _two_tops(130)]),
+    "rows_dropping_top_word": lambda: _tables_match_oracle(65),
+    "transitivity_checking_row_zero":
+        lambda: _rejections_match_oracle([_not_transitive(6, 2, 5),
+                                          _not_transitive(70, 5, 66)]),
+    "closure_of_one_pass":
+        lambda: _closure_matches_oracle(4, [(0, 1), (1, 2), (2, 0), (2, 3)]),
+}
+
+
+def test_every_order_mutant_has_a_named_killer():
+    assert set(ORDER_KILLED_BY) == {name for name, _ in mutants.ORDER_MUTANTS}
+
+
+@pytest.mark.parametrize("name, apply_mutant", mutants.ORDER_MUTANTS,
+                         ids=[name for name, _ in mutants.ORDER_MUTANTS])
+def test_named_oracle_check_kills_order_mutant(name, apply_mutant, monkeypatch):
+    check = ORDER_KILLED_BY[name]
+    assert check()
+    apply_mutant(monkeypatch)
+    assert not check()
