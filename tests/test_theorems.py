@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import random
 import weakref
 from collections import Counter
@@ -201,3 +202,24 @@ class TestLawBatteryDetails:
         # per pair in every battery, this frame made 17,296 joins, 9,040
         # meets and 8,448 differences
         assert sum(calls.values()) < 34784 // 2
+
+
+class TestResultDigest:
+    # the frames of verify --seed 1 --bound 4 --count 40, --seed 1005201
+    # --bound 6 --count 1 and --seed 3 --bound 5 --count 8
+    CORPUS = ((1, 4, 40), (1005201, 6, 1), (3, 5, 8))
+    DIGEST = "2c17d75ce1c90508a2faecba2b17dc72e1a62e457015237e7a51e76b8ba4a437"
+
+    def test_every_result_is_unchanged(self):
+        # the transcripts print neither checked counts nor passing details;
+        # this pins the repr of every suite and battery result, 588 of them
+        # battery results
+        lines = []
+        for seed, bound, count in self.CORPUS:
+            for f in frames.random_frames(seed, bound, count):
+                an = sy.FrameAnalysis(f)
+                results = theorems.run_theorem_suites(an) + theorems.run_law_batteries(an)
+                lines.extend(repr(r) for r in results)
+        assert len(lines) == 49 * (len(theorems.THEOREM_SUITES)
+                                   + len(theorems.LAW_BATTERIES))
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == self.DIGEST
