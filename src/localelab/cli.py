@@ -2,7 +2,8 @@
 the chain counterexample, generate random frames, export DOT.
 
 Exit codes: 0 all checks passed, 1 verification failure or DISAGREE,
-2 parse or configuration error, 3 assembly cap exceeded.
+2 parse or configuration error, or an input too large for the memory
+available, 3 assembly cap exceeded.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ import argparse
 import os
 import random
 import sys
-from dataclasses import dataclass, field
 
 from . import classify
 from . import dot
@@ -27,39 +27,6 @@ EXIT_CAP = 3
 
 CAP_ENV = "LOCALE_LAB_CAP"
 MAX_BOUND = 7
-
-
-@dataclass
-class RunConfig:
-    command: str
-    inputs: list = field(default_factory=list)
-    cap: int = 1 << 16
-    seed: int = 1
-    bound: int = 4
-    count: int = 200
-    fmt: str = "text"
-    out_dir: str = "."
-    s_desc: str | None = None
-    t_desc: str | None = None
-    truncations: tuple = (16, 32, 64)
-
-    def validate(self):
-        if self.cap < 1:
-            raise ValueError("--cap must be at least 1")
-        if not 1 <= self.bound <= MAX_BOUND:
-            raise ValueError(f"--bound must be between 1 and {MAX_BOUND}")
-        if self.count < 0:
-            raise ValueError("--count must not be negative")
-
-
-def _default_cap():
-    raw = os.environ.get(CAP_ENV)
-    if raw is None:
-        return 1 << 16
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{CAP_ENV} must be an integer, got {raw!r}") from None
 
 
 def _build_parser():
@@ -103,21 +70,22 @@ def _build_parser():
     return parser
 
 
-def _config_from_args(args):
-    cfg = RunConfig(command=args.command)
-    cap = getattr(args, "cap", None)
-    cfg.cap = _default_cap() if cap is None else cap
-    for name in ("seed", "bound", "count", "fmt", "out_dir"):
-        if hasattr(args, name):
-            setattr(cfg, name, getattr(args, name))
-    cfg.inputs = list(getattr(args, "inputs", []))
-    cfg.s_desc = getattr(args, "s_desc", None)
-    cfg.t_desc = getattr(args, "t_desc", None)
-    trunc = getattr(args, "truncate", None)
-    if trunc:
-        cfg.truncations = tuple(trunc)
-    cfg.validate()
-    return cfg
+def _check_args(args):
+    """Set args.cap on every command, from LOCALE_LAB_CAP (else 65536)
+    where --cap is not given or not taken, and refuse out-of-range values
+    (ValueError)."""
+    if getattr(args, "cap", None) is None:
+        raw = os.environ.get(CAP_ENV, str(1 << 16))
+        try:
+            args.cap = int(raw)
+        except ValueError:
+            raise ValueError(f"{CAP_ENV} must be an integer, got {raw!r}") from None
+    if args.cap < 1:
+        raise ValueError("--cap must be at least 1")
+    if hasattr(args, "bound") and not 1 <= args.bound <= MAX_BOUND:
+        raise ValueError(f"--bound must be between 1 and {MAX_BOUND}")
+    if hasattr(args, "count") and args.count < 0:
+        raise ValueError("--count must not be negative")
 
 
 def _emit(out, text):
@@ -126,47 +94,47 @@ def _emit(out, text):
         out.write("\n")
 
 
-def _witness_path(cfg, stem):
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    return os.path.join(cfg.out_dir, stem)
+def _witness_path(args, stem):
+    os.makedirs(args.out_dir, exist_ok=True)
+    return os.path.join(args.out_dir, stem)
 
 
-def cmd_analyze(cfg, out):
+def cmd_analyze(args, out):
     code = EXIT_OK
-    for path in cfg.inputs:
+    for path in args.inputs:
         frame = frames.load_frame(path)
         name = os.path.basename(path)
-        result = classify.classify_frame(frame, cap=cfg.cap, name=name)
-        if cfg.fmt == "keyvalue":
+        result = classify.classify_frame(frame, cap=args.cap, name=name)
+        if args.fmt == "keyvalue":
             _emit(out, classify.classification_keyvalue(result))
         else:
             _emit(out, classify.classification_text(result))
         if result.cap_exceeded is not None:
             code = max(code, EXIT_CAP)
         elif not result.all_agree:
-            witness = _witness_path(cfg, f"witness_{name}")
+            witness = _witness_path(args, f"witness_{name}")
             frames.save_frame(frame, witness)
             _emit(out, f"witness: {witness}")
             code = max(code, EXIT_FAIL)
     return code
 
 
-def cmd_verify(cfg, out):
-    header = (f"verify: seed={cfg.seed} bound={cfg.bound} "
-              f"count={cfg.count} cap={cfg.cap}")
+def cmd_verify(args, out):
+    header = (f"verify: seed={args.seed} bound={args.bound} "
+              f"count={args.count} cap={args.cap}")
     _emit(out, header)
-    if cfg.count == 0:
+    if args.count == 0:
         _emit(out, "warning: empty run, vacuous pass")
         _emit(out, "frames: 0 failures: 0")
         _emit(out, "result: PASS")
         return EXIT_OK
-    rng = random.Random(cfg.seed)
+    rng = random.Random(args.seed)
     failures = 0
     capped = 0
-    for i in range(1, cfg.count + 1):
-        frame = frames.random_frame(rng, cfg.bound)
+    for i in range(1, args.count + 1):
+        frame = frames.random_frame(rng, args.bound)
         try:
-            verdict = theorems.verify_frame_theorems(frame, cap=cfg.cap,
+            verdict = theorems.verify_frame_theorems(frame, cap=args.cap,
                                                      name=f"frame {i}")
         except subl.CapExceeded as exc:
             _emit(out, f"frame {i}: elements={frame.n} cap exceeded at {exc.count}")
@@ -179,11 +147,11 @@ def cmd_verify(cfg, out):
             _emit(out, f"frame {i}: elements={frame.n} FAIL")
             for line in verdict.failures():
                 _emit(out, f"  {line}")
-            witness = _witness_path(cfg, f"witness_{i:04d}.frame")
+            witness = _witness_path(args, f"witness_{i:04d}.frame")
             frames.save_frame(frame, witness)
             _emit(out, f"  witness: {witness}")
     # a frame over the cap was never verified, so such a run cannot pass
-    summary = f"frames: {cfg.count} failures: {failures}"
+    summary = f"frames: {args.count} failures: {failures}"
     _emit(out, summary + (f" cap exceeded: {capped}" if capped else ""))
     if failures:
         _emit(out, "result: FAIL")
@@ -208,9 +176,9 @@ def _format_point_set(ps):
     return "{" + "; ".join(parts) + "}" if parts else "{}"
 
 
-def cmd_remark(cfg, out):
-    s = oc.parse_description(cfg.s_desc) if cfg.s_desc else oc.even_levels_sublocale()
-    t = oc.parse_description(cfg.t_desc) if cfg.t_desc else oc.odd_levels_sublocale()
+def cmd_remark(args, out):
+    s = oc.parse_description(args.s_desc) if args.s_desc else oc.even_levels_sublocale()
+    t = oc.parse_description(args.t_desc) if args.t_desc else oc.odd_levels_sublocale()
     _emit(out, "chain: 1 = a0 > a1 > a2 > ... > bottom")
     _emit(out, "covered primes of the chain: every level a_n with n >= 1; "
                "bottom is not covered (it is the unattained meet of all levels)")
@@ -234,7 +202,7 @@ def cmd_remark(cfg, out):
                f"{'true' if bottom_ambient else 'false'}")
     _emit(out, f"verdict: S intersect T is "
                f"{'a D-sublocale' if verdict else 'not a D-sublocale'}")
-    for depth in cfg.truncations:
+    for depth in args.truncate or (16, 32, 64):
         need = oc.min_truncation_depth(s, t, inter)
         if depth < need:
             _emit(out, f"truncation N={depth}: skipped (needs depth >= {need})")
@@ -249,36 +217,36 @@ def cmd_remark(cfg, out):
     return EXIT_OK if ok else EXIT_FAIL
 
 
-def cmd_random(cfg, out):
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    rng = random.Random(cfg.seed)
-    for i in range(1, cfg.count + 1):
-        frame = frames.random_frame(rng, cfg.bound)
-        path = os.path.join(cfg.out_dir, f"frame_{i:04d}.frame")
+def cmd_random(args, out):
+    os.makedirs(args.out_dir, exist_ok=True)
+    rng = random.Random(args.seed)
+    for i in range(1, args.count + 1):
+        frame = frames.random_frame(rng, args.bound)
+        path = os.path.join(args.out_dir, f"frame_{i:04d}.frame")
         frames.save_frame(frame, path)
         _emit(out, f"wrote {path} (elements={frame.n})")
     return EXIT_OK
 
 
-def cmd_dot(cfg, out):
+def cmd_dot(args, out):
     code = EXIT_OK
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    for path in cfg.inputs:
+    os.makedirs(args.out_dir, exist_ok=True)
+    for path in args.inputs:
         frame = frames.load_frame(path)
         stem = os.path.splitext(os.path.basename(path))[0]
-        frame_path = os.path.join(cfg.out_dir, f"{stem}.frame.dot")
+        frame_path = os.path.join(args.out_dir, f"{stem}.frame.dot")
         with open(frame_path, "w", encoding="ascii") as fh:
-            fh.write(dot.frame_dot(frame, name="frame"))
+            fh.write(dot.frame_dot(frame))
         _emit(out, f"wrote {frame_path}")
         try:
-            assembly = subl.enumerate_assembly(frame, cfg.cap)
+            assembly = subl.enumerate_assembly(frame, args.cap)
         except subl.CapExceeded as exc:
             _emit(out, f"assembly of {stem}: cap exceeded at {exc.count}")
             code = max(code, EXIT_CAP)
             continue
-        assembly_path = os.path.join(cfg.out_dir, f"{stem}.assembly.dot")
+        assembly_path = os.path.join(args.out_dir, f"{stem}.assembly.dot")
         with open(assembly_path, "w", encoding="ascii") as fh:
-            fh.write(dot.assembly_dot(assembly, name="assembly"))
+            fh.write(dot.assembly_dot(assembly))
         _emit(out, f"wrote {assembly_path}")
     return code
 
@@ -300,12 +268,16 @@ def main(argv=None, out=None):
     except SystemExit as exc:
         return EXIT_PARSE if exc.code else EXIT_OK
     try:
-        cfg = _config_from_args(args)
+        _check_args(args)
     except ValueError as exc:
         _emit(out, f"error: {exc}")
         return EXIT_PARSE
     try:
-        return COMMANDS[cfg.command](cfg, out)
+        return COMMANDS[args.command](args, out)
+    except MemoryError:
+        # a frame file may describe more elements than its tables fit in
+        _emit(out, "error: out of memory: the input is too large")
+        return EXIT_PARSE
     except (frames.FrameFormatError, oc.MalformedDescription) as exc:
         _emit(out, f"error: {exc}")
         return EXIT_PARSE

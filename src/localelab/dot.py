@@ -18,8 +18,8 @@ def _quote(s):
     return '"' + s.replace('"', r'\"') + '"'
 
 
-def frame_dot(frame, name="frame"):
-    lines = [f"digraph {name} {{", "  rankdir=BT;"]
+def frame_dot(frame):
+    lines = ["digraph frame {", "  rankdir=BT;"]
     for i in range(frame.n):
         lines.append(f"  n{i} [label={_quote(frame.labels[i])}];")
     for i in range(frame.n):
@@ -30,13 +30,13 @@ def frame_dot(frame, name="frame"):
     return "\n".join(lines) + "\n"
 
 
-def assembly_dot(assembly, name="assembly"):
+def assembly_dot(assembly):
     frame = assembly.frame
     closed = {subl.closed_sublocale(frame, a).mask for a in range(frame.n)}
     opens = {subl.open_sublocale(frame, a).mask for a in range(frame.n)}
     shaded = {subl.Sublocale(frame, {frame.top, p}).mask
               for p in fr.primes(frame)}
-    lines = [f"digraph {name} {{", "  rankdir=BT;"]
+    lines = ["digraph assembly {", "  rankdir=BT;"]
     for i, s in enumerate(assembly):
         attrs = [f"label={_quote(repr(s))}"]
         if s.mask in closed:
@@ -55,7 +55,7 @@ def assembly_dot(assembly, name="assembly"):
     return "\n".join(lines) + "\n"
 
 
-def space_dot(space, name="space"):
+def space_dot(space):
     """Specialization preorder, drawn on equivalence classes of points."""
     m = space.points
     opens = list(space.opens)
@@ -66,7 +66,7 @@ def space_dot(space, name="space"):
     for x in range(m):
         if not any(x in cls for cls in classes):
             classes.append([y for y in range(m) if below[x, y] and below[y, x]])
-    lines = [f"digraph {name} {{", "  rankdir=BT;"]
+    lines = ["digraph space {", "  rankdir=BT;"]
     for i, cls in enumerate(classes):
         label = "=".join(str(x) for x in sorted(cls))
         lines.append(f"  n{i} [label={_quote(label)}];")

@@ -303,8 +303,9 @@ class FiniteFrame:
     numpy 64-bit words in blocks of at most BLOCK_BYTES bytes beyond
     that, so a large frame never holds an n^3 temporary.  imp is built
     on first use by a blocked argmax; distributivity is checked by
-    join-primality (_check_distributive).  Instances hash and compare by identity, so sublocales of one frame
-    always reference the same object.
+    join-primality (_check_distributive).  Instances hash and compare by
+    identity, so sublocales of one frame always reference the same
+    object.
     """
 
     def __init__(self, leq, labels=None):
@@ -606,19 +607,15 @@ def downsets(poset_leq):
     return out
 
 
-def downset_lattice(poset_leq, point_names=None):
+def downset_lattice(poset_leq):
     """The (distributive) lattice of downsets of a poset, as a FiniteFrame.
 
     By Birkhoff duality every finite frame arises this way up to
     isomorphism, which is why the random generator samples posets.
     """
     poset_leq = np.asarray(poset_leq, dtype=bool)
-    k = poset_leq.shape[0]
-    if point_names is None:
-        point_names = [str(i) for i in range(k)]
     ds = downsets(poset_leq)
-    labels = tuple("{" + ",".join(point_names[p] for p in bits_of(m)) + "}"
-                   for m in ds)
+    labels = tuple("{" + ",".join(map(str, bits_of(m))) + "}" for m in ds)
     return verify_frame(inclusion_order(ds), labels=labels)
 
 

@@ -286,14 +286,13 @@ def truncated_chain_frame(depth):
     return frames.frame_from_covers(n, covers, labels=labels)
 
 
-def truncate_sublocale(c, depth, frame=None):
-    """The description cut at the given depth, as a finite-frame sublocale."""
-    if frame is None:
-        frame = truncated_chain_frame(depth)
+def truncate_sublocale(c, depth):
+    """The description cut at the given depth, as a sublocale of
+    truncated_chain_frame(depth)."""
     members = {k for k in range(depth + 1) if c.has_level(k)}
     if c.bottom:
         members.add(depth + 1)
-    return Sublocale(frame, members)
+    return Sublocale(truncated_chain_frame(depth), members)
 
 
 def min_truncation_depth(*descriptions):
@@ -314,8 +313,8 @@ def truncation_matches_set_op(c, d, op_name, depth):
     depth at least min_truncation_depth(c, d).
     """
     frame = truncated_chain_frame(depth)
-    tc = truncate_sublocale(c, depth, frame)
-    td = truncate_sublocale(d, depth, frame)
+    tc = truncate_sublocale(c, depth)
+    td = truncate_sublocale(d, depth)
     if op_name == "intersect":
         sym = chain_intersect(c, d)
         fin = subl.sublocale_meet(frame, [tc, td])
@@ -324,7 +323,7 @@ def truncation_matches_set_op(c, d, op_name, depth):
         fin = subl.sublocale_join(frame, [tc, td])
     else:
         raise ValueError(f"unknown operation {op_name!r}")
-    return truncate_sublocale(sym, depth, frame) == fin
+    return truncate_sublocale(sym, depth) == fin
 
 
 def truncation_matches_ptd(c, depth):
@@ -335,8 +334,7 @@ def truncation_matches_ptd(c, depth):
     makes every meet attained down there.
     """
     from . import subsystems
-    frame = truncated_chain_frame(depth)
-    tc = truncate_sublocale(c, depth, frame)
+    tc = truncate_sublocale(c, depth)
     fin = subsystems.covered_points_of(tc)
     sym = chain_ptd(c)
     for k in range(1, depth + 1):

@@ -188,22 +188,21 @@ class Nucleus:
 
     __slots__ = ("frame", "table")
 
-    def __init__(self, frame, table, _validate=True):
+    def __init__(self, frame, table):
         self.frame = frame
         self.table = tuple(int(x) for x in table)
         if len(self.table) != frame.n:
             raise ValueError("nucleus table has wrong length")
-        if _validate:
-            t, up, meet = self.table, frame.up_masks, frame.meet_rows
-            for a in range(frame.n):
-                if not up[a] >> t[a] & 1:
-                    raise ValueError(f"not inflationary at {a}")
-                if t[t[a]] != t[a]:
-                    raise ValueError(f"not idempotent at {a}")
-                row, t_row = meet[a], meet[t[a]]
-                for b in range(frame.n):
-                    if t[row[b]] != t_row[t[b]]:
-                        raise ValueError(f"does not preserve {a} meet {b}")
+        t, up, meet = self.table, frame.up_masks, frame.meet_rows
+        for a in range(frame.n):
+            if not up[a] >> t[a] & 1:
+                raise ValueError(f"not inflationary at {a}")
+            if t[t[a]] != t[a]:
+                raise ValueError(f"not idempotent at {a}")
+            row, t_row = meet[a], meet[t[a]]
+            for b in range(frame.n):
+                if t[row[b]] != t_row[t[b]]:
+                    raise ValueError(f"does not preserve {a} meet {b}")
 
     def __call__(self, a):
         return self.table[a]
@@ -404,10 +403,8 @@ class Assembly:
         return self.sublocales[i]
 
     def index_of(self, sub):
-        return self._index[sub.mask]
-
-    def index_of_mask(self, mask):
-        return self._index[mask]
+        """The index of sub among the members, None if it is not one."""
+        return self._index.get(sub.mask)
 
     def join_mask(self, a, b):
         """Mask of the join of the members with masks a and b."""

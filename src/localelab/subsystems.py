@@ -179,7 +179,8 @@ def check_td_adjunction(assembly):
     subset back.
     """
     frame = assembly.frame
-    dsubs = [(s, mask_of(covered_points_of(s))) for s in assembly if is_d_sublocale(s)]
+    d_family = d_sublocales(assembly)
+    dsubs = [(s, mask_of(covered_points_of(s))) for s in assembly if s in d_family]
     pts = sorted(frames.covered_primes(frame))
     failures = []
     checked = 0
@@ -275,7 +276,7 @@ class AdjointPair:
 
     __slots__ = ("source", "target", "hom", "right")
 
-    def __init__(self, source, target, hom, right=None, _validate=True):
+    def __init__(self, source, target, hom, right=None):
         self.source = source
         self.target = target
         self.hom = tuple(int(x) for x in hom)
@@ -285,8 +286,7 @@ class AdjointPair:
                                     if up[self.hom[a]] >> b & 1)
                      for b in range(target.n)]
         self.right = tuple(int(x) for x in right)
-        if _validate:
-            self._validate()
+        self._validate()
 
     def _validate(self):
         src, tgt, h = self.source, self.target, self.hom
@@ -345,7 +345,7 @@ def image(pair, sub):
     return Sublocale(pair.source, {pair.right[s] for s in sub.members})
 
 
-def preimage(pair, sub, cap=1 << 16):
+def preimage(pair, sub):
     """Largest T with image(T) <= sub, by scanning the target assembly.
 
     The scan over the enumerated assembly is the dominant cost of this
@@ -353,7 +353,7 @@ def preimage(pair, sub, cap=1 << 16):
     """
     if sub.frame is not pair.source:
         raise subl.MixedFrames("preimage expects a sublocale of the source frame")
-    assembly = subl.enumerate_assembly(pair.target, cap)
+    assembly = subl.enumerate_assembly(pair.target)
     good = [t for t in assembly if image(pair, t).members <= sub.members]
     return subl.sublocale_join(pair.target, good)
 
@@ -382,15 +382,16 @@ class AssemblyLift:
         self.target_members = target_members
 
 
-def lift_surjection(assembly, sub, cap=1 << 16):
+def lift_surjection(assembly, sub):
     """Lift the surjection onto `sub` to the assemblies of D-sublocales.
 
     The lift sends a D-sublocale T of the enumerated assembly to T meet
     sub (meet taken in the family of D-sublocales); it exists exactly when
     sub itself is a D-sublocale.  The returned AdjointPair lives on the
     reverse-inclusion order frames, and is checked to preserve meets,
-    joins, and the closed-sublocale generators with elements of sub.  cap
-    bounds the enumeration of sub's own assembly.
+    joins, and the closed-sublocale generators with elements of sub.
+    sub's primes are the frame's primes inside it, so its own assembly is
+    enumerated with len(assembly) as the cap, which it never exceeds.
     """
     if not is_d_sublocale(sub):
         raise NotLiftable(f"{sub!r} is not a D-sublocale")
@@ -400,7 +401,7 @@ def lift_surjection(assembly, sub, cap=1 << 16):
 
     sub_frame, members = sublocale_frame(sub)
     pos = {a: i for i, a in enumerate(members)}
-    tgt_assembly = subl.enumerate_assembly(sub_frame, cap)
+    tgt_assembly = subl.enumerate_assembly(sub_frame, len(assembly))
     tgt_family = d_sublocales(tgt_assembly)
     tgt_frame, tgt_subs = subl.family_order_frame(tgt_family)
     tgt_index = {t.members: i for i, t in enumerate(tgt_subs)}
@@ -491,11 +492,14 @@ class FrameAnalysis:
 
     joins, meets and differences are the pair tables the batteries read
     binary sublocale operations from: with S_i the i-th member of the
-    assembly, joins[i][j] is sublocale_join of S_i and S_j, meets[i][j]
-    their sublocale_meet and differences[i][j] the difference S_i minus
-    S_j.  Each is k x k over the whole assembly, every ordered pair
-    computed once through the sublocales module attribute, so a
-    commutativity slip still shows in the table.
+    assembly, joins[i][j] is the assembly index of sublocale_join of S_i
+    and S_j, meets[i][j] that of their sublocale_meet and
+    differences[i][j] that of the difference S_i minus S_j.  Each is
+    k x k over the whole assembly, every ordered pair computed once
+    through the sublocales module attribute, so a commutativity slip
+    still shows in the table.  An entry is None when the result is not a
+    member, which only a broken operation or enumeration gives; the
+    batteries that read it fail there.
     """
 
     def __init__(self, frame, cap=1 << 16):
@@ -507,8 +511,8 @@ class FrameAnalysis:
         return subl.enumerate_assembly(self.frame, self.cap)
 
     def _pair_table(self, op):
-        subs = self.assembly.sublocales
-        return tuple(tuple(op(s, t) for t in subs) for s in subs)
+        index, subs = self.assembly.index_of, self.assembly.sublocales
+        return tuple(tuple(index(op(s, t)) for t in subs) for s in subs)
 
     @cached_property
     def joins(self):
@@ -554,8 +558,12 @@ class FrameAnalysis:
 
     @cached_property
     def td_spatializations(self):
-        """td_spatialization of every D-sublocale, computed once."""
-        return {s: td_spatialization(s) for s in self.d_family}
+        """Assembly index of the td_spatialization of every D-sublocale,
+        keyed by the D-sublocale's index (None where it is not a member),
+        computed once."""
+        assembly = self.assembly
+        return {i: assembly.index_of(td_spatialization(assembly[i]))
+                for i in self.d_indices}
 
     @cached_property
     def spectrum(self):

@@ -111,8 +111,8 @@ def strongly_td_spatial_suite(an):
 def covered_primes_suite(an):
     every = frozenset(an.assembly)
     d_fam = an.d_family
-    meets = an.meets
-    closed_pairs = all(meets[i][j] in d_fam
+    d_set, meets = set(an.d_indices), an.meets
+    closed_pairs = all(meets[i][j] in d_set
                        for i in an.d_indices for j in an.d_indices)
     return SuiteResult("covered_primes_characterization", (
         ("all_primes_covered", an.covered == an.points),
@@ -135,7 +135,7 @@ def total_td_spatiality_suite(an):
         ("all_d_sublocales_td_spatial",
          all(_intrinsically_td_spatial(s) for s in d_fam)),
         ("td_spatialization_fixes_d",
-         all(an.td_spatializations[s] == s for s in d_fam)),
+         all(sp == i for i, sp in an.td_spatializations.items())),
         ("d_lattice_powerset",
          is_boolean_lattice(d_frame) and d_frame.n == 1 << len(an.covered)),
         ("d_lattice_spatial_boolean",
@@ -284,23 +284,26 @@ def _battery(name):
     return decorate
 
 
+def _members_only(law, an, table, what):
+    """The pair table, after failing the battery at its first entry that
+    is not an assembly member (None), so no None is read as an index."""
+    subs = an.assembly.sublocales
+    for i, row in enumerate(table):
+        if None in row:
+            law.fail(f"a {what} is not a sublocale at {subs[i]!r}, "
+                     f"{subs[row.index(None)]!r}")
+    return table
+
+
 @_battery("difference_laws")
 def law_difference(an, law):
     frame = an.frame
     assembly = an.assembly
-    subs = list(assembly)
+    subs = assembly.sublocales
     k = len(subs)
     masks = [s.mask for s in subs]
     zero_mask = 1 << frame.top
-
-    def idx(mask):
-        try:
-            return assembly.index_of_mask(mask)
-        except KeyError:
-            law.fail(f"a difference is not a sublocale (mask {mask:#x})",
-                     checked=0)
-
-    diff = [[d.mask for d in row] for row in an.differences]
+    diff = _members_only(law, an, an.differences, "difference")
     supp = [subl.supplement(t).mask for t in subs]
     # the second route: S\T holds exactly the primes of S not in T
     by_primes = assembly.by_primes
@@ -308,7 +311,7 @@ def law_difference(an, law):
     for i in range(k):
         for j in range(k):
             law.checked += 4
-            d = diff[i][j]
+            d = masks[diff[i][j]]
             if d & ~masks[i]:
                 law.fail(f"S\\T beyond S at {subs[i]!r}, {subs[j]!r}")
             if (d == zero_mask) != (masks[i] & ~masks[j] == 0):
@@ -324,18 +327,19 @@ def law_difference(an, law):
     # the frame memo that difference reads
     close = functools.cache(frame.meet_close_mask)
     joined = [[close(masks[i] | masks[j]) for j in range(k)] for i in range(k)]
+    meets = _members_only(law, an, an.meets, "meet")
     for i in range(k):
         drow = diff[i]
         for j in range(k):
             dij = drow[j]
-            dj = diff[idx(dij)]
+            dj, meet_row = diff[dij], meets[j]
             for r in range(k):
                 law.checked += 3
-                if drow[idx(masks[j] & masks[r])] != joined[idx(dij)][idx(drow[r])]:
+                if masks[drow[meet_row[r]]] != joined[dij][drow[r]]:
                     law.fail(f"S\\(T&R) law fails at {subs[i]!r},{subs[j]!r},{subs[r]!r}")
-                if dj[r] != diff[idx(drow[r])][j]:
+                if dj[r] != diff[drow[r]][j]:
                     law.fail(f"(S\\T)\\R law fails at {subs[i]!r},{subs[j]!r},{subs[r]!r}")
-                if bool(dij & ~masks[r]) != bool(masks[i] & ~joined[j][r]):
+                if bool(masks[dij] & ~masks[r]) != bool(masks[i] & ~joined[j][r]):
                     law.fail(f"residuation fails at {subs[i]!r},{subs[j]!r},{subs[r]!r}")
 
 
@@ -440,42 +444,44 @@ def law_td_adjunction(an, law):
     law.checked = report.checked
     if not report.passed:
         law.fail(report.failures[0])
+    subs = assembly.sublocales
+    masks = [s.mask for s in subs]
     d_idx = an.d_indices
-    d_fam = [assembly[i] for i in d_idx]
-    sp_d = an.td_spatializations
-    for s in d_fam:
+    # sp[i]: the assembly index of the td-spatialization of member i
+    sp = an.td_spatializations
+    for i in d_idx:
         law.checked += 2
-        if sp_d[s].mask & ~s.mask:
-            law.fail(f"td-spatialization inflates {s!r}")
-        if sp_d[s] != sy.td_spatialization(sp_d[s]):
-            law.fail(f"td-spatialization not idempotent on {s!r}")
-    # sp[i]: the td-spatialization of member i, with its assembly index
-    sp = {i: sp_d[assembly[i]] for i in d_idx}
-    sp_at = {i: assembly.index_of(sp[i]) for i in d_idx}
-    joins = an.joins
-    # the image meet law depends only on sp_d[s] meet sp_d[t]: check each once
+        if sp[i] is None:
+            law.fail(f"td-spatialization of {subs[i]!r} is not a sublocale")
+        if masks[sp[i]] & ~masks[i]:
+            law.fail(f"td-spatialization inflates {subs[i]!r}")
+        if sp.get(sp[i]) != sp[i]:
+            law.fail(f"td-spatialization not idempotent on {subs[i]!r}")
+    joins = _members_only(law, an, an.joins, "join")
+    meets = _members_only(law, an, an.meets, "meet")
+    # the image meet law depends only on sp[i] meet sp[j]: check each once
     image_meet_holds = {}
     for i in d_idx:
-        s, sp_s, join_row, sp_row = assembly[i], sp[i], joins[i], joins[sp_at[i]]
+        sp_i, join_row = sp[i], joins[i]
+        sp_join_row, sp_meet_row = joins[sp_i], meets[sp_i]
         for j in d_idx:
             law.checked += 1
-            t, sp_t = assembly[j], sp[j]
-            if s.mask & ~t.mask == 0 and sp_s.mask & ~sp_t.mask:
+            sp_j = sp[j]
+            if masks[i] & ~masks[j] == 0 and masks[sp_i] & ~masks[sp_j]:
                 law.fail("td-spatialization not monotone")
-            if sp_d[join_row[j]] != sp_row[sp_at[j]]:
-                law.fail(f"join not preserved at {s!r}, {t!r}")
-            inter = sp_s.mask & sp_t.mask
+            if sp.get(join_row[j]) != sp_join_row[sp_j]:
+                law.fail(f"join not preserved at {subs[i]!r}, {subs[j]!r}")
+            inter = sp_meet_row[sp_j]
             if inter not in image_meet_holds:
                 # meets inside the image go through the operator once more
-                image_meet = sy.td_spatialization(
-                    subl.sublocale_meet(frame, [sp_s, sp_t]))
-                below = [sp_d[r] for r in d_fam if not sp_d[r].mask & ~inter]
-                image_meet_holds[inter] = \
-                    subl.sublocale_join(frame, below) == image_meet
+                image_meet = sp.get(inter)
+                below = [subs[sp[r]] for r in d_idx if not masks[sp[r]] & ~masks[inter]]
+                image_meet_holds[inter] = image_meet is not None and \
+                    subl.sublocale_join(frame, below) == subs[image_meet]
             if not image_meet_holds[inter]:
-                law.fail(f"image meet law fails at {s!r}, {t!r}")
+                law.fail(f"image meet law fails at {subs[i]!r}, {subs[j]!r}")
     # covered points distribute over joins of d-sublocales, families <= 3
-    if len(d_fam) > TRIPLE_SCAN_LIMIT:
+    if len(d_idx) > TRIPLE_SCAN_LIMIT:
         law.detail = "skipped: triple join scan, D-family too large"
     else:
         covered_by_mask = {}
@@ -489,10 +495,10 @@ def law_td_adjunction(an, law):
             return covered_by_mask[mask]
 
         for size in (2, 3):
-            for fam in itertools.combinations(d_fam, size):
+            for fam in itertools.combinations(d_idx, size):
                 law.checked += 1
-                jmask = close(fam[0].mask | fam[1].mask | fam[-1].mask)
-                union = frozenset().union(*(covered_of_mask(s.mask) for s in fam))
+                jmask = close(masks[fam[0]] | masks[fam[1]] | masks[fam[-1]])
+                union = frozenset().union(*(covered_of_mask(masks[s]) for s in fam))
                 if covered_of_mask(jmask) != union:
                     law.fail("covered points of join differ from union")
     # classical adjunction law, same shape with plain primes; the meet
@@ -521,13 +527,14 @@ def law_d_family_closure(an, law):
         law.fail("smooth not inside family", checked=1)
     # assembly order, so a failure names the same pair and count every run
     subs = an.assembly.sublocales
+    d_set = set(an.d_indices)
     for table, others, what in ((an.joins, an.d_indices, "join"),
                                 (an.differences, range(len(subs)), "difference")):
         for i in an.d_indices:
             row = table[i]
             for j in others:
                 law.checked += 1
-                if row[j] not in an.d_family:
+                if row[j] not in d_set:
                     law.fail(f"{what} escapes at {subs[i]!r}, {subs[j]!r}")
 
 
@@ -535,6 +542,8 @@ def law_d_family_closure(an, law):
 def law_assembly_order(an, law):
     """The order frame of the assembly really is the reversed coframe."""
     assembly = an.assembly
+    # the order frame lists the members in assembly order, so its
+    # elements are assembly indices, as are the table entries
     order, _ = subl.family_order_frame(assembly)
     frame = an.frame
     masks = [s.mask for s in assembly]
@@ -543,12 +552,11 @@ def law_assembly_order(an, law):
         meet_row, join_row = an.meets[i], an.joins[i]
         for j, t in enumerate(masks):
             law.checked += 3
-            if masks[order_join[j]] != meet_row[j].mask:
+            if order_join[j] != meet_row[j]:
                 law.fail("order join is not intersection")
-            join = join_row[j].mask
-            if masks[order_meet[j]] != join:
+            if order_meet[j] != join_row[j]:
                 law.fail("order meet is not sublocale join")
-            if assembly.join_mask(s, t) != join:
+            if assembly.join_mask(s, t) != masks[join_row[j]]:
                 law.fail(f"prime-subset join law fails at "
                          f"{assembly[i]!r}, {assembly[j]!r}")
     # covered primes of the reversed assembly are the one-point sublocales
@@ -556,16 +564,15 @@ def law_assembly_order(an, law):
                 for p in an.covered}
     got = frames.covered_primes(order)
     law.checked += 1
-    if got != frozenset(expected):
+    if got != expected:
         law.fail("covered primes of the assembly are not the "
                  "one-point sublocales")
     # the td-spatial members form the boolean sublocale at the
     # td-spatialization of the whole frame
-    sp_index = assembly.index_of(sy.td_spatialization(an.whole))
-    bool_at = subl.boolean_sublocale(order, sp_index)
-    image = {assembly.index_of(t) for t in an.td_spatializations.values()}
+    sp_index = an.td_spatializations.get(assembly.index_of(an.whole))
+    image = set(an.td_spatializations.values())
     law.checked += 1
-    if frozenset(image) != bool_at.members:
+    if sp_index is None or image != subl.boolean_sublocale(order, sp_index).members:
         law.fail("td-spatial members differ from the boolean "
                  "sublocale at the td-spatialization")
 
@@ -636,7 +643,7 @@ def law_lifting(an, law):
         return
     for s in an.assembly:
         law.checked += 1
-        lift = sy.lift_surjection(an.assembly, s, an.cap)
+        lift = sy.lift_surjection(an.assembly, s)
         # the adjoint-pair constructor has already verified meet/join
         # preservation and the adjunction; spot-check surjectivity
         if set(lift.pair.hom) != set(range(lift.pair.target.n)):

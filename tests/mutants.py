@@ -5,8 +5,9 @@ ALL_MUTANTS must make at least one suite or battery fail, and each in
 ORDER_MUTANTS at least one oracle check (test_mutants.py names which).
 The wrong results are built through the unvalidated constructor so the
 breakage propagates into the laws instead of tripping input validation
-immediately.  The ORDER_MUTANTS break the frame validation kernels; each
-is the kernel's own source with one statement edited (_edited), so it
+immediately.  The ORDER_MUTANTS break the frame kernels (validation,
+the Heyting table) and the cap prediction of enumerate_assembly; each is
+the kernel's own source with one statement edited (_edited), so it
 differs from the real kernel by exactly that statement.
 """
 
@@ -121,18 +122,27 @@ ALL_MUTANTS = (
 )
 
 
-def _edited(module, name, old, new):
-    """module.name compiled from its own source with the one occurrence
-    of old replaced by new."""
-    source = textwrap.dedent(inspect.getsource(getattr(module, name)))
-    assert source.count(old) == 1, f"{name} no longer reads {old!r}"
-    namespace = dict(vars(module))
-    exec(compile(source.replace(old, new), f"<mutant of {name}>", "exec"), namespace)
-    return namespace[name]
+def _edited(fn, old, new):
+    """fn compiled, decorators included, from its own source with the one
+    occurrence of old replaced by new, over its module's globals."""
+    source = textwrap.dedent(inspect.getsource(fn))
+    assert source.count(old) == 1, f"{fn.__qualname__} no longer reads {old!r}"
+    namespace = dict(vars(inspect.getmodule(fn)))
+    exec(compile(source.replace(old, new), f"<mutant of {fn.__qualname__}>", "exec"),
+         namespace)
+    return namespace[fn.__name__]
 
 
-def _patch_edited(monkeypatch, name, old, new):
-    monkeypatch.setattr(frames, name, _edited(frames, name, old, new))
+def _patch_edited(monkeypatch, name, old, new, owner=frames):
+    """Replace owner.name, a module function or a cached property of a
+    class, by its edited source."""
+    current = vars(owner)[name]
+    if isinstance(current, functools.cached_property):
+        edited = _edited(current.func, old, new)
+        edited.__set_name__(owner, name)
+    else:
+        edited = _edited(current, old, new)
+    monkeypatch.setattr(owner, name, edited)
 
 
 def int_table_defaulting_missing_bound(monkeypatch):
@@ -172,10 +182,35 @@ def closure_of_one_pass(monkeypatch):
                   "    changed = True\n    while changed:", "    for changed in (True,):")
 
 
+def birkhoff_count_of_no_irreducibles(monkeypatch):
+    """The distributivity count takes x = x join x as making x
+    join-reducible, so it counts no join-irreducibles and every lattice
+    passes without the triple scan."""
+    _patch_edited(monkeypatch, "_check_distributive",
+                  "reducible[join[(join != idx[:, None]) & (join != idx[None, :])]] = True",
+                  "reducible[join] = True")
+
+
+def heyting_taking_second_candidate(monkeypatch):
+    """The Heyting table skips the first ranked candidate, the top, and
+    takes the next c with a meet c <= b."""
+    _patch_edited(monkeypatch, "imp", "order[ok.argmax(axis=2)]",
+                  "order[ok[:, :, 1:].argmax(axis=2) + 1]", owner=frames.FiniteFrame)
+
+
+def cap_prediction_refusing_at_cap(monkeypatch):
+    """enumerate_assembly refuses an assembly of exactly cap members."""
+    _patch_edited(monkeypatch, "enumerate_assembly", "if 1 << len(primes) > cap:",
+                  "if 1 << len(primes) >= cap:", owner=subl)
+
+
 ORDER_MUTANTS = (
     ("int_table_defaulting_missing_bound", int_table_defaulting_missing_bound),
     ("word_table_skipping_row_equality", word_table_skipping_row_equality),
     ("rows_dropping_top_word", rows_dropping_top_word),
     ("transitivity_checking_row_zero", transitivity_checking_row_zero),
     ("closure_of_one_pass", closure_of_one_pass),
+    ("birkhoff_count_of_no_irreducibles", birkhoff_count_of_no_irreducibles),
+    ("heyting_taking_second_candidate", heyting_taking_second_candidate),
+    ("cap_prediction_refusing_at_cap", cap_prediction_refusing_at_cap),
 )

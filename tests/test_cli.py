@@ -2,6 +2,9 @@ import gc
 import hashlib
 import io
 import os
+import resource
+import subprocess
+import sys
 import time
 import weakref
 
@@ -251,7 +254,50 @@ class TestHostileInput:
                         "distinct 'cover' lines, got 0\n")
 
 
+    def test_out_of_memory_is_a_documented_refusal(self, tmp_path):
+        # a 20,000-element chain passes the parse-time cover count, and its
+        # order matrix alone (400 MB) exceeds the child's address space
+        n, limit = 20000, 512 << 20
+        path = tmp_path / "chain.frame"
+        path.write_text(f"elements: {n}\n"
+                        + "".join(f"cover: {i} {i + 1}\n" for i in range(n - 1)))
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1",
+               "OMP_NUM_THREADS": "1"}
+        child = subprocess.run(
+            [sys.executable, "-m", "localelab.cli", "analyze", str(path)],
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+            env=env, capture_output=True, text=True, timeout=60)
+        assert (child.returncode, child.stdout, child.stderr) == \
+            (cli.EXIT_PARSE, "error: out of memory: the input is too large\n", "")
+
+
+class TestArguments:
+    @pytest.mark.parametrize("argv, message", [
+        (["verify", "--cap", "0"], "--cap must be at least 1"),
+        (["verify", "--bound", "0"], "--bound must be between 1 and 7"),
+        (["verify", "--count", "-1"], "--count must not be negative"),
+        (["random", "--bound", "8"], "--bound must be between 1 and 7"),
+        (["random", "--count", "-1"], "--count must not be negative"),
+        (["analyze", "--cap", "-3", "x.frame"], "--cap must be at least 1"),
+        (["dot", "--cap", "0", "x.frame"], "--cap must be at least 1"),
+    ])
+    def test_out_of_range_values_are_refused(self, argv, message):
+        assert run(argv) == (cli.EXIT_PARSE, f"error: {message}\n")
+
+    def test_cap_env_is_checked_by_commands_without_cap(self, monkeypatch):
+        monkeypatch.setenv(cli.CAP_ENV, "0")
+        assert run(["remark"]) == (cli.EXIT_PARSE, "error: --cap must be at least 1\n")
+
+
 class TestEnvironment:
+    @pytest.mark.parametrize("argv", [["analyze", "x.frame"], ["verify"], ["remark"],
+                                      ["random"], ["dot", "x.frame"]])
+    def test_bad_env_value_refused_by_every_command(self, argv, monkeypatch):
+        monkeypatch.setenv(cli.CAP_ENV, "many")
+        assert run(argv) == (cli.EXIT_PARSE, "error: LOCALE_LAB_CAP must be an "
+                                             "integer, got 'many'\n")
+
     def test_cap_env_default(self, chain3_file, monkeypatch):
         monkeypatch.setenv(cli.CAP_ENV, "2")
         code, text = run(["analyze", chain3_file])

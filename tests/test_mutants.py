@@ -1,13 +1,14 @@
 """Each mutant in mutants.ALL_MUTANTS is killed by a named suite or battery,
-and each in mutants.ORDER_MUTANTS by a named oracle check.
+and each in mutants.ORDER_MUTANTS by a named oracle or boundary check.
 
 KILLED_BY pins, for every mutant, one frame and one suite or battery that
 must fail under it (without crashing) and pass without it, so a change
 that silences the check that used to catch a mutant shows up here by
 name.  Other checks may fail too; only the named one is pinned.  The
-order mutants break frame validation, which verify's generated frames
-(all of them lattices of few elements) never reach, so ORDER_KILLED_BY
-pins an oracle comparison for each instead.
+order mutants break frame kernels and the cap prediction, mostly where
+verify's generated frames (lattices of few elements, far below the cap)
+never reach, so ORDER_KILLED_BY pins an oracle comparison or the cap
+boundary for each instead.
 """
 
 import io
@@ -22,7 +23,7 @@ from localelab import theorems
 
 import mutants
 import oracle
-from conftest import boolean_square, chain
+from conftest import antichain2_plus_top, boolean_square, chain, m3_relation, n5_relation
 
 # mutant -> (frame, the suite or battery that kills it)
 KILLED_BY = {
@@ -131,6 +132,32 @@ def _closure_matches_oracle(n, pairs):
             == oracle.closure_bruteforce(n, pairs))
 
 
+def _heyting_matches_oracle():
+    """The Heyting tables of a few fresh frames equal the oracle's."""
+    return all(f.imp[a, b] == oracle.heyting_bruteforce(f, a, b)
+               for f in (chain(3), boolean_square(), antichain2_plus_top())
+               for a in range(f.n) for b in range(f.n))
+
+
+def _refused_at(f, cap):
+    """The count CapExceeded reports for f's assembly under cap, or None."""
+    try:
+        subl.enumerate_assembly(f, cap=cap)
+    except subl.CapExceeded as exc:
+        return exc.count
+    return None
+
+
+def _cap_boundary_holds():
+    """As test_sublocales' test_cap_refusal_matches_bruteforce_size: a
+    cap of the assembly's size is accepted, one less is refused with the
+    count cap + 1."""
+    sizes = ((f, len(oracle.assembly_bruteforce(f)))
+             for f in (chain(2), chain(3), boolean_square(), antichain2_plus_top()))
+    return all(_refused_at(f, size) is None and _refused_at(f, size - 1) == size
+               for f, size in sizes)
+
+
 # order mutant -> the oracle comparison that must fail under it; the
 # narrow cases have at most frames.INT_ROW_BITS elements, the wide ones
 # more, in one, two and three 64-bit words
@@ -147,6 +174,10 @@ ORDER_KILLED_BY = {
                                           _not_transitive(70, 5, 66)]),
     "closure_of_one_pass":
         lambda: _closure_matches_oracle(4, [(0, 1), (1, 2), (2, 0), (2, 3)]),
+    "birkhoff_count_of_no_irreducibles":
+        lambda: _rejections_match_oracle([m3_relation(), n5_relation()]),
+    "heyting_taking_second_candidate": _heyting_matches_oracle,
+    "cap_prediction_refusing_at_cap": _cap_boundary_holds,
 }
 
 

@@ -245,11 +245,12 @@ class TestPairTables:
             subs = [Sublocale(fresh, s.members) for s in an.assembly]
             for i, s in enumerate(subs):
                 for j, t in enumerate(subs):
-                    assert an.joins[i][j].mask == \
+                    assert an.assembly[an.joins[i][j]].mask == \
                         subl.sublocale_join(fresh, [s, t]).mask
-                    assert an.meets[i][j].mask == \
+                    assert an.assembly[an.meets[i][j]].mask == \
                         subl.sublocale_meet(fresh, [s, t]).mask
-                    assert an.differences[i][j].mask == subl.difference(s, t).mask
+                    assert an.assembly[an.differences[i][j]].mask == \
+                        subl.difference(s, t).mask
 
     def test_d_indices_follow_the_assembly(self, square):
         an = sy.FrameAnalysis(square)
