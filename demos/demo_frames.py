@@ -27,14 +27,14 @@ print("\nsquare:", square, "subfit?", frames.is_subfit(square),
 diamond = frames.transitive_reflexive_closure(
     5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)])
 try:
-    frames.verify_frame(diamond)
+    frames.FiniteFrame(diamond)
 except frames.NonDistributive as exc:
     print("\ndiamond rejected:", exc)
 
 pentagon = frames.transitive_reflexive_closure(
     5, [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)])
 try:
-    frames.verify_frame(pentagon)
+    frames.FiniteFrame(pentagon)
 except frames.NonDistributive as exc:
     print("pentagon rejected:", exc)
 

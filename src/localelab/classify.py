@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from . import frames
 from . import spaces
 from . import subsystems as sy
-from .sublocales import CapExceeded
+from .sublocales import DEFAULT_CAP, CapExceeded
 
 
 def spectrum_is_scattered(frame):
@@ -139,7 +139,7 @@ def _row_definitions(analysis, booleans):
     ]
 
 
-def classify_frame(frame, cap=1 << 16, name="frame"):
+def classify_frame(frame, cap=DEFAULT_CAP, name="frame"):
     """Full classification; degrades to frame-level predicates on cap overflow."""
     booleans = {
         "spatial": frames.is_spatial(frame),

@@ -37,7 +37,8 @@ def _build_parser():
 
     def common(p, inputs=False):
         p.add_argument("--cap", type=int, default=None,
-                       help=f"assembly size cap (default {CAP_ENV} or 65536)")
+                       help=f"assembly size cap (default {CAP_ENV} or "
+                            f"{subl.DEFAULT_CAP})")
         p.add_argument("--out-dir", default=".", help="directory for output files")
         p.add_argument("--format", dest="fmt", choices=("text", "keyvalue"),
                        default="text")
@@ -71,11 +72,11 @@ def _build_parser():
 
 
 def _check_args(args):
-    """Set args.cap on every command, from LOCALE_LAB_CAP (else 65536)
+    """Set args.cap on every command, from LOCALE_LAB_CAP (else DEFAULT_CAP)
     where --cap is not given or not taken, and refuse out-of-range values
     (ValueError)."""
     if getattr(args, "cap", None) is None:
-        raw = os.environ.get(CAP_ENV, str(1 << 16))
+        raw = os.environ.get(CAP_ENV, str(subl.DEFAULT_CAP))
         try:
             args.cap = int(raw)
         except ValueError:

@@ -7,8 +7,6 @@ covered primes, subfitness) lives here.
 
 from __future__ import annotations
 
-import itertools
-import random
 from functools import cached_property
 
 import numpy as np
@@ -275,9 +273,10 @@ class _Memo:
     meet closure, the one kernel result both read; unions maps
     other.mask to the mask U(other) of pieces that difference intersects
     with sub; difference_tables holds the tables U is built from, once
-    built; spectra maps a mask to its intrinsic (primes, covered primes)
-    (see subsystems); orders maps the masks of a family of sublocales, in
-    Sublocale.sort_key order, to its family_order_frame result.
+    built; spectra maps a mask to spectra_of's (primes, covered primes)
+    of its members, the frame's own at the full mask; orders maps the
+    masks of a family of sublocales, in Sublocale.sort_key order, to its
+    family_order_frame result.
     """
 
     __slots__ = ("subs", "valid", "closures", "unions", "difference_tables",
@@ -306,6 +305,10 @@ class FiniteFrame:
     join-primality (_check_distributive).  Instances hash and compare by
     identity, so sublocales of one frame always reference the same
     object.
+
+    An order that is no frame raises NonPoset, NonLattice (with a witness
+    pair) or NonDistributive (with a witness triple); the exception
+    doubles as the rejection report.
     """
 
     def __init__(self, leq, labels=None):
@@ -408,25 +411,9 @@ class FiniteFrame:
         return tuple(out)
 
     @cached_property
-    def _primes(self):
-        # p is reducible exactly when some pair of other elements meets to it
-        meet, n = self.meet_rows, self.n
-        reducible = set()
-        for x in range(n):
-            row = meet[x]
-            for y in range(x + 1, n):
-                m = row[y]
-                if m != x and m != y:
-                    reducible.add(m)
-        return frozenset(set(range(n)) - reducible - {self.top})
-
-    @cached_property
-    def _covered_primes(self):
-        out = set()
-        for p in self._primes:
-            if self.meet_of(bits_of(self.up_masks[p] & ~(1 << p))) != p:
-                out.add(p)
-        return frozenset(out)
+    def _spectra(self):
+        """The frame's (primes, covered primes): spectra_of at the full mask."""
+        return spectra_of(self, (1 << self.n) - 1)
 
     def meet_of(self, elements):
         """Meet of an iterable of elements; the empty meet is the top."""
@@ -503,18 +490,9 @@ def cover_relation(leq):
     return _matrix_of_rows([s & ~a for s, a in zip(strict, above)], len(leq))
 
 
-def verify_frame(leq, labels=None):
-    """Validate an order relation as a frame.
-
-    Raises NonPoset, NonLattice (with a witness pair) or NonDistributive
-    (with a witness triple); the exception doubles as the rejection report.
-    """
-    return FiniteFrame(leq, labels=labels)
-
-
 def frame_from_covers(n, covers, labels=None):
     """Build a frame from a cover relation, closing it reflexively/transitively."""
-    return verify_frame(transitive_reflexive_closure(n, covers), labels=labels)
+    return FiniteFrame(transitive_reflexive_closure(n, covers), labels=labels)
 
 
 def heyting(frame, a, b):
@@ -527,9 +505,38 @@ def pseudocomplement(frame, a):
     return int(frame.imp[a, frame.bottom])
 
 
+def spectra_of(frame, mask):
+    """(primes, covered primes) of the meet-closed set of elements in
+    mask (the whole frame or a sublocale) as a lattice in its own right,
+    computed once per frame and mask.
+
+    Its meets are the frame's, so p is reducible exactly when two other
+    members meet to it, and a prime p is covered when the meet of the
+    members strictly above p stays strictly above p (so no subset of
+    members reaches p without p).
+    """
+    spectra = frame._memo.spectra
+    got = spectra.get(mask)
+    if got is None:
+        members = list(bits_of(mask))
+        meet, up = frame.meet_rows, frame.up_masks
+        reducible = set()
+        for i, x in enumerate(members):
+            row = meet[x]
+            for y in members[i + 1:]:
+                m = row[y]
+                if m != x and m != y:
+                    reducible.add(m)
+        primes = frozenset(members) - reducible - {frame.top}
+        covered = frozenset(p for p in primes
+                            if frame.meet_of(bits_of(up[p] & mask & ~(1 << p))) != p)
+        got = spectra[mask] = (primes, covered)
+    return got
+
+
 def primes(frame):
     """Meet-irreducible elements below top: p = x meet y forces p in {x, y}."""
-    return frame._primes
+    return frame._spectra[0]
 
 
 def covered_primes(frame):
@@ -540,7 +547,7 @@ def covered_primes(frame):
     is still performed for real, once per frame, so that sublattice scans
     and mutation tests are not presumed degenerate.
     """
-    return frame._covered_primes
+    return frame._spectra[1]
 
 
 def meets_of_points(frame, points, elements=None):
@@ -616,7 +623,7 @@ def downset_lattice(poset_leq):
     poset_leq = np.asarray(poset_leq, dtype=bool)
     ds = downsets(poset_leq)
     labels = tuple("{" + ",".join(map(str, bits_of(m))) + "}" for m in ds)
-    return verify_frame(inclusion_order(ds), labels=labels)
+    return FiniteFrame(inclusion_order(ds), labels=labels)
 
 
 def random_poset(rng, size):
@@ -633,42 +640,16 @@ def random_frame(rng, bound):
     return downset_lattice(random_poset(rng, size))
 
 
-def random_frames(seed, bound, count):
-    rng = random.Random(seed)
-    return [random_frame(rng, bound) for _ in range(count)]
-
-
-def all_posets(size):
-    """All posets on `size` labelled points, one per isomorphism class.
-
-    Every finite poset admits a linear extension, so enumerating strict
-    orders contained in the integer order covers all classes; duplicates
-    are removed by a minimum-over-permutations canonical form.
-    """
-    if size == 0:
-        return [np.zeros((0, 0), dtype=bool)]
-    pairs = [(i, j) for i in range(size) for j in range(i + 1, size)]
-    perms = list(itertools.permutations(range(size)))
-    seen = set()
-    out = []
-    for bitsel in range(1 << len(pairs)):
-        chosen = [pairs[t] for t in range(len(pairs)) if bitsel >> t & 1]
-        rel = transitive_reflexive_closure(size, chosen)
-        canon = min(tuple(rel[list(p), :][:, list(p)].flatten().tolist())
-                    for p in perms)
-        if canon not in seen:
-            seen.add(canon)
-            out.append(rel)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # frame text format:  `elements: n`, `cover: i j`, optional `label: i name`
 
-def parse_frame_text(text):
-    n = None
-    covers = []
-    labels = {}
+def key_value_lines(text, error, count_key, keys):
+    """The (key, fields, lineno) of every nonblank `key: value` line of a
+    frame or space file, in order, for the count line count_key and the
+    other keys.  Raises error(message, lineno) on a line without a colon,
+    an unknown key, a second count line or one that is not a single
+    decimal count, and error(message) when the count line is missing."""
+    counted = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -676,26 +657,36 @@ def parse_frame_text(text):
         key, sep, rest = line.partition(":")
         key = key.strip()
         if not sep:
-            raise FrameFormatError(f"expected 'key: value', got {line!r}", lineno)
+            raise error(f"expected 'key: value', got {line!r}", lineno)
         fields = rest.split()
-        if key == "elements":
-            if n is not None:
-                raise FrameFormatError("duplicate 'elements' line", lineno)
+        if key == count_key:
+            if counted:
+                raise error(f"duplicate {key!r} line", lineno)
             if len(fields) != 1 or not fields[0].isdigit():
-                raise FrameFormatError("'elements' takes one decimal count", lineno)
+                raise error(f"{key!r} takes one decimal count", lineno)
+            counted = True
+        elif key not in keys:
+            raise error(f"unknown key {key!r}", lineno)
+        yield key, fields, lineno
+    if not counted:
+        raise error(f"missing {count_key!r} line")
+
+
+def parse_frame_text(text):
+    covers = []
+    labels = {}
+    for key, fields, lineno in key_value_lines(text, FrameFormatError, "elements",
+                                               ("cover", "label")):
+        if key == "elements":
             n = int(fields[0])
         elif key == "cover":
             if len(fields) != 2 or not all(f.isdigit() for f in fields):
                 raise FrameFormatError("'cover' takes two decimal ids", lineno)
             covers.append((int(fields[0]), int(fields[1]), lineno))
-        elif key == "label":
+        else:
             if len(fields) != 2 or not fields[0].isdigit():
                 raise FrameFormatError("'label' takes an id and a name", lineno)
             labels[int(fields[0])] = fields[1]
-        else:
-            raise FrameFormatError(f"unknown key {key!r}", lineno)
-    if n is None:
-        raise FrameFormatError("missing 'elements' line")
     for i, j, lineno in covers:
         if not (0 <= i < n and 0 <= j < n):
             raise FrameFormatError(f"cover id out of range: {i} {j}", lineno)

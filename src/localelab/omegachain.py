@@ -27,35 +27,6 @@ class MalformedDescription(ValueError):
 
 
 @dataclass(frozen=True)
-class ChainElement:
-    """A level (0 is the top) or the bottom, encoded as level None."""
-
-    level: int | None
-
-    def __le__(self, other):
-        if self.level is None:
-            return True
-        if other.level is None:
-            return False
-        return self.level >= other.level
-
-    def __repr__(self):
-        if self.level is None:
-            return "bottom"
-        return "top" if self.level == 0 else f"a{self.level}"
-
-
-BOTTOM = ChainElement(None)
-TOP = ChainElement(0)
-
-
-def level(n):
-    if n < 0:
-        raise MalformedDescription("levels are indexed by naturals")
-    return ChainElement(n)
-
-
-@dataclass(frozen=True)
 class Tail:
     """Levels n >= offset with pattern[(n - offset) mod len] set."""
 

@@ -85,21 +85,6 @@ def from_preorder(rel):
     return FiniteSpace(rel.shape[0], frozenset(ups))
 
 
-def all_spaces(points):
-    """All topologies on the given point count, one per preorder.
-
-    Only off-diagonal pairs are chosen, so each preorder comes once.
-    """
-    pairs = [(i, j) for i in range(points) for j in range(points) if i != j]
-    out = []
-    for mask in range(1 << len(pairs)):
-        chosen = [pairs[t] for t in frames.bits_of(mask)]
-        rel = frames.transitive_reflexive_closure(points, chosen)
-        if rel.sum() == points + len(chosen):    # already transitive
-            out.append(from_preorder(rel))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # the open-set frame and the spectra
 
@@ -133,7 +118,7 @@ def omega(sp):
         opens = sorted(sp.opens, key=lambda u: (len(u), tuple(sorted(u))))
         leq = frames.inclusion_order(frames.mask_of(u) for u in opens)
         labels = ["{" + ",".join(str(x) for x in sorted(u)) + "}" for u in opens]
-        om = _omega_of[sp] = OmegaFrame(frames.verify_frame(leq, labels=labels),
+        om = _omega_of[sp] = OmegaFrame(frames.FiniteFrame(leq, labels=labels),
                                         tuple(opens))
     return om
 
@@ -249,31 +234,15 @@ def omega_prime(sp, pts):
 # space text format:  `points: n`, `open: i j k` (one line per open)
 
 def parse_space_text(text):
-    m = None
     opens = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        key, sep, rest = line.partition(":")
-        key = key.strip()
-        if not sep:
-            raise SpaceFormatError(f"expected 'key: value', got {line!r}", lineno)
-        fields = rest.split()
+    for key, fields, lineno in frames.key_value_lines(text, SpaceFormatError,
+                                                      "points", ("open",)):
         if key == "points":
-            if m is not None:
-                raise SpaceFormatError("duplicate 'points' line", lineno)
-            if len(fields) != 1 or not fields[0].isdigit():
-                raise SpaceFormatError("'points' takes one decimal count", lineno)
             m = int(fields[0])
-        elif key == "open":
-            if not all(f.isdigit() for f in fields):
-                raise SpaceFormatError("'open' takes decimal point ids", lineno)
-            opens.append((frozenset(int(f) for f in fields), lineno))
+        elif not all(f.isdigit() for f in fields):
+            raise SpaceFormatError("'open' takes decimal point ids", lineno)
         else:
-            raise SpaceFormatError(f"unknown key {key!r}", lineno)
-    if m is None:
-        raise SpaceFormatError("missing 'points' line")
+            opens.append((frozenset(int(f) for f in fields), lineno))
     for u, lineno in opens:
         if any(not 0 <= x < m for x in u):
             raise SpaceFormatError("point id out of range", lineno)

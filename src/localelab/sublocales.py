@@ -15,6 +15,11 @@ from . import frames
 from .frames import bits_of, elements_of_mask, mask_of
 
 
+# The assembly size cap that enumerate_assembly, FrameAnalysis,
+# classify_frame, verify_frame_theorems and the CLI take by default.
+DEFAULT_CAP = 1 << 16
+
+
 class MixedFrames(ValueError):
     """Raised when an operation mixes sublocales of different frames."""
 
@@ -367,7 +372,7 @@ def family_order_frame(subs):
     if got is None:
         leq = frames.inclusion_order(masks).T
         got = orders[masks] = (
-            frames.verify_frame(leq, labels=[repr(s) for s in subs]), subs)
+            frames.FiniteFrame(leq, labels=[repr(s) for s in subs]), subs)
     return got
 
 
@@ -430,7 +435,7 @@ def _prime_subset_closures(frame, primes):
     return closures
 
 
-def enumerate_assembly(frame, cap=1 << 16):
+def enumerate_assembly(frame, cap=DEFAULT_CAP):
     """Every sublocale exactly once, indexed by the primes it contains.
 
     The assembly of a finite frame is the powerset of its primes

@@ -40,33 +40,8 @@ class PreconditionFailed(ValueError):
 # intrinsic spectra of a sublocale (as a lattice in its own right)
 
 def _spectra(sub):
-    """(primes, covered primes) of the sublocale as its own lattice,
-    computed once per frame and mask.
-
-    Meets in a sublocale agree with meets in the frame, so the primes
-    come from a plain meet-irreducibility scan over the members.  A prime
-    p is covered when the meet of the members strictly above p stays
-    strictly above p (so no subset of members can reach p without p).
-    """
-    frame = sub.frame
-    spectra = frame._memo.spectra
-    got = spectra.get(sub.mask)
-    if got is None:
-        members = sorted(sub.members)
-        meet = frame.meet_rows
-        reducible = set()
-        for i, x in enumerate(members):
-            row = meet[x]
-            for y in members[i + 1:]:
-                m = row[y]
-                if m != x and m != y:
-                    reducible.add(m)
-        primes = frozenset(sub.members - reducible - {frame.top})
-        covered = frozenset(
-            p for p in primes
-            if frame.meet_of(bits_of(frame.up_masks[p] & sub.mask & ~(1 << p))) != p)
-        got = spectra[sub.mask] = (primes, covered)
-    return got
+    """(primes, covered primes) of the sublocale as its own lattice."""
+    return frames.spectra_of(sub.frame, sub.mask)
 
 
 def points_of(sub):
@@ -310,10 +285,6 @@ class AdjointPair:
                     raise ValueError(f"adjunction law fails at ({a},{b})")
 
 
-def identity_pair(frame):
-    return AdjointPair(frame, frame, range(frame.n), range(frame.n))
-
-
 def sublocale_frame(sub):
     """The sublocale as a frame in its own right, with its element map.
 
@@ -323,8 +294,8 @@ def sublocale_frame(sub):
     """
     members = sorted(sub.members)
     labels = [sub.frame.labels[a] for a in members]
-    return (frames.verify_frame(sub.frame.leq[np.ix_(members, members)],
-                                labels=labels), tuple(members))
+    return (frames.FiniteFrame(sub.frame.leq[np.ix_(members, members)],
+                               labels=labels), tuple(members))
 
 
 def sublocale_surjection_pair(sub):
@@ -502,7 +473,7 @@ class FrameAnalysis:
     batteries that read it fail there.
     """
 
-    def __init__(self, frame, cap=1 << 16):
+    def __init__(self, frame, cap=subl.DEFAULT_CAP):
         self.frame = frame
         self.cap = cap
 

@@ -643,7 +643,10 @@ def law_lifting(an, law):
         return
     for s in an.assembly:
         law.checked += 1
-        lift = sy.lift_surjection(an.assembly, s)
+        try:
+            lift = sy.lift_surjection(an.assembly, s)
+        except sy.NotLiftable as exc:
+            law.fail(f"no lift onto {s!r}: {exc}")
         # the adjoint-pair constructor has already verified meet/join
         # preservation and the adjunction; spot-check surjectivity
         if set(lift.pair.hom) != set(range(lift.pair.target.n)):
@@ -726,7 +729,7 @@ class FrameVerdict:
         return out
 
 
-def verify_frame_theorems(frame, cap=1 << 16, name="frame"):
+def verify_frame_theorems(frame, cap=subl.DEFAULT_CAP, name="frame"):
     """Run every suite and battery on one frame, trapping engine errors.
 
     An assembly over the cap is no engine error: CapExceeded propagates,

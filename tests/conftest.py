@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import numpy as np
 import pytest
 
@@ -35,6 +38,52 @@ def grid_relation(a, b):
     covers = [(i * b + j, (i + 1) * b + j) for i in range(a - 1) for j in range(b)]
     covers += [(i * b + j, i * b + j + 1) for i in range(a) for j in range(b - 1)]
     return frames.transitive_reflexive_closure(a * b, covers)
+
+
+def random_frames(seed, bound, count):
+    """count frames drawn by frames.random_frame from one seeded generator,
+    as verify draws them."""
+    rng = random.Random(seed)
+    return [frames.random_frame(rng, bound) for _ in range(count)]
+
+
+def all_posets(size):
+    """All posets on `size` labelled points, one per isomorphism class.
+
+    Every finite poset admits a linear extension, so enumerating strict
+    orders contained in the integer order covers all classes; duplicates
+    are removed by a minimum-over-permutations canonical form.
+    """
+    if size == 0:
+        return [np.zeros((0, 0), dtype=bool)]
+    pairs = [(i, j) for i in range(size) for j in range(i + 1, size)]
+    perms = list(itertools.permutations(range(size)))
+    seen = set()
+    out = []
+    for bitsel in range(1 << len(pairs)):
+        chosen = [pairs[t] for t in range(len(pairs)) if bitsel >> t & 1]
+        rel = frames.transitive_reflexive_closure(size, chosen)
+        canon = min(tuple(rel[list(p), :][:, list(p)].flatten().tolist())
+                    for p in perms)
+        if canon not in seen:
+            seen.add(canon)
+            out.append(rel)
+    return out
+
+
+def all_spaces(points):
+    """All topologies on the given point count, one per preorder.
+
+    Only off-diagonal pairs are chosen, so each preorder comes once.
+    """
+    pairs = [(i, j) for i in range(points) for j in range(points) if i != j]
+    out = []
+    for mask in range(1 << len(pairs)):
+        chosen = [pairs[t] for t in frames.bits_of(mask)]
+        rel = frames.transitive_reflexive_closure(points, chosen)
+        if rel.sum() == points + len(chosen):    # already transitive
+            out.append(spaces.from_preorder(rel))
+    return out
 
 
 @pytest.fixture(scope="session")
@@ -76,6 +125,6 @@ def small_corpus():
     """Downset lattices of every poset on at most 4 points (25 frames)."""
     out = []
     for k in range(5):
-        for rel in frames.all_posets(k):
+        for rel in all_posets(k):
             out.append(frames.downset_lattice(rel))
     return out

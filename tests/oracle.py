@@ -116,7 +116,7 @@ def closure_bruteforce(n, pairs):
 
 
 def frame_rejection_bruteforce(rel):
-    """What verify_frame must raise on a poset, found by brute force: the
+    """What FiniteFrame must raise on a poset, found by brute force: the
     first pair (i <= j, row-major) without a meet, else without a join,
     else the lexicographically first distributivity triple, as
     (exception class, (pair, kind) or triple); None if the poset is a

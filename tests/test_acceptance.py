@@ -17,7 +17,7 @@ from localelab.sublocales import Sublocale
 
 import mutants
 import oracle
-from conftest import boolean_square, chain
+from conftest import all_posets, boolean_square, chain, random_frames
 from test_omegachain import description_corpus
 
 
@@ -29,7 +29,7 @@ def _report(n, name):
 def poset_corpus():
     out = []
     for k in range(5):
-        for rel in frames.all_posets(k):
+        for rel in all_posets(k):
             out.append(frames.downset_lattice(rel))
     return out
 
@@ -60,7 +60,7 @@ def test_criterion_1_oracle_equivalence(poset_corpus):
 
 def test_criterion_2_table_verdicts(named_fixtures):
     start = time.monotonic()
-    tested = list(named_fixtures) + frames.random_frames(2026, 5, 200)
+    tested = list(named_fixtures) + random_frames(2026, 5, 200)
     for f in tested:
         an = sy.FrameAnalysis(f)
         result = classify.classify_frame(f)
@@ -85,7 +85,7 @@ def test_criterion_3_theorem_suites(named_fixtures):
     degenerate = {"covered_primes_characterization",
                   "total_td_spatiality_characterization",
                   "assembly_powerset_characterization"}
-    tested = list(named_fixtures) + frames.random_frames(1, 4, 200)
+    tested = list(named_fixtures) + random_frames(1, 4, 200)
     seen_degenerate = set()
     for f in tested:
         an = sy.FrameAnalysis(f)
@@ -99,7 +99,7 @@ def test_criterion_3_theorem_suites(named_fixtures):
 
 
 def test_criterion_4_difference_laws(poset_corpus, named_fixtures):
-    extra = [f for f in frames.random_frames(11, 5, 30)]
+    extra = [f for f in random_frames(11, 5, 30)]
     count = 0
     for f in poset_corpus + named_fixtures + extra:
         an = sy.FrameAnalysis(f)

@@ -60,8 +60,9 @@ REJECTIONS = [
 ]
 
 
-@pytest.mark.parametrize("reader, text, error, message, line", REJECTIONS,
-                         ids=[f"{r.__name__}-{i}" for i, (r, *_) in enumerate(REJECTIONS)])
+@pytest.mark.parametrize(
+    "reader, text, error, message, line", REJECTIONS,
+    ids=[f"{reader.__name__}-{i}" for i, (reader, *_) in enumerate(REJECTIONS)])
 def test_rejection_is_pinned(reader, text, error, message, line):
     with pytest.raises(error) as exc:
         reader(text)

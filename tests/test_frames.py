@@ -9,7 +9,8 @@ from localelab.frames import (NonDistributive, NonLattice, NonPoset,
                               FrameFormatError)
 
 import oracle
-from conftest import chain, grid_relation, m3_relation, n5_relation
+from conftest import (all_posets, chain, grid_relation, m3_relation, n5_relation,
+                      random_frames)
 
 
 class TestVerifyFrame:
@@ -21,28 +22,28 @@ class TestVerifyFrame:
 
     def test_diamond_rejected(self):
         with pytest.raises(NonDistributive) as exc:
-            frames.verify_frame(m3_relation())
+            frames.FiniteFrame(m3_relation())
         # recompute the witness from scratch: meets/joins by bound scans
         assert _is_distributivity_witness(m3_relation(), *exc.value.triple)
 
     def test_pentagon_rejected(self):
         with pytest.raises(NonDistributive) as exc:
-            frames.verify_frame(n5_relation())
+            frames.FiniteFrame(n5_relation())
         assert _is_distributivity_witness(n5_relation(), *exc.value.triple)
 
     def test_cycle_rejected(self):
         rel = frames.transitive_reflexive_closure(3, [(0, 1), (1, 0), (1, 2)])
         with pytest.raises(NonPoset):
-            frames.verify_frame(rel)
+            frames.FiniteFrame(rel)
 
     def test_two_tops_rejected(self):
         with pytest.raises(NonLattice) as exc:
-            frames.verify_frame(np.eye(2, dtype=bool))
+            frames.FiniteFrame(np.eye(2, dtype=bool))
         assert exc.value.pair == (0, 1)
 
     def test_empty_rejected(self):
         with pytest.raises(NonLattice):
-            frames.verify_frame(np.zeros((0, 0), dtype=bool))
+            frames.FiniteFrame(np.zeros((0, 0), dtype=bool))
 
 
 def _is_distributivity_witness(rel, a, b, c):
@@ -68,7 +69,7 @@ class TestPosetRejection:
     @staticmethod
     def _rejection(rel):
         with pytest.raises(NonPoset) as exc:
-            frames.verify_frame(rel)
+            frames.FiniteFrame(rel)
         got = (exc.value.reason, exc.value.witness)
         assert got == oracle.poset_failure_bruteforce(rel.tolist())
         return got
@@ -115,14 +116,14 @@ def test_poset_rejection_matches_bruteforce(data):
     expected = oracle.poset_failure_bruteforce(rel.tolist())
     if expected is None:
         try:
-            frames.verify_frame(rel)
+            frames.FiniteFrame(rel)
         except NonPoset:
             pytest.fail("a partial order was rejected as a non-poset")
         except frames.FrameError:
             pass
         return
     with pytest.raises(NonPoset) as exc:
-        frames.verify_frame(rel)
+        frames.FiniteFrame(rel)
     assert (exc.value.reason, exc.value.witness) == expected
 
 
@@ -163,7 +164,7 @@ def _assert_tables_match_bruteforce(f):
 
 class TestBoundTables:
     def test_agree_with_bruteforce(self, small_corpus):
-        larger = [frames.verify_frame(grid_relation(10, 10)), chain(22)]
+        larger = [frames.FiniteFrame(grid_relation(10, 10)), chain(22)]
         for f in list(small_corpus) + larger:
             _assert_tables_match_bruteforce(f)
 
@@ -175,7 +176,7 @@ class TestBoundTables:
 
     @pytest.mark.parametrize("a, b", [(8, 8), (5, 13), (8, 16), (3, 43), (14, 14)])
     def test_grids_at_word_boundaries(self, a, b):
-        _assert_tables_match_bruteforce(frames.verify_frame(grid_relation(a, b)))
+        _assert_tables_match_bruteforce(frames.FiniteFrame(grid_relation(a, b)))
 
     def test_grid_stays_within_a_memory_bound(self):
         # validation and the Heyting table hold O(n^2) tables and one block
@@ -184,7 +185,7 @@ class TestBoundTables:
         rel = grid_relation(14, 14)
         tracemalloc.start()
         try:
-            frames.verify_frame(rel).imp
+            frames.FiniteFrame(rel).imp
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -232,10 +233,10 @@ def test_rejection_witness_matches_bruteforce(data):
         n, [(perm[i], perm[j]) for i, j in covers])
     expected = oracle.frame_rejection_bruteforce(rel)
     if expected is None:
-        frames.verify_frame(rel)
+        frames.FiniteFrame(rel)
         return
     with pytest.raises(expected[0]) as exc:
-        frames.verify_frame(rel)
+        frames.FiniteFrame(rel)
     if expected[0] is NonLattice:
         assert (exc.value.pair, exc.value.kind) == expected[1]
     else:
@@ -269,16 +270,16 @@ def test_rejection_witness_on_word_rows(data):
         missing = [(i, j) for i, j in pairs if bound(rel, i, j) is None]
         if missing:
             with pytest.raises(NonLattice) as exc:
-                frames.verify_frame(rel)
+                frames.FiniteFrame(rel)
             assert (exc.value.pair, exc.value.kind) == (missing[0], kind)
             return
     # a lattice: the chains keep it distributive exactly when the core is
     core_expected = oracle.frame_rejection_bruteforce(frames.transitive_reflexive_closure(n, covers))
     if core_expected is None:
-        frames.verify_frame(rel)
+        frames.FiniteFrame(rel)
         return
     with pytest.raises(NonDistributive) as exc:
-        frames.verify_frame(rel)
+        frames.FiniteFrame(rel)
     assert _is_distributivity_witness(rel, *exc.value.triple)
 
 
@@ -392,15 +393,15 @@ def test_downset_lattice_of_chain_poset():
 
 
 def test_random_generation_deterministic():
-    a = frames.random_frames(42, 5, 10)
-    b = frames.random_frames(42, 5, 10)
+    a = random_frames(42, 5, 10)
+    b = random_frames(42, 5, 10)
     assert [f.n for f in a] == [f.n for f in b]
     for fa, fb in zip(a, b):
         assert (fa.leq == fb.leq).all()
 
 
 def test_all_posets_counts():
-    assert [len(frames.all_posets(k)) for k in range(5)] == [1, 1, 2, 5, 16]
+    assert [len(all_posets(k)) for k in range(5)] == [1, 1, 2, 5, 16]
 
 
 @settings(max_examples=25, deadline=None)

@@ -9,11 +9,13 @@ from localelab import sublocales as subl
 from localelab import subsystems as sy
 from localelab.spaces import SpaceError, SpaceFormatError
 
+from conftest import all_spaces
+
 
 def all_small_spaces(max_points=3):
     out = []
     for k in range(max_points + 1):
-        out.extend(spaces.all_spaces(k))
+        out.extend(all_spaces(k))
     return out
 
 
@@ -107,12 +109,12 @@ class TestSeparation:
         assert not spaces.is_t0(spaces.indiscrete(2))
 
     def test_finite_t0_implies_td(self):
-        for sp in all_small_spaces(3) + spaces.all_spaces(4):
+        for sp in all_small_spaces(3) + all_spaces(4):
             if spaces.is_t0(sp):
                 assert spaces.is_td(sp)
 
     def test_td_iff_skula_discrete(self):
-        for sp in all_small_spaces(3) + spaces.all_spaces(4):
+        for sp in all_small_spaces(3) + all_spaces(4):
             discrete = len(spaces.skula(sp).opens) == 1 << sp.points
             assert spaces.is_td(sp) == discrete
 
@@ -141,7 +143,7 @@ class TestOmegaPrime:
                 assert sy.spatialization(sub) == sub
 
     def test_injective_iff_td(self):
-        for sp in all_small_spaces(3) + spaces.all_spaces(4):
+        for sp in all_small_spaces(3) + all_spaces(4):
             images = [spaces.omega_prime(sp, frozenset(frames.bits_of(sel)))
                       for sel in range(1 << sp.points)]
             assert (len(set(images)) == len(images)) == spaces.is_td(sp)
@@ -187,7 +189,7 @@ class TestAllSpaces:
     def test_counts_match_finite_topologies(self):
         # labelled topologies on 0..4 points (OEIS A000798), each once
         for k, count in enumerate((1, 1, 4, 29, 355)):
-            found = spaces.all_spaces(k)
+            found = all_spaces(k)
             assert len(found) == count
             assert len({sp.opens for sp in found}) == count
 

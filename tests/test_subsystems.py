@@ -116,7 +116,7 @@ class TestAdjunction:
 
 class TestAdjointPairs:
     def test_identity(self, chain3):
-        pair = sy.identity_pair(chain3)
+        pair = sy.AdjointPair(chain3, chain3, range(chain3.n), range(chain3.n))
         assert sy.is_d_homomorphism(pair)
 
     def test_surjection_onto_sublocale_is_d(self, small_corpus):

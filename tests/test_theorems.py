@@ -12,7 +12,7 @@ from localelab import subsystems as sy
 from localelab import theorems
 
 import mutants
-from conftest import chain
+from conftest import chain, random_frames
 
 
 class TestSuitesOnFixtures:
@@ -38,7 +38,7 @@ class TestSuitesOnFixtures:
             assert verdict.passed, verdict.failures()
 
     def test_random_frames_pass(self):
-        for f in frames.random_frames(99, 4, 25):
+        for f in random_frames(99, 4, 25):
             verdict = theorems.verify_frame_theorems(f)
             assert verdict.passed, verdict.failures()
 
@@ -216,7 +216,7 @@ class TestResultDigest:
         # battery results
         lines = []
         for seed, bound, count in self.CORPUS:
-            for f in frames.random_frames(seed, bound, count):
+            for f in random_frames(seed, bound, count):
                 an = sy.FrameAnalysis(f)
                 results = theorems.run_theorem_suites(an) + theorems.run_law_batteries(an)
                 lines.extend(repr(r) for r in results)
