@@ -461,10 +461,6 @@ def mask_of(elements):
     return m
 
 
-def elements_of_mask(mask):
-    return frozenset(bits_of(mask))
-
-
 def inclusion_order(masks):
     """Boolean matrix leq[i, j]: masks[i] is a subset of masks[j].
 
@@ -641,7 +637,9 @@ def random_frame(rng, bound):
 
 
 # ---------------------------------------------------------------------------
-# frame text format:  `elements: n`, `cover: i j`, optional `label: i name`
+# text formats: `key: value` lines, read by key_value_lines for frame and
+# space files; a frame file holds `elements: n`, `cover: i j` and
+# optional `label: i name` lines
 
 def key_value_lines(text, error, count_key, keys):
     """The (key, fields, lineno) of every nonblank `key: value` line of a

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import frames
-from .frames import bits_of, elements_of_mask, mask_of
+from .frames import bits_of, mask_of
 
 
 # The assembly size cap that enumerate_assembly, FrameAnalysis,
@@ -120,8 +120,7 @@ def _from_mask(frame, mask, _validate=False):
     memo = frame._memo
     sub = memo.subs.get(mask)
     if sub is None:
-        sub = memo.subs[mask] = Sublocale(frame, elements_of_mask(mask),
-                                          _validate=False)
+        sub = memo.subs[mask] = Sublocale(frame, bits_of(mask), _validate=False)
     if _validate and mask not in memo.valid:
         sub._validate()
     return sub

@@ -206,7 +206,7 @@ def least_difference(frame, assembly_masks, s, t):
     """Least R with s <= t join R; asserts the least one really exists."""
     good = []
     for mask in assembly_masks:
-        r = Sublocale(frame, frames.elements_of_mask(mask))
+        r = Sublocale(frame, frames.bits_of(mask))
         if s.members <= join_bruteforce(frame, [t, r]).members:
             good.append(r)
     inter = frozenset(range(frame.n))

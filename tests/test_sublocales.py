@@ -13,7 +13,7 @@ from conftest import boolean_square, chain
 
 
 def members(frame, mask):
-    return Sublocale(frame, frames.elements_of_mask(mask))
+    return Sublocale(frame, frames.bits_of(mask))
 
 
 class TestSublocaleValidation:
@@ -129,7 +129,7 @@ class TestGenerate:
             masks = oracle.assembly_bruteforce(f)
             for seed_mask in range(1 << f.n):
                 got = subl.generate_sublocale(
-                    f, frames.elements_of_mask(seed_mask))
+                    f, frames.bits_of(seed_mask))
                 smallest = min((m for m in masks if m & seed_mask == seed_mask),
                                key=lambda m: bin(m).count("1"))
                 assert got.mask == smallest

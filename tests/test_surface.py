@@ -25,12 +25,10 @@ CODE = re.compile(r"```.*?```|`[^`\n]+`", re.S)
 
 def _defined(node):
     """The names a top-level statement defines."""
-    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
         return [node.name]
     if isinstance(node, ast.Assign):
         return [t.id for t in node.targets if isinstance(t, ast.Name)]
-    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-        return [node.target.id]
     return []
 
 
@@ -64,13 +62,12 @@ def unreferenced_names():
                 reached |= _read(node)
     unread = definitions
     while True:
-        still = [d for d in unread if d[1] not in reached]
-        if len(still) == len(unread):
+        live = [node for _, name, node in unread if name in reached]
+        if not live:
             break
-        for _, name, node in unread:
-            if name in reached:
-                reached |= _read(node)
-        unread = still
+        unread = [d for d in unread if d[1] not in reached]
+        for node in live:
+            reached |= _read(node)
     return [f"{module}.{name}" for module, name, _ in unread
             if not name.startswith("_")]
 
