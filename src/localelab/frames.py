@@ -428,23 +428,33 @@ class FiniteFrame:
             r = join[r][x]
         return r
 
+    @cached_property
+    def _cover_gaps(self):
+        """For each x, the masks up(x) & ~up(y), one per upper cover y of
+        x as covers lists them; the top has none."""
+        up = self.up_masks
+        gaps = [[] for _ in range(self.n)]
+        for x, y in zip(*(axis.tolist() for axis in np.nonzero(self.covers))):
+            gaps[x].append(up[x] & ~up[y])
+        return tuple(map(tuple, gaps))
+
     def meet_close_mask(self, mask):
-        """Close a bitmask of elements under binary meets; always adds top."""
-        meet = self.meet_rows
-        mask |= 1 << self.top
-        todo = list(bits_of(mask))
-        while todo:
-            row = meet[todo.pop()]
-            m = mask
-            while m:
-                low = m & -m
-                k = row[low.bit_length() - 1]
-                bit = 1 << k
-                if not mask & bit:
-                    mask |= bit
-                    todo.append(k)
-                m ^= low
-        return mask
+        """Close a bitmask of elements under binary meets; always adds top.
+
+        The cover test, one pass with no worklist: x is the meet of some
+        members of mask exactly when it is the meet of the members above
+        it, that is when every upper cover y of x misses a member of
+        mask & up(x).  The top has no upper cover, so it is always in.
+        The worklist closure is the oracle (tests/oracle.py).
+        """
+        out = 0
+        for x, gaps in enumerate(self._cover_gaps):
+            for gap in gaps:
+                if not mask & gap:
+                    break
+            else:
+                out |= 1 << x
+        return out
 
 
 def bits_of(mask):
@@ -684,20 +694,23 @@ def parse_frame_text(text):
         else:
             if len(fields) != 2 or not fields[0].isdigit():
                 raise FrameFormatError("'label' takes an id and a name", lineno)
-            labels[int(fields[0])] = fields[1]
+            i = int(fields[0])
+            if i in labels:
+                raise FrameFormatError(f"duplicate label id: {i}", lineno)
+            labels[i] = fields[1], lineno
     for i, j, lineno in covers:
         if not (0 <= i < n and 0 <= j < n):
             raise FrameFormatError(f"cover id out of range: {i} {j}", lineno)
-    for i in labels:
+    for i, (_, lineno) in labels.items():
         if not 0 <= i < n:
-            raise FrameFormatError(f"label id out of range: {i}")
+            raise FrameFormatError(f"label id out of range: {i}", lineno)
     # the Hasse diagram of a finite lattice is connected, so n elements
     # need n - 1 distinct covers; checked before anything n-sized is built
     distinct = len({(i, j) for i, j, _ in covers})
     if n >= 2 and distinct < n - 1:
         raise FrameFormatError(f"{n} elements need at least {n - 1} distinct "
                                f"'cover' lines, got {distinct}")
-    label_list = [labels.get(i, str(i)) for i in range(n)]
+    label_list = [labels[i][0] if i in labels else str(i) for i in range(n)]
     return frame_from_covers(n, [(i, j) for i, j, _ in covers], labels=label_list)
 
 

@@ -618,6 +618,9 @@ def law_interior_operators(an, law):
         for x in image:
             if table[x] != x:
                 law.fail("image not fixed")
+        # glb[m]: the join of the image below m, the greatest lower bound
+        # within the image of any x, y in it with x meet y = m
+        glb = {}
         for x in image:
             join_row, meet_row, table_row = join[x], meet[x], meet[table[x]]
             for y in image:
@@ -627,10 +630,11 @@ def law_interior_operators(an, law):
                     law.fail("join left the image")
                 m_host = meet_row[y]
                 m_img = table[m_host]
-                # greatest lower bound within the image
-                both = 1 << x | 1 << y
-                below = [z for z in image if up[z] & both == both]
-                if frame.join_of(below) != m_img:
+                below = glb.get(m_host)
+                if below is None:
+                    below = glb[m_host] = frame.join_of(
+                        z for z in image if up[z] >> m_host & 1)
+                if below != m_img:
                     law.fail("image meet is not the corrected meet")
                 if table[m_host] != table[table_row[table[y]]]:
                     law.fail("surjection fails to preserve meets")
@@ -657,6 +661,17 @@ def law_lifting(an, law):
 def law_essential_primes(an, law):
     frame = an.frame
     pts = sorted(an.points)
+    # in_all[a]: the primes (bit i for pts[i]) in every selection of
+    # primes whose meet is a, by the low-bit recurrence over all 2^|pts|
+    # selections; the empty selection meets to the top
+    meet = frame.meet_rows
+    sel_meet = [frame.top] * (1 << len(pts))
+    in_all = [(1 << len(pts)) - 1] * frame.n
+    in_all[frame.top] = 0
+    for sel in range(1, 1 << len(pts)):
+        low = sel & -sel
+        m = sel_meet[sel] = meet[sel_meet[sel ^ low]][pts[low.bit_length() - 1]]
+        in_all[m] &= sel
     for a in range(frame.n):
         ess = sy.essential_primes(frame, a)
         abse = sy.absolutely_essential_primes(frame, a)
@@ -664,11 +679,7 @@ def law_essential_primes(an, law):
         # absolute essentiality == membership in every prime decomposition
         for p in above:
             law.checked += 1
-            in_every = all(
-                p in sel
-                for sel in ({pts[i] for i in frames.bits_of(bitsel)}
-                            for bitsel in range(1 << len(pts)))
-                if frame.meet_of(sel) == a)
+            in_every = bool(in_all[a] >> pts.index(p) & 1)
             if in_every != (p in abse):
                 law.fail(f"absolute essentiality mismatch at a={a} p={p}")
             weak = sy.weakly_covered(frame, p)

@@ -109,6 +109,13 @@ def pair_joins_ignoring_second(monkeypatch):
     _replace_pair_table(monkeypatch, "joins", mutant)
 
 
+def closure_memo_answering_first(monkeypatch):
+    """The closure memo of sublocale_join and difference answers every
+    mask with the first closure it stored."""
+    _patch_edited(monkeypatch, "_meet_closed", "closures.get(mask)",
+                  "next(iter(closures.values()), None)", owner=subl)
+
+
 ALL_MUTANTS = (
     ("covered_prime_underreporting", underreport_covered_primes),
     ("join_without_meet_closure", join_without_meet_closure),
@@ -119,6 +126,7 @@ ALL_MUTANTS = (
     ("spectra_of_another_mask", spectra_of_another_mask),
     ("pair_differences_transposed", pair_differences_transposed),
     ("pair_joins_ignoring_second", pair_joins_ignoring_second),
+    ("closure_memo_answering_first", closure_memo_answering_first),
 )
 
 
@@ -204,6 +212,14 @@ def cap_prediction_refusing_at_cap(monkeypatch):
                   "if 1 << len(primes) >= cap:", owner=subl)
 
 
+def closure_reading_first_cover(monkeypatch):
+    """meet_close_mask tests only the first upper cover of each element,
+    so an element with two or more upper covers gets in even when every
+    member above it lies above a later cover."""
+    _patch_edited(monkeypatch, "meet_close_mask", "for gap in gaps:",
+                  "for gap in gaps[:1]:", owner=frames.FiniteFrame)
+
+
 ORDER_MUTANTS = (
     ("int_table_defaulting_missing_bound", int_table_defaulting_missing_bound),
     ("word_table_skipping_row_equality", word_table_skipping_row_equality),
@@ -213,4 +229,5 @@ ORDER_MUTANTS = (
     ("birkhoff_count_of_no_irreducibles", birkhoff_count_of_no_irreducibles),
     ("heyting_taking_second_candidate", heyting_taking_second_candidate),
     ("cap_prediction_refusing_at_cap", cap_prediction_refusing_at_cap),
+    ("closure_reading_first_cover", closure_reading_first_cover),
 )

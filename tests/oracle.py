@@ -61,6 +61,21 @@ def assembly_frontier(frame):
     return sorted(seen)
 
 
+def meet_closure_worklist(frame, mask):
+    """The meet closure of mask and top by a worklist: every new element
+    is met with every member until nothing new appears."""
+    meet = frame.meet_rows
+    mask |= 1 << frame.top
+    todo = list(frames.bits_of(mask))
+    while todo:
+        row = meet[todo.pop()]
+        for y in frames.bits_of(mask):
+            if not mask >> row[y] & 1:
+                mask |= 1 << row[y]
+                todo.append(row[y])
+    return mask
+
+
 def glb_bruteforce(leq, a, b):
     """Greatest lower bound of a and b by scanning leq; None if none exists."""
     lows = leq[:, a] & leq[:, b]

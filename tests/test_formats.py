@@ -35,7 +35,9 @@ REJECTIONS = [
     (FRAME, "elements: 2\ncover: 0 5\n", FrameFormatError,
      "line 2: cover id out of range: 0 5", 2),
     (FRAME, "elements: 2\ncover: 0 1\nlabel: 5 far\n", FrameFormatError,
-     "label id out of range: 5", None),
+     "line 3: label id out of range: 5", 3),
+    (FRAME, "elements: 2\nlabel: 1 top\ncover: 0 1\nlabel: 1 up\n", FrameFormatError,
+     "line 4: duplicate label id: 1", 4),
     (FRAME, "cover: 0 1\n", FrameFormatError, "missing 'elements' line", None),
     (FRAME, "", FrameFormatError, "missing 'elements' line", None),
     (FRAME, "elements: 3\ncover: 0 1\ncover: 0 1\n", FrameFormatError,

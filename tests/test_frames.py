@@ -1,3 +1,5 @@
+import functools
+import random
 import tracemalloc
 
 import numpy as np
@@ -414,6 +416,26 @@ def test_random_frames_satisfy_residuation(seed):
             assert f.leq[f.meet[a, h], b]
             assert all(bool(f.leq[f.meet[a, c], b]) == bool(f.leq[c, h])
                        for c in range(f.n))
+
+
+@functools.cache
+def _closure_frame(kind, seed):
+    if kind == "boolean7":
+        return frames.downset_lattice(np.eye(7, dtype=bool))
+    return frames.random_frame(random.Random(seed), kind)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([4, 5, 6, 7, "boolean7"]), st.integers(0, 10**6), st.data())
+def test_meet_close_mask_matches_worklist(kind, seed, data):
+    """The cover-test closure equals the worklist oracle on a sparse and
+    a dense random mask of a frame drawn at bound 4 to 7, or of the
+    128-element downset lattice of a 7-antichain."""
+    f = _closure_frame(kind, 0 if kind == "boolean7" else seed)
+    sparse = frames.mask_of(data.draw(st.lists(st.integers(0, f.n - 1), max_size=8)))
+    dense = data.draw(st.integers(0, (1 << f.n) - 1))
+    for mask in (sparse, dense):
+        assert f.meet_close_mask(mask) == oracle.meet_closure_worklist(f, mask)
 
 
 @settings(max_examples=50, deadline=None)

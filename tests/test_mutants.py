@@ -37,6 +37,7 @@ KILLED_BY = {
     "spectra_of_another_mask": ("square", theorems.law_spectra),
     "pair_differences_transposed": ("square", theorems.law_difference),
     "pair_joins_ignoring_second": ("square", theorems.law_assembly_order),
+    "closure_memo_answering_first": ("square", theorems.law_assembly_order),
 }
 FRAMES = {"chain3": lambda: chain(3), "square": boolean_square}
 
@@ -140,6 +141,14 @@ def _heyting_matches_oracle():
                for a in range(f.n) for b in range(f.n))
 
 
+def _closures_match_oracle():
+    """meet_close_mask equals the worklist closure on every mask of the
+    square, whose bottom has two upper covers."""
+    f = boolean_square()
+    return all(f.meet_close_mask(m) == oracle.meet_closure_worklist(f, m)
+               for m in range(1 << f.n))
+
+
 def _refused_at(f, cap):
     """The count CapExceeded reports for f's assembly under cap, or None."""
     try:
@@ -179,6 +188,7 @@ ORDER_KILLED_BY = {
         lambda: _rejections_match_oracle([m3_relation(), n5_relation()]),
     "heyting_taking_second_candidate": _heyting_matches_oracle,
     "cap_prediction_refusing_at_cap": _cap_boundary_holds,
+    "closure_reading_first_cover": _closures_match_oracle,
 }
 
 

@@ -86,6 +86,32 @@ class TestInconsistencyDetection:
         assert not result.ok
         assert "join of points" in result.detail
 
+    def test_essential_primes_battery_sees_a_dropped_prime(self, chain3,
+                                                           monkeypatch):
+        real = sy.absolutely_essential_primes
+
+        def doctored(frame, a):
+            got = real(frame, a)
+            return got - {max(got)} if got else got
+        monkeypatch.setattr(sy, "absolutely_essential_primes", doctored)
+        result = theorems.law_essential_primes(sy.FrameAnalysis(chain3))
+        assert not result.ok
+        assert "absolute essentiality mismatch" in result.detail
+
+    @pytest.mark.parametrize("table, ok", [((0, 0, 2, 3, 4), True),
+                                           ((0, 2, 2, 3, 4), False)])
+    def test_interior_operator_battery_sees_a_wrong_image_meet(self, table, ok,
+                                                               monkeypatch):
+        # 0 < 1 < 2, 3 < 4; the image {0, 2, 3, 4} is join-closed and fixed
+        # either way, but the doctored table sends 2 meet 3 = 1 to 2, not
+        # to 0, the greatest member of the image below it
+        f = frames.frame_from_covers(5, [(0, 1), (1, 2), (1, 3), (2, 4), (3, 4)])
+        monkeypatch.setattr(theorems, "_interior_operators", lambda frame: [table])
+        result = theorems.law_interior_operators(sy.FrameAnalysis(f))
+        assert result.ok == ok
+        if not ok:
+            assert result.detail == "image meet is not the corrected meet"
+
     def test_difference_mutant_named_in_law_report(self, square, monkeypatch):
         # the naive difference escapes the assembly; the law battery says so
         mutants.difference_without_decomposition(monkeypatch)
