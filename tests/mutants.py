@@ -6,9 +6,10 @@ ORDER_MUTANTS at least one oracle check (test_mutants.py names which).
 The wrong results are built through the unvalidated constructor so the
 breakage propagates into the laws instead of tripping input validation
 immediately.  The ORDER_MUTANTS break the frame kernels (validation,
-the Heyting table) and the cap prediction of enumerate_assembly; each is
-the kernel's own source with one statement edited (_edited), so it
-differs from the real kernel by exactly that statement.
+the Heyting table, the meet closure) and the cap prediction of
+enumerate_assembly; each is the kernel's own source with one statement
+edited (_edited), so it differs from the real kernel by exactly that
+statement.
 """
 
 import functools

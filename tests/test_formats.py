@@ -36,8 +36,6 @@ REJECTIONS = [
      "line 2: cover id out of range: 0 5", 2),
     (FRAME, "elements: 2\ncover: 0 1\nlabel: 5 far\n", FrameFormatError,
      "line 3: label id out of range: 5", 3),
-    (FRAME, "elements: 2\nlabel: 1 top\ncover: 0 1\nlabel: 1 up\n", FrameFormatError,
-     "line 4: duplicate label id: 1", 4),
     (FRAME, "cover: 0 1\n", FrameFormatError, "missing 'elements' line", None),
     (FRAME, "", FrameFormatError, "missing 'elements' line", None),
     (FRAME, "elements: 3\ncover: 0 1\ncover: 0 1\n", FrameFormatError,
@@ -59,6 +57,9 @@ REJECTIONS = [
     (SPACE, "open:\n", SpaceFormatError, "missing 'points' line", None),
     (SPACE, "points: 2\nopen: 0 1\n", SpaceFormatError,
      "a topology must contain the empty set and the space", None),
+    # appended, not inserted, so the ids of the rows above stay as they were
+    (FRAME, "elements: 2\nlabel: 1 top\ncover: 0 1\nlabel: 1 up\n", FrameFormatError,
+     "line 4: duplicate label id: 1", 4),
 ]
 
 

@@ -103,8 +103,8 @@ class TestInconsistencyDetection:
     def test_interior_operator_battery_sees_a_wrong_image_meet(self, table, ok,
                                                                monkeypatch):
         # 0 < 1 < 2, 3 < 4; the image {0, 2, 3, 4} is join-closed and fixed
-        # either way, but the doctored table sends 2 meet 3 = 1 to 2, not
-        # to 0, the greatest member of the image below it
+        # either way, but the doctored table sends 1 = 2 meet 3 to 2, not
+        # to 0, the greatest member of the image below 1
         f = frames.frame_from_covers(5, [(0, 1), (1, 2), (1, 3), (2, 4), (3, 4)])
         monkeypatch.setattr(theorems, "_interior_operators", lambda frame: [table])
         result = theorems.law_interior_operators(sy.FrameAnalysis(f))
