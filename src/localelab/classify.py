@@ -141,13 +141,16 @@ def _row_definitions(analysis, booleans):
 
 def classify_frame(frame, cap=DEFAULT_CAP, name="frame"):
     """Full classification; degrades to frame-level predicates on cap overflow."""
+    spatial = frames.is_spatial(frame)
+    primes_covered = frames.covered_primes(frame) == frames.primes(frame)
     booleans = {
-        "spatial": frames.is_spatial(frame),
+        "spatial": spatial,
         "subfit": frames.is_subfit(frame),
-        "primes_covered": frames.covered_primes(frame) == frames.primes(frame),
+        "primes_covered": primes_covered,
         "primes_maximal": frames.maximal_primes_only(frame),
         "td_spatial": frames.is_td_spatial(frame),
-        "strongly_td_spatial": frames.is_strongly_td_spatial(frame),
+        # frames.is_strongly_td_spatial, from the two values above
+        "strongly_td_spatial": spatial and primes_covered,
     }
     out = Classification(name=name, size=frame.n, booleans=booleans)
     analysis = sy.FrameAnalysis(frame, cap)

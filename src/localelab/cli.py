@@ -40,13 +40,13 @@ def _build_parser():
                        help=f"assembly size cap (default {CAP_ENV} or "
                             f"{subl.DEFAULT_CAP})")
         p.add_argument("--out-dir", default=".", help="directory for output files")
-        p.add_argument("--format", dest="fmt", choices=("text", "keyvalue"),
-                       default="text")
         if inputs:
             p.add_argument("inputs", nargs="+", help="frame files")
 
     p = sub.add_parser("analyze", help="classify frames against the property table")
     common(p, inputs=True)
+    p.add_argument("--format", dest="fmt", choices=("text", "keyvalue"),
+                   default="text")
 
     p = sub.add_parser("verify", help="run theorem suites on generated frames")
     common(p)

@@ -22,10 +22,8 @@ def frame_dot(frame):
     lines = ["digraph frame {", "  rankdir=BT;"]
     for i in range(frame.n):
         lines.append(f"  n{i} [label={_quote(frame.labels[i])}];")
-    for i in range(frame.n):
-        for j in range(frame.n):
-            if frame.covers[i, j]:
-                lines.append(f"  n{i} -> n{j};")
+    rows, cols = np.nonzero(frame.covers)
+    lines += [f"  n{i} -> n{j};" for i, j in zip(rows.tolist(), cols.tolist())]
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -654,11 +654,14 @@ def random_frame(rng, bound):
 def key_value_lines(text, error, count_key, keys):
     """The (key, fields, lineno) of every nonblank `key: value` line of a
     frame or space file, in order, for the count line count_key and the
-    other keys.  Raises error(message, lineno) on a line without a colon,
-    an unknown key, a second count line or one that is not a single
-    decimal count, and error(message) when the count line is missing."""
+    other keys.  Raises error(message, lineno) on a line that is not ASCII
+    or has no colon, an unknown key, a second count line or one that is
+    not a single decimal count, and error(message) when the count line is
+    missing."""
     counted = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        if not raw.isascii():
+            raise error("non-ASCII character", lineno)
         line = raw.strip()
         if not line:
             continue
@@ -715,16 +718,15 @@ def parse_frame_text(text):
 
 
 def load_frame(path):
-    with open(path, encoding="ascii") as fh:
+    # a byte outside ASCII reaches key_value_lines as a lone surrogate
+    with open(path, encoding="ascii", errors="surrogateescape") as fh:
         return parse_frame_text(fh.read())
 
 
 def frame_to_text(frame):
     lines = [f"elements: {frame.n}"]
-    for i in range(frame.n):
-        for j in range(frame.n):
-            if frame.covers[i, j]:
-                lines.append(f"cover: {i} {j}")
+    rows, cols = np.nonzero(frame.covers)
+    lines += [f"cover: {i} {j}" for i, j in zip(rows.tolist(), cols.tolist())]
     for i, lab in enumerate(frame.labels):
         if lab != str(i):
             lines.append(f"label: {i} {lab}")

@@ -253,7 +253,7 @@ def parse_space_text(text):
 
 
 def load_space(path):
-    with open(path, encoding="ascii") as fh:
+    with open(path, encoding="ascii", errors="surrogateescape") as fh:
         return parse_space_text(fh.read())
 
 

@@ -74,15 +74,6 @@ class Sublocale:
                         f"not closed under implication: {a} -> {s} = {row[s]} missing")
         frame._memo.valid.add(mask)
 
-    def __contains__(self, x):
-        return x in self.members
-
-    def __len__(self):
-        return len(self.members)
-
-    def __iter__(self):
-        return iter(sorted(self.members))
-
     # mask and members determine each other, so the int stands in for the set
     def __eq__(self, other):
         return (isinstance(other, Sublocale)
@@ -90,14 +81,6 @@ class Sublocale:
 
     def __hash__(self):
         return hash(self.mask)
-
-    def __le__(self, other):
-        _same_frame(self, other)
-        return self.mask & ~other.mask == 0
-
-    def __lt__(self, other):
-        _same_frame(self, other)
-        return self.mask != other.mask and self.mask & ~other.mask == 0
 
     def sort_key(self):
         return tuple(sorted(self.members))
@@ -214,9 +197,6 @@ class Nucleus:
     def __eq__(self, other):
         return (isinstance(other, Nucleus)
                 and other.frame is self.frame and other.table == self.table)
-
-    def __hash__(self):
-        return hash((id(self.frame), self.table))
 
 
 def nucleus_to_sublocale(nu):
@@ -411,8 +391,12 @@ class Assembly:
         return self._index.get(sub.mask)
 
     def join_mask(self, a, b):
-        """Mask of the join of the members with masks a and b."""
-        return self.by_primes[self.primes_of[a] | self.primes_of[b]]
+        """Mask of the join of the members with masks a and b, None if a
+        or b is not a member (as index_of answers)."""
+        try:
+            return self.by_primes[self.primes_of[a] | self.primes_of[b]]
+        except KeyError:
+            return None
 
 
 def _prime_subset_closures(frame, primes):

@@ -95,9 +95,6 @@ class PrimeSubset:
         self.elements = elements
         self.classical = classical
 
-    def __iter__(self):
-        return iter(sorted(self.elements))
-
     def __len__(self):
         return len(self.elements)
 
@@ -139,10 +136,6 @@ class AdjunctionReport:
     @property
     def passed(self):
         return not self.failures
-
-    def __repr__(self):
-        state = "pass" if self.passed else f"fail ({len(self.failures)})"
-        return f"AdjunctionReport({state}, checked={self.checked})"
 
 
 def check_td_adjunction(assembly):
@@ -209,7 +202,9 @@ def joins_of_closed(assembly):
 
 def _join_closure(assembly, generators):
     """The zero sublocale and the generators, closed under binary joins
-    read from the assembly's prime-subset table (Assembly.join_mask)."""
+    read from the assembly's prime-subset table (Assembly.join_mask); a
+    join that is not a member (only a broken enumeration has one) is
+    left out."""
     frame = assembly.frame
     gens = [g.mask for g in generators]
     out = {subl.zero(frame).mask, *gens}
@@ -219,7 +214,7 @@ def _join_closure(assembly, generators):
         for s in frontier:
             for g in gens:
                 j = assembly.join_mask(s, g)
-                if j not in out:
+                if j is not None and j not in out:
                     out.add(j)
                     new.append(j)
         frontier = new
@@ -357,10 +352,11 @@ def lift_surjection(assembly, sub):
     """Lift the surjection onto `sub` to the assemblies of D-sublocales.
 
     The lift sends a D-sublocale T of the enumerated assembly to T meet
-    sub (meet taken in the family of D-sublocales); it exists exactly when
-    sub itself is a D-sublocale.  The returned AdjointPair lives on the
-    reverse-inclusion order frames, and is checked to preserve meets,
-    joins, and the closed-sublocale generators with elements of sub.
+    sub, which must be a D-sublocale again (on a finite frame every
+    sublocale is one); it exists exactly when sub itself is a
+    D-sublocale.  The returned AdjointPair lives on the reverse-inclusion
+    order frames, and is checked to preserve meets, joins, and the
+    closed-sublocale generators with elements of sub.
     sub's primes are the frame's primes inside it, so its own assembly is
     enumerated with len(assembly) as the cap, which it never exceeds.
     """
@@ -377,24 +373,12 @@ def lift_surjection(assembly, sub):
     tgt_frame, tgt_subs = subl.family_order_frame(tgt_family)
     tgt_index = {t.members: i for i, t in enumerate(tgt_subs)}
 
-    def meet_in_family(t):
-        """Meet of t and sub taken inside the D-family.
-
-        The family is closed under joins, so its meet is the join of the
-        members inside the plain intersection; when the intersection is
-        itself in the family (always, for finite frames) this is just it.
-        """
-        cut = t.mask & sub.mask
-        inter = subl._from_mask(frame, cut, _validate=True)
-        if inter in src_family:
-            return inter.members
-        inside = [cand for cand in src_subs if cand.mask & ~cut == 0]
-        return subl.sublocale_join(frame, inside).members
-
     hom = []
     for t in src_subs:
-        cut = meet_in_family(t)
-        translated = frozenset(pos[a] for a in cut)
+        inter = subl._from_mask(frame, t.mask & sub.mask, _validate=True)
+        if inter not in src_family:
+            raise NotLiftable(f"{t!r} meet {sub!r} is not a D-sublocale")
+        translated = frozenset(pos[a] for a in inter.members)
         if translated not in tgt_index:
             raise NotLiftable(f"image of {t!r} is not a D-sublocale of the target")
         hom.append(tgt_index[translated])

@@ -10,7 +10,7 @@ import weakref
 
 import pytest
 
-from localelab import cli, frames
+from localelab import classify, cli, frames
 
 import mutants
 
@@ -67,6 +67,20 @@ class TestAnalyze:
         assert code == cli.EXIT_CAP
         assert "cap exceeded" in text
         assert "subfit: false" in text      # frame-level facts still emitted
+
+    def test_disagreement_writes_reloadable_witness(self, chain3_file, tmp_path,
+                                                    monkeypatch):
+        # every finite frame is totally spatial, so a predicate that says
+        # otherwise splits the rows that read it
+        monkeypatch.setattr(classify, "is_totally_spatial_by_essentials",
+                            lambda frame: False)
+        out_dir = tmp_path / "out"
+        code, text = run(["analyze", "--out-dir", str(out_dir), chain3_file])
+        assert code == cli.EXIT_FAIL
+        assert "verdict: DISAGREE\n" in text
+        witness = out_dir / "witness_chain3.frame"
+        assert text.endswith(f"witness: {witness}\n")
+        assert (frames.load_frame(witness).leq == frames.load_frame(chain3_file).leq).all()
 
     def test_determinism(self, chain3_file):
         a = run(["analyze", chain3_file, "--format", "keyvalue"])
@@ -155,6 +169,14 @@ class TestRemark:
         code, text = run(["remark", "--s-desc", desc, "--t-desc", desc])
         assert code == cli.EXIT_OK
         assert "verdict: S intersect T is a D-sublocale" in text
+
+    def test_finite_parts_are_listed_by_level(self):
+        code, text = run(["remark", "--s-desc", "finite: 2 5 ; bottom: yes",
+                          "--t-desc", "finite: 5 ; tail: offset=7 pattern=1 ; bottom: yes"])
+        assert code == cli.EXIT_OK
+        assert "  covered primes of S: {levels a2 a5; bottom}\n" in text
+        assert "  covered primes of T: {levels a5; level tail offset=7 pattern=1}\n" in text
+        assert "covered primes of S intersect T: {levels a5; bottom}\n" in text
 
     def test_malformed_description(self):
         code, text = run(["remark", "--s-desc", "tail: offset=x pattern=1"])
@@ -254,6 +276,13 @@ class TestHostileInput:
                         "distinct 'cover' lines, got 0\n")
 
 
+    @pytest.mark.parametrize("command", ["analyze", "dot"])
+    def test_non_ascii_file_is_refused_at_its_line(self, command, tmp_path):
+        path = tmp_path / "cafe.frame"
+        path.write_bytes("elements: 1\nlabel: 0 café\n".encode("utf-8"))
+        code, text = run([command, "--out-dir", str(tmp_path), str(path)])
+        assert (code, text) == (cli.EXIT_PARSE, "error: line 2: non-ASCII character\n")
+
     def test_out_of_memory_is_a_documented_refusal(self, tmp_path):
         # a 20,000-element chain passes the parse-time cover count, and its
         # order matrix alone (400 MB) exceeds the child's address space
@@ -284,6 +313,11 @@ class TestArguments:
     ])
     def test_out_of_range_values_are_refused(self, argv, message):
         assert run(argv) == (cli.EXIT_PARSE, f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv", [["verify", "--count", "0"], ["dot", "x.frame"]])
+    def test_format_is_an_analyze_option_only(self, argv):
+        # refused by argparse, on stderr, before the command runs
+        assert run(argv + ["--format", "text"]) == (cli.EXIT_PARSE, "")
 
     def test_cap_env_is_checked_by_commands_without_cap(self, monkeypatch):
         monkeypatch.setenv(cli.CAP_ENV, "0")

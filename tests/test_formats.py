@@ -60,6 +60,10 @@ REJECTIONS = [
     # appended, not inserted, so the ids of the rows above stay as they were
     (FRAME, "elements: 2\nlabel: 1 top\ncover: 0 1\nlabel: 1 up\n", FrameFormatError,
      "line 4: duplicate label id: 1", 4),
+    (FRAME, "elements: 1\nlabel: 0 caf\u00e9\n", FrameFormatError,
+     "line 2: non-ASCII character", 2),
+    (SPACE, "points: 1\n\u00a0\nopen: 0\n", SpaceFormatError,
+     "line 2: non-ASCII character", 2),
 ]
 
 
@@ -72,3 +76,15 @@ def test_rejection_is_pinned(reader, text, error, message, line):
     assert type(exc.value) is error
     assert str(exc.value) == message
     assert exc.value.line == line
+
+
+@pytest.mark.parametrize("load, error", [(frames.load_frame, FrameFormatError),
+                                         (spaces.load_space, SpaceFormatError)])
+def test_non_ascii_file_is_refused_at_its_line(load, error, tmp_path):
+    path = tmp_path / "file.txt"
+    # an undecodable byte reaches the line reader, which names its line
+    path.write_bytes(b"\r\n\n# \xe9\n")
+    with pytest.raises(error) as exc:
+        load(path)
+    assert str(exc.value) == "line 3: non-ASCII character"
+    assert exc.value.line == 3

@@ -217,4 +217,5 @@ class TestFormat:
                 oc.parse_description(text)
 
     def test_empty_text_is_top_only(self):
-        assert oc.parse_description("") == oc.chain_sublocale()
+        for text in ("", "tail: none"):
+            assert oc.parse_description(text) == oc.chain_sublocale()
