@@ -247,14 +247,20 @@ def _check_distributive(leq, meet, join):
     is a count per pair: |below(x join y)| + |below(x meet y)| =
     |below(x)| + |below(y)|.  Only when that fails does the triple scan
     run, one a at a time, to name the lexicographically first witness.
+    The count test reads the pairs in row blocks (_row_blocks), so it
+    holds no n x n temporary.
     """
     n = leq.shape[0]
     idx = np.arange(n)
+    blocks = list(_row_blocks(n, 8 * n))
     # x is join-reducible when two elements other than x join to it
     reducible = np.zeros(n, dtype=bool)
-    reducible[join[(join != idx[:, None]) & (join != idx[None, :])]] = True
-    count = leq[~reducible].sum(axis=0)
-    if (count[join] + count[meet] == count[:, None] + count[None, :]).all():
+    for lo, hi in blocks:
+        rows = join[lo:hi]
+        reducible[rows[(rows != idx[lo:hi, None]) & (rows != idx)]] = True
+    count = leq.sum(axis=0, where=~reducible[:, None])
+    if all((count[join[lo:hi]] + count[meet[lo:hi]]
+            == count[lo:hi, None] + count).all() for lo, hi in blocks):
         return
     for a in range(n):
         ma = meet[a]

@@ -391,12 +391,8 @@ class Assembly:
         return self._index.get(sub.mask)
 
     def join_mask(self, a, b):
-        """Mask of the join of the members with masks a and b, None if a
-        or b is not a member (as index_of answers)."""
-        try:
-            return self.by_primes[self.primes_of[a] | self.primes_of[b]]
-        except KeyError:
-            return None
+        """Mask of the join of the members with masks a and b."""
+        return self.by_primes[self.primes_of[a] | self.primes_of[b]]
 
 
 def _prime_subset_closures(frame, primes):

@@ -2,13 +2,15 @@
 
 The four families materialised here are the smooth sublocales (fixpoints
 of the double supplement, i.e. the Booleanization of the assembly), the
-joins of closed sublocales, the sublocales whose intrinsic covered primes
-are covered in the ambient frame, and the spatial sublocales.  On top of
-that: the meet-closure adjunction between prime subsets and sublocales,
-localic images and preimages, the lifting of a frame surjection to the
-assemblies, and essential-prime machinery.  Order frames of families
-come from sublocales.family_order_frame, the one builder of
-reverse-inclusion orders.
+closed sublocales, which are already closed under joins, the sublocales
+whose intrinsic covered primes are covered in the ambient frame, and the
+spatial sublocales.  On top of that: one scan of the meet-closure
+adjunction between subsets of points and a family of sublocales, used
+for the covered primes against the D-sublocales and for the primes
+against the whole assembly; localic images and preimages, the lifting
+of a frame surjection to the assemblies, and essential-prime machinery.
+Order frames of families come from sublocales.family_order_frame, which
+builds every reverse-inclusion order.
 """
 
 from __future__ import annotations
@@ -75,38 +77,12 @@ def is_d_sublocale(sub):
 # ---------------------------------------------------------------------------
 # the meet-closure adjunction
 
-class PrimeSubset:
-    """A subset of the spectrum, validated against the ambient frame.
-
-    classical=True admits any primes; otherwise members must be covered
-    primes, as required on the covered-prime side of the adjunction.
-    """
-
-    __slots__ = ("frame", "elements", "classical")
-
-    def __init__(self, frame, elements, classical=False):
-        elements = frozenset(int(x) for x in elements)
-        allowed = frames.primes(frame) if classical else frames.covered_primes(frame)
-        stray = elements - allowed
-        if stray:
-            kind = "primes" if classical else "covered primes"
-            raise ValueError(f"elements {sorted(stray)} are not {kind} of the frame")
-        self.frame = frame
-        self.elements = elements
-        self.classical = classical
-
-    def __len__(self):
-        return len(self.elements)
-
-
 def meet_closure(frame, points):
     """The sublocale {meet of A : A subset of the given primes}.
 
     theorems.law_td_adjunction compares it with the join of the one-point
     sublocales {1, p}, the second route, on every subset of the primes.
     """
-    if isinstance(points, PrimeSubset):
-        points = points.elements
     return subl._from_mask(frame, frame.meet_close_mask(mask_of(points)),
                            _validate=True)
 
@@ -138,34 +114,39 @@ class AdjunctionReport:
         return not self.failures
 
 
-def check_td_adjunction(assembly):
-    """Verify the adjunction law between covered-prime subsets and D-sublocales.
-
-    For every D-sublocale S of the enumerated assembly and every subset Y
-    of the covered primes: meet_closure(Y) <= S iff Y <= covered_points_of(S);
-    additionally taking covered points of a meet closure must give the
-    subset back.
-    """
-    frame = assembly.frame
-    d_family = d_sublocales(assembly)
-    dsubs = [(s, mask_of(covered_points_of(s))) for s in assembly if s in d_family]
-    pts = sorted(frames.covered_primes(frame))
+def adjunction_law(frame, points, family, spectrum):
+    """The meet-closure adjunction between subsets Y of points and the
+    sublocales S of family, taken in the order given: spectrum(meet_closure(Y))
+    is Y, and meet_closure(Y) <= S iff Y <= spectrum(S).  checked counts
+    the (Y, S) pairs."""
+    pts = sorted(points)
+    subs = [(s, mask_of(spectrum(s))) for s in family]
     failures = []
     checked = 0
     for sel in range(1 << len(pts)):
         y = frozenset(pts[i] for i in bits_of(sel))
         y_mask = mask_of(y)
         m = meet_closure(frame, y)
-        if covered_points_of(m) != y:
-            failures.append(f"covered points of closure of {sorted(y)} differ")
-        for s, covered in dsubs:
+        if spectrum(m) != y:
+            failures.append(f"{spectrum.__name__}(meet_closure({sorted(y)})) "
+                            f"!= {sorted(y)}")
+        for s, s_points in subs:
             checked += 1
             lhs = m.mask & ~s.mask == 0
-            rhs = y_mask & ~covered == 0
+            rhs = y_mask & ~s_points == 0
             if lhs != rhs:
                 failures.append(
                     f"law fails for Y={sorted(y)} S={s!r}: {lhs} vs {rhs}")
     return AdjunctionReport(checked, failures)
+
+
+def check_td_adjunction(assembly):
+    """The adjunction law between subsets of the covered primes and the
+    D-sublocales of the enumerated assembly, in assembly order."""
+    d_family = d_sublocales(assembly)
+    return adjunction_law(assembly.frame, frames.covered_primes(assembly.frame),
+                          [s for s in assembly if s in d_family],
+                          covered_points_of)
 
 
 # ---------------------------------------------------------------------------
@@ -178,47 +159,6 @@ def smooth_sublocales(assembly):
         if subl.supplement(subl.supplement(s)) == s:
             out.add(s)
     return frozenset(out)
-
-
-def complemented_sublocales(assembly):
-    return frozenset(s for s in assembly if subl.is_complemented(s))
-
-
-def joins_of_complemented(assembly):
-    """Closure of the complemented sublocales under binary joins.
-
-    The other published description of the smooth sublocales; asserted
-    equal to the double-supplement fixpoints in the tests.
-    """
-    return _join_closure(assembly, complemented_sublocales(assembly))
-
-
-def joins_of_closed(assembly):
-    """All joins of closed sublocales (the empty join included)."""
-    frame = assembly.frame
-    gens = [subl.closed_sublocale(frame, a) for a in range(frame.n)]
-    return _join_closure(assembly, gens)
-
-
-def _join_closure(assembly, generators):
-    """The zero sublocale and the generators, closed under binary joins
-    read from the assembly's prime-subset table (Assembly.join_mask); a
-    join that is not a member (only a broken enumeration has one) is
-    left out."""
-    frame = assembly.frame
-    gens = [g.mask for g in generators]
-    out = {subl.zero(frame).mask, *gens}
-    frontier = list(out)
-    while frontier:
-        new = []
-        for s in frontier:
-            for g in gens:
-                j = assembly.join_mask(s, g)
-                if j is not None and j not in out:
-                    out.add(j)
-                    new.append(j)
-        frontier = new
-    return frozenset(subl._from_mask(frame, m) for m in out)
 
 
 def d_sublocales(assembly):
@@ -491,11 +431,21 @@ class FrameAnalysis:
 
     @cached_property
     def smooth_by_joins(self):
-        return joins_of_complemented(self.assembly)
+        """The complemented sublocales and zero: the other published
+        description of the smooth sublocales, the joins of complemented
+        ones.  No join has to be added, because a finite join of
+        complemented elements of a coframe is complemented."""
+        return frozenset(s for s in self.assembly
+                         if subl.is_complemented(s)) | {subl.zero(self.frame)}
 
     @cached_property
     def closed_joins(self):
-        return joins_of_closed(self.assembly)
+        """All joins of closed sublocales, the empty join zero = c(top)
+        included.  They are the closed sublocales c(a) themselves, because
+        c(a) join c(b) = c(a meet b) (law_open_closed checks it on every
+        pair)."""
+        frame = self.frame
+        return frozenset(subl.closed_sublocale(frame, a) for a in range(frame.n))
 
     @cached_property
     def d_family(self):

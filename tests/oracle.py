@@ -76,6 +76,24 @@ def meet_closure_worklist(frame, mask):
     return mask
 
 
+def join_closure_bruteforce(frame, masks):
+    """The masks of zero and the given sublocales, closed under binary
+    joins; the join of two sublocales is the meet closure of their union
+    (meet_closure_worklist), never the engine's join."""
+    out = {1 << frame.top, *masks}
+    frontier = list(out)
+    while frontier:
+        new = []
+        for a in frontier:
+            for b in list(out):
+                j = meet_closure_worklist(frame, a | b)
+                if j not in out:
+                    out.add(j)
+                    new.append(j)
+        frontier = new
+    return out
+
+
 def glb_bruteforce(leq, a, b):
     """Greatest lower bound of a and b by scanning leq; None if none exists."""
     lows = leq[:, a] & leq[:, b]

@@ -189,10 +189,16 @@ class TestRemark:
         assert "not a sublocale" in text
 
     def test_custom_truncation(self):
-        code, text = run(["remark", "--truncate", "16"])
-        assert code == cli.EXIT_OK
-        assert "truncation N=16: agree" in text
-        assert "N=32" not in text
+        # a depth above the default description's finite part is checked;
+        # one below it (7) is reported as skipped
+        for depths, tail in (
+                (("16",), "truncation N=16: agree\n"),
+                (("2", "16"), "truncation N=2: skipped (needs depth >= 7)\n"
+                              "truncation N=16: agree\n")):
+            code, text = run(["remark"] + [a for d in depths for a in ("--truncate", d)])
+            assert code == cli.EXIT_OK
+            assert text.endswith(tail)
+            assert "N=32" not in text
 
 
 class TestRandom:

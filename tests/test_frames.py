@@ -195,9 +195,8 @@ class TestBoundTables:
 
     def test_chain_file_stays_within_a_memory_bound(self):
         # parsing and validating an 800-element chain file holds O(n^2)
-        # arrays: the int32 meet and join tables (2.6 MB each) and the
-        # int64 counts of the distributivity check (5.1 MB each), about
-        # 18 MB at the peak; one n x n x 13-word temporary would take
+        # arrays: the int32 meet and join tables (2.6 MB each), about
+        # 8 MB at the peak; one n x n x 13-word temporary would take
         # 67 MB, and an n^3 boolean cube 512 MB
         n = 800
         text = f"elements: {n}\n" + "".join(f"cover: {i} {i + 1}\n"
@@ -210,6 +209,20 @@ class TestBoundTables:
             tracemalloc.stop()
         assert f.n == n and f.join[3, 700] == 700 and f.meet[3, 700] == 3
         assert peak < 32 << 20
+
+    def test_distributivity_check_stays_within_row_blocks(self):
+        # the count test goes over blocks of rows, each temporary within
+        # BLOCK_BYTES: on the 800-chain it peaks at about 0.8 MB, where
+        # one n x n int64 count array takes 5.1 MB
+        n = 800
+        f = chain(n)
+        tracemalloc.start()
+        try:
+            frames._check_distributive(f.leq, f.meet, f.join)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * n // 4
 
 
 def _draw_bounded_covers(data):

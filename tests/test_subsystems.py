@@ -7,6 +7,8 @@ from localelab import sublocales as subl
 from localelab import subsystems as sy
 from localelab.sublocales import Sublocale
 
+import oracle
+
 
 class TestIntrinsicSpectra:
     def test_zero_has_no_points(self, chain3):
@@ -47,12 +49,6 @@ class TestMeetClosure:
                 y = frozenset(pts[i] for i in frames.bits_of(sel))
                 assert sy.covered_points_of(sy.meet_closure(f, y)) == y
 
-    def test_prime_subset_validation(self, chain3):
-        with pytest.raises(ValueError):
-            sy.PrimeSubset(chain3, {2})       # the top is not a prime
-        ok = sy.PrimeSubset(chain3, {0, 1})
-        assert len(ok) == 2
-
 
 class TestFamilies:
     def test_three_chain_families(self, chain3):
@@ -73,6 +69,18 @@ class TestFamilies:
         for f in (f for f in small_corpus if f.n <= 8):
             an = sy.FrameAnalysis(f)
             assert an.smooth == an.smooth_by_joins
+
+    def test_families_are_closed_under_joins(self, fixture_frames, small_corpus):
+        # the closed and the complemented sublocales, with zero, are their
+        # own join closures: the brute-force closure adds nothing
+        for f in [*fixture_frames.values(), *small_corpus]:
+            an = sy.FrameAnalysis(f)
+            closed = [f.up_masks[a] for a in range(f.n)]
+            complemented = [s.mask for s in an.assembly if subl.is_complemented(s)]
+            assert ({s.mask for s in an.closed_joins}
+                    == oracle.join_closure_bruteforce(f, closed))
+            assert ({s.mask for s in an.smooth_by_joins}
+                    == oracle.join_closure_bruteforce(f, complemented))
 
     def test_subfit_iff_closed_joins_is_smooth(self, small_corpus):
         for f in small_corpus:

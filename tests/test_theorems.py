@@ -74,16 +74,19 @@ class TestInconsistencyDetection:
 
     def test_meet_closure_checked_against_join_of_points(self, square,
                                                          monkeypatch):
-        # a meet closure that drops the bottom on classical prime subsets
-        real = sy.meet_closure
+        # a join that answers zero when every part is a one-point
+        # sublocale {1, p}; the pair tables are built before the doctoring
+        an = sy.FrameAnalysis(square)
+        assert theorems.law_td_adjunction(an).ok
+        real = subl.sublocale_join
 
-        def doctored(frame, points):
-            got = real(frame, points)
-            if isinstance(points, sy.PrimeSubset) and points.classical:
-                return subl._from_mask(frame, got.mask & ~(1 << frame.bottom))
-            return got
-        monkeypatch.setattr(sy, "meet_closure", doctored)
-        result = theorems.law_td_adjunction(sy.FrameAnalysis(square))
+        def doctored(frame, parts):
+            parts = list(parts)
+            if parts and all(len(s.members) == 2 for s in parts):
+                return subl.zero(frame)
+            return real(frame, parts)
+        monkeypatch.setattr(subl, "sublocale_join", doctored)
+        result = theorems.law_td_adjunction(an)
         assert not result.ok
         assert "join of points" in result.detail
 
