@@ -247,8 +247,14 @@ def _check_distributive(leq, meet, join):
     is a count per pair: |below(x join y)| + |below(x meet y)| =
     |below(x)| + |below(y)|.  Only when that fails does the triple scan
     run, one a at a time, to name the lexicographically first witness.
-    The count test reads the pairs in row blocks (_row_blocks), so it
-    holds no n x n temporary.
+    It scans only the a above some bad j, a join-irreducible other than
+    the bottom that is not join-prime: a witness (a, b, c) has such a j
+    below a meet (b join c) and not below (a meet b) join (a meet c), and
+    each bad j is a witness itself, so the first witness is the same.
+    j is join-prime iff the elements not above j are the downset of one
+    m, that is iff some m not above j has |down(m)| = n - |up(j)|.  The
+    count test and that compare read the pairs in row blocks
+    (_row_blocks), so they hold no n x n temporary.
     """
     n = leq.shape[0]
     idx = np.arange(n)
@@ -262,12 +268,17 @@ def _check_distributive(leq, meet, join):
     if all((count[join[lo:hi]] + count[meet[lo:hi]]
             == count[lo:hi, None] + count).all() for lo, hi in blocks):
         return
-    for a in range(n):
+    up_count, down_count = leq.sum(axis=1), leq.sum(axis=0)
+    bad_j = ~reducible & (up_count < n)
+    for lo, hi in blocks:
+        prime = ~leq[lo:hi] & (down_count == n - up_count[lo:hi, None])
+        bad_j[lo:hi] &= ~prime.any(axis=1)
+    for a in np.flatnonzero(leq[bad_j].any(axis=0)):
         ma = meet[a]
         bad = ma[join] != join[ma[:, None], ma[None, :]]
         if bad.any():
             b, c = np.argwhere(bad)[0]
-            raise NonDistributive((a, int(b), int(c)))
+            raise NonDistributive((int(a), int(b), int(c)))
 
 
 class _Memo:
@@ -275,13 +286,14 @@ class _Memo:
 
     subs maps a mask to the frame's one Sublocale object; valid holds the
     masks that passed Sublocale._validate (a failure is never recorded);
-    closures maps an input mask of sublocale_join or difference to its
-    meet closure, the one kernel result both read; unions maps
-    other.mask to the mask U(other) of pieces that difference intersects
-    with sub; difference_tables holds the tables U is built from, once
-    built; spectra maps a mask to spectra_of's (primes, covered primes)
-    of its members, the frame's own at the full mask; orders maps the
-    masks of a family of sublocales, in Sublocale.sort_key order, to its
+    closures maps an input mask of sublocale_join, of difference_mask or
+    of subsystems.meet_closure (the pair tables read the first two) to its
+    meet closure, the one kernel result they all read; unions maps a mask
+    t to the mask U(t) of pieces that difference_mask intersects with s;
+    difference_tables holds the tables U is built from, once built;
+    spectra maps a mask to spectra_of's (primes, covered primes) of its
+    members, the frame's own at the full mask; orders maps the masks of a
+    family of sublocales, in Sublocale.sort_key order, to its
     family_order_frame result.
     """
 

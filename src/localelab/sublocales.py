@@ -90,14 +90,6 @@ class Sublocale:
         return "{" + inner + "}"
 
 
-def _same_frame(*subs):
-    first = subs[0].frame
-    for s in subs[1:]:
-        if s.frame is not first:
-            raise MixedFrames("sublocales belong to different frames")
-    return first
-
-
 def _from_mask(frame, mask, _validate=False):
     """The frame's one Sublocale with this mask, validated once if asked."""
     memo = frame._memo
@@ -209,16 +201,21 @@ def sublocale_to_nucleus(sub):
     return Nucleus(sub.frame, [sub_nucleus_image(sub, a) for a in range(sub.frame.n)])
 
 
+def _masks_of(frame, parts):
+    """The masks of parts, after checking they are sublocales of frame."""
+    masks = []
+    for p in parts:
+        if p.frame is not frame:
+            raise MixedFrames("sublocales belong to different frames")
+        masks.append(p.mask)
+    return masks
+
+
 def sublocale_join(frame, parts):
     """Join: all meets of subsets of the union (empty join is {top})."""
-    parts = list(parts)
-    if parts:
-        _same_frame(*parts)
-        if parts[0].frame is not frame:
-            raise MixedFrames("parts do not belong to the given frame")
     m = 0
-    for p in parts:
-        m |= p.mask
+    for mask in _masks_of(frame, parts):
+        m |= mask
     return _from_mask(frame, _meet_closed(frame, m), _validate=True)
 
 
@@ -233,14 +230,9 @@ def _meet_closed(frame, mask):
 
 def sublocale_meet(frame, parts):
     """Meet: plain intersection (empty meet is the whole frame)."""
-    parts = list(parts)
-    if parts:
-        _same_frame(*parts)
-        if parts[0].frame is not frame:
-            raise MixedFrames("parts do not belong to the given frame")
     m = (1 << frame.n) - 1
-    for p in parts:
-        m &= p.mask
+    for mask in _masks_of(frame, parts):
+        m &= mask
     return _from_mask(frame, m, _validate=True)
 
 
@@ -300,17 +292,23 @@ def _pieces_union(frame, t_mask):
     return union
 
 
-def difference(sub, other):
-    """Co-Heyting difference: the least R with sub <= other join R.
+def difference_mask(frame, s, t):
+    """Mask of the co-Heyting difference of the sublocales with masks s
+    and t: the least R with s <= t join R.
 
-    Computed by decomposing `other` as the intersection of every
-    complemented o(x) join c(y) above it and joining the pieces
-    sub meet c(x) meet o(y): the meet closure of top and sub meet U(other),
-    where U (_pieces_union) depends on other alone.
+    Computed by decomposing t as the intersection of every complemented
+    o(x) join c(y) above it and joining the pieces s meet c(x) meet o(y):
+    the meet closure of top and s meet U(t), where U (_pieces_union)
+    depends on t alone.
     """
-    frame = _same_frame(sub, other)
-    acc = 1 << frame.top | sub.mask & _pieces_union(frame, other.mask)
-    return _from_mask(frame, _meet_closed(frame, acc), _validate=True)
+    return _meet_closed(frame, 1 << frame.top | s & _pieces_union(frame, t))
+
+
+def difference(sub, other):
+    """Co-Heyting difference: the least R with sub <= other join R."""
+    frame = sub.frame
+    s, t = _masks_of(frame, [sub, other])
+    return _from_mask(frame, difference_mask(frame, s, t), _validate=True)
 
 
 def supplement(sub):
@@ -345,8 +343,8 @@ def family_order_frame(subs):
     Sublocale.sort_key); i <= j iff members[i] contains members[j].
     """
     subs = tuple(sorted(subs, key=Sublocale.sort_key))
-    orders = _same_frame(*subs)._memo.orders
-    masks = tuple(s.mask for s in subs)
+    orders = subs[0].frame._memo.orders
+    masks = tuple(_masks_of(subs[0].frame, subs))
     got = orders.get(masks)
     if got is None:
         leq = frames.inclusion_order(masks).T
@@ -363,9 +361,10 @@ class Assembly:
     maps each mask back to its bits.  Every sublocale is such a closure,
     so joins are ORs of bits (join_mask), intersections ANDs and
     differences bits & ~bits.  sublocales lists the members sorted by
-    Sublocale.sort_key, the order family_order_frame gives them.
-    d_family is None until subsystems.d_sublocales keeps the D-family
-    of this enumeration there.
+    Sublocale.sort_key, the order family_order_frame gives them, and
+    masks their masks in that order; index_of maps a mask back to its
+    index.  d_family is None until subsystems.d_sublocales keeps the
+    D-family of this enumeration there.
     """
 
     def __init__(self, frame, by_primes):
@@ -374,7 +373,8 @@ class Assembly:
         self.primes_of = {m: bits for bits, m in enumerate(self.by_primes)}
         self.sublocales = tuple(sorted((_from_mask(frame, m) for m in self.by_primes),
                                        key=Sublocale.sort_key))
-        self._index = {s.mask: i for i, s in enumerate(self.sublocales)}
+        self.masks = tuple(s.mask for s in self.sublocales)
+        self._index = {m: i for i, m in enumerate(self.masks)}
         self.d_family = None
 
     def __len__(self):
@@ -386,9 +386,9 @@ class Assembly:
     def __getitem__(self, i):
         return self.sublocales[i]
 
-    def index_of(self, sub):
-        """The index of sub among the members, None if it is not one."""
-        return self._index.get(sub.mask)
+    def index_of(self, mask):
+        """The index of the member with this mask, None if there is none."""
+        return self._index.get(mask)
 
     def join_mask(self, a, b):
         """Mask of the join of the members with masks a and b."""

@@ -80,10 +80,11 @@ def is_d_sublocale(sub):
 def meet_closure(frame, points):
     """The sublocale {meet of A : A subset of the given primes}.
 
+    Closed once per frame and set of points, through the frame's memo.
     theorems.law_td_adjunction compares it with the join of the one-point
     sublocales {1, p}, the second route, on every subset of the primes.
     """
-    return subl._from_mask(frame, frame.meet_close_mask(mask_of(points)),
+    return subl._from_mask(frame, subl._meet_closed(frame, mask_of(points)),
                            _validate=True)
 
 
@@ -311,14 +312,15 @@ def lift_surjection(assembly, sub):
     tgt_assembly = subl.enumerate_assembly(sub_frame, len(assembly))
     tgt_family = d_sublocales(tgt_assembly)
     tgt_frame, tgt_subs = subl.family_order_frame(tgt_family)
-    tgt_index = {t.members: i for i, t in enumerate(tgt_subs)}
+    src_index = {t.mask: i for i, t in enumerate(src_subs)}
+    tgt_index = {t.mask: i for i, t in enumerate(tgt_subs)}
 
     hom = []
     for t in src_subs:
-        inter = subl._from_mask(frame, t.mask & sub.mask, _validate=True)
-        if inter not in src_family:
+        inter = t.mask & sub.mask
+        if inter not in src_index:
             raise NotLiftable(f"{t!r} meet {sub!r} is not a D-sublocale")
-        translated = frozenset(pos[a] for a in inter.members)
+        translated = mask_of(pos[a] for a in bits_of(inter))
         if translated not in tgt_index:
             raise NotLiftable(f"image of {t!r} is not a D-sublocale of the target")
         hom.append(tgt_index[translated])
@@ -326,10 +328,9 @@ def lift_surjection(assembly, sub):
 
     # closed-generator square: c(a) in the source maps to c(a) in sub
     for a in sub.members:
-        c_src = subl.closed_sublocale(frame, a)
-        i = next(k for k, t in enumerate(src_subs) if t == c_src)
-        expect = frozenset(pos[x] for x in bits_of(sub.mask & frame.up_masks[a]))
-        if tgt_subs[pair.hom[i]].members != expect:
+        i = src_index[frame.up_masks[a]]
+        expect = mask_of(pos[x] for x in bits_of(sub.mask & frame.up_masks[a]))
+        if tgt_subs[pair.hom[i]].mask != expect:
             raise NotLiftable(f"closed-generator square fails at {a}")
     return AssemblyLift(pair, src_subs, tgt_subs, members)
 
@@ -386,15 +387,15 @@ class FrameAnalysis:
     """Lazily computed subsystems of one frame's assembly.
 
     joins, meets and differences are the pair tables the batteries read
-    binary sublocale operations from: with S_i the i-th member of the
-    assembly, joins[i][j] is the assembly index of sublocale_join of S_i
-    and S_j, meets[i][j] that of their sublocale_meet and
-    differences[i][j] that of the difference S_i minus S_j.  Each is
-    k x k over the whole assembly, every ordered pair computed once
-    through the sublocales module attribute, so a commutativity slip
-    still shows in the table.  An entry is None when the result is not a
-    member, which only a broken operation or enumeration gives; the
-    batteries that read it fail there.
+    binary sublocale operations from: with s_i the i-th entry of
+    assembly.masks, joins[i][j] is the assembly index of the meet
+    closure of s_i | s_j (through the frame's closure memo, as
+    sublocale_join), meets[i][j] that of s_i & s_j and differences[i][j]
+    that of difference_mask(s_i, s_j).  Each is k x k over the whole
+    assembly and makes no Sublocale; every ordered pair is computed once,
+    so a commutativity slip still shows in the table.  An entry is None
+    when the result is not a member, which only a broken operation or
+    enumeration gives; the batteries that read it fail there.
     """
 
     def __init__(self, frame, cap=subl.DEFAULT_CAP):
@@ -406,20 +407,20 @@ class FrameAnalysis:
         return subl.enumerate_assembly(self.frame, self.cap)
 
     def _pair_table(self, op):
-        index, subs = self.assembly.index_of, self.assembly.sublocales
-        return tuple(tuple(index(op(s, t)) for t in subs) for s in subs)
+        index, masks = self.assembly.index_of, self.assembly.masks
+        return tuple(tuple(index(op(s, t)) for t in masks) for s in masks)
 
     @cached_property
     def joins(self):
-        return self._pair_table(lambda s, t: subl.sublocale_join(self.frame, [s, t]))
+        return self._pair_table(lambda s, t: subl._meet_closed(self.frame, s | t))
 
     @cached_property
     def meets(self):
-        return self._pair_table(lambda s, t: subl.sublocale_meet(self.frame, [s, t]))
+        return self._pair_table(lambda s, t: s & t)
 
     @cached_property
     def differences(self):
-        return self._pair_table(lambda s, t: subl.difference(s, t))
+        return self._pair_table(lambda s, t: subl.difference_mask(self.frame, s, t))
 
     @cached_property
     def whole(self):
@@ -467,7 +468,7 @@ class FrameAnalysis:
         keyed by the D-sublocale's index (None where it is not a member),
         computed once."""
         assembly = self.assembly
-        return {i: assembly.index_of(td_spatialization(assembly[i]))
+        return {i: assembly.index_of(td_spatialization(assembly[i]).mask)
                 for i in self.d_indices}
 
     @cached_property

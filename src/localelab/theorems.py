@@ -18,7 +18,6 @@ from . import frames
 from . import spaces
 from . import sublocales as subl
 from . import subsystems as sy
-from .sublocales import Sublocale
 
 
 @dataclass(frozen=True)
@@ -299,8 +298,8 @@ def law_difference(an, law):
     frame = an.frame
     assembly = an.assembly
     subs = assembly.sublocales
+    masks = assembly.masks
     k = len(subs)
-    masks = [s.mask for s in subs]
     zero_mask = 1 << frame.top
     diff = _members_only(law, an, an.differences, "difference")
     supp = [subl.supplement(t).mask for t in subs]
@@ -444,7 +443,7 @@ def law_td_adjunction(an, law):
     if not report.passed:
         law.fail(report.failures[0])
     subs = assembly.sublocales
-    masks = [s.mask for s in subs]
+    masks = assembly.masks
     d_idx = an.d_indices
     # sp[i]: the assembly index of the td-spatialization of member i
     sp = an.td_spatializations
@@ -507,7 +506,7 @@ def law_td_adjunction(an, law):
         y = [pts[i] for i in frames.bits_of(sel)]
         law.checked += 1
         if sy.meet_closure(frame, y) != subl.sublocale_join(
-                frame, [Sublocale(frame, {frame.top, p}) for p in y]):
+                frame, [subl.Sublocale(frame, {frame.top, p}) for p in y]):
             law.fail("meet closure disagrees with the join of points")
 
 
@@ -538,7 +537,7 @@ def law_assembly_order(an, law):
     # elements are assembly indices, as are the table entries
     order, _ = subl.family_order_frame(assembly)
     frame = an.frame
-    masks = [s.mask for s in assembly]
+    masks = assembly.masks
     for i, s in enumerate(masks):
         order_join, order_meet = order.join_rows[i], order.meet_rows[i]
         meet_row, join_row = an.meets[i], an.joins[i]
@@ -552,8 +551,7 @@ def law_assembly_order(an, law):
                 law.fail(f"prime-subset join law fails at "
                          f"{assembly[i]!r}, {assembly[j]!r}")
     # covered primes of the reversed assembly are the one-point sublocales
-    expected = {assembly.index_of(Sublocale(frame, {frame.top, p}))
-                for p in an.covered}
+    expected = {assembly.index_of(1 << frame.top | 1 << p) for p in an.covered}
     got = frames.covered_primes(order)
     law.checked += 1
     if got != expected:
@@ -561,7 +559,7 @@ def law_assembly_order(an, law):
                  "one-point sublocales")
     # the td-spatial members form the boolean sublocale at the
     # td-spatialization of the whole frame
-    sp_index = an.td_spatializations.get(assembly.index_of(an.whole))
+    sp_index = an.td_spatializations.get(assembly.index_of(an.whole.mask))
     image = set(an.td_spatializations.values())
     law.checked += 1
     if sp_index is None or image != subl.boolean_sublocale(order, sp_index).members:

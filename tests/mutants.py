@@ -1,15 +1,19 @@
 """Deliberately broken variants of core operations and their fast paths.
 
 Used to prove the verification suites are not vacuous: each mutant in
-ALL_MUTANTS must make at least one suite or battery fail, and each in
-ORDER_MUTANTS at least one oracle check (test_mutants.py names which).
-The wrong results are built through the unvalidated constructor so the
-breakage propagates into the laws instead of tripping input validation
-immediately.  The ORDER_MUTANTS break the frame kernels (validation,
-the Heyting table, the meet closure) and the cap prediction of
-enumerate_assembly; each is the kernel's own source with one statement
-edited (_edited), so it differs from the real kernel by exactly that
-statement.
+ALL_MUTANTS must make at least one suite or battery fail, each in
+ORDER_MUTANTS at least one oracle check, and each in MEMO_MUTANTS one
+test of the frame memo (test_mutants.py names which).  The ALL_MUTANTS
+break the mask operations the pair tables read (the join closure,
+difference_mask, the enumeration) or the tables themselves, and
+sublocale_join, which law_open_closed reads; wrong results are handed
+on unvalidated, so the breakage propagates into the laws instead of
+tripping input validation immediately.  The ORDER_MUTANTS break the
+frame kernels (validation and its witness search, the Heyting table,
+the meet closure) and the cap prediction of enumerate_assembly, and the
+MEMO_MUTANTS the two entries of the frame memo that _from_mask reads;
+each of these is the kernel's own source with one statement edited
+(_edited), so it differs from the real kernel by exactly that statement.
 """
 
 import functools
@@ -21,8 +25,6 @@ from localelab import sublocales as subl
 from localelab import subsystems as sy
 
 REAL_COVERED = frames.covered_primes
-REAL_JOIN = subl.sublocale_join
-REAL_DIFFERENCE = subl.difference
 REAL_PIECES_UNION = subl._pieces_union
 REAL_PRIME_CLOSURES = subl._prime_subset_closures
 REAL_SPECTRA = sy._spectra
@@ -48,12 +50,13 @@ def join_without_meet_closure(monkeypatch):
 
 
 def difference_without_decomposition(monkeypatch):
-    """Plain set difference plus top instead of the least-solution search."""
-    def mutant(sub, other):
-        return subl.Sublocale(sub.frame,
-                              (sub.members - other.members) | {sub.frame.top},
-                              _validate=False)
-    monkeypatch.setattr(subl, "difference", mutant)
+    """Plain set difference plus top instead of the least-solution search,
+    recorded as valid so that difference hands it on unchecked."""
+    def mutant(frame, s, t):
+        d = s & ~t | 1 << frame.top
+        frame._memo.valid.add(d)
+        return d
+    monkeypatch.setattr(subl, "difference_mask", mutant)
 
 
 def union_memo_ignoring_other(monkeypatch):
@@ -106,13 +109,14 @@ def pair_joins_ignoring_second(monkeypatch):
     """FrameAnalysis.joins holding the join of S alone at [i][j], as if T
     added nothing."""
     def mutant(an):
-        return an._pair_table(lambda s, t: subl.sublocale_join(an.frame, [s]))
+        return an._pair_table(lambda s, t: subl._meet_closed(an.frame, s))
     _replace_pair_table(monkeypatch, "joins", mutant)
 
 
 def closure_memo_answering_first(monkeypatch):
-    """The closure memo of sublocale_join and difference answers every
-    mask with the first closure it stored."""
+    """The frame's closure memo (_meet_closed, read by the join, the
+    difference, the pair tables and meet_closure) answers every mask with
+    the first closure it stored."""
     _patch_edited(monkeypatch, "_meet_closed", "closures.get(mask)",
                   "next(iter(closures.values()), None)", owner=subl)
 
@@ -213,6 +217,13 @@ def cap_prediction_refusing_at_cap(monkeypatch):
                   "if 1 << len(primes) >= cap:", owner=subl)
 
 
+def witness_scan_of_bad_irreducibles_only(monkeypatch):
+    """The distributivity witness scan tries only the join-irreducibles
+    that are not join-prime, not every element above them."""
+    _patch_edited(monkeypatch, "_check_distributive",
+                  "np.flatnonzero(leq[bad_j].any(axis=0))", "np.flatnonzero(bad_j)")
+
+
 def closure_reading_first_cover(monkeypatch):
     """meet_close_mask tests only the first upper cover of each element,
     so an element with two or more upper covers gets in even when every
@@ -231,4 +242,24 @@ ORDER_MUTANTS = (
     ("heyting_taking_second_candidate", heyting_taking_second_candidate),
     ("cap_prediction_refusing_at_cap", cap_prediction_refusing_at_cap),
     ("closure_reading_first_cover", closure_reading_first_cover),
+    ("witness_scan_of_bad_irreducibles_only", witness_scan_of_bad_irreducibles_only),
+)
+
+
+def validation_memo_reading_subs(monkeypatch):
+    """_from_mask skips validation of any mask it has an object for, as
+    if every interned mask had been validated."""
+    _patch_edited(monkeypatch, "_from_mask", "mask not in memo.valid",
+                  "mask not in memo.subs", owner=subl)
+
+
+def object_memo_answering_first(monkeypatch):
+    """_from_mask answers every mask with the first object it interned."""
+    _patch_edited(monkeypatch, "_from_mask", "memo.subs.get(mask)",
+                  "next(iter(memo.subs.values()), None)", owner=subl)
+
+
+MEMO_MUTANTS = (
+    ("validation_memo_reading_subs", validation_memo_reading_subs),
+    ("object_memo_answering_first", object_memo_answering_first),
 )

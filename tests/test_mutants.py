@@ -1,5 +1,6 @@
 """Each mutant in mutants.ALL_MUTANTS is killed by a named suite or battery,
-and each in mutants.ORDER_MUTANTS by a named oracle or boundary check.
+each in mutants.ORDER_MUTANTS by a named oracle or boundary check, and
+each in mutants.MEMO_MUTANTS by a named test of the frame memo.
 
 KILLED_BY pins, for every mutant, one frame and one suite or battery that
 must fail under it (without crashing) and pass without it, so a change
@@ -23,6 +24,7 @@ from localelab import theorems
 
 import mutants
 import oracle
+import test_sublocales
 from conftest import (antichain2_plus_top, boolean_square, chain, m3_relation,
                       n5_relation, random_frames)
 
@@ -90,6 +92,20 @@ def _bowtie(n):
     covers = [(i, i + 1) for i in range(c)] + [(c, c + 1), (c, c + 2)]
     covers += [(a, b) for a in (c + 1, c + 2) for b in (c + 3, c + 4)]
     return frames.transitive_reflexive_closure(n, covers)
+
+
+def _m3_times_2_relabelled():
+    """M3 x 2 with (x, 1) for an atom x relabelled 0.  The join-irreducibles
+    that are not join-prime are the (atom, 0), and the first
+    distributivity witness, (x, 1) with two other atoms at level 0, lies
+    strictly above one of them."""
+    m3 = [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)]
+    covers = [((x, e), (y, e)) for x, y in m3 for e in (0, 1)]
+    covers += [((x, 0), (x, 1)) for x in range(5)]
+    ids = [(1, 1)] + [(x, e) for x in range(5) for e in (0, 1) if (x, e) != (1, 1)]
+    index = {p: i for i, p in enumerate(ids)}
+    return frames.transitive_reflexive_closure(
+        len(ids), [(index[p], index[q]) for p, q in covers])
 
 
 def _not_transitive(n, i, j):
@@ -189,6 +205,8 @@ ORDER_KILLED_BY = {
     "heyting_taking_second_candidate": _heyting_matches_oracle,
     "cap_prediction_refusing_at_cap": _cap_boundary_holds,
     "closure_reading_first_cover": _closures_match_oracle,
+    "witness_scan_of_bad_irreducibles_only":
+        lambda: _rejections_match_oracle([m3_relation(), _m3_times_2_relabelled()]),
 }
 
 
@@ -203,6 +221,28 @@ def test_named_oracle_check_kills_order_mutant(name, apply_mutant, monkeypatch):
     assert check()
     apply_mutant(monkeypatch)
     assert not check()
+
+
+# memo mutant -> the test of the frame memo that must fail under it
+MEMO_KILLED_BY = {
+    "validation_memo_reading_subs":
+        lambda: test_sublocales.TestFrameMemo().test_failed_validation_is_never_remembered(),
+    "object_memo_answering_first":
+        lambda: test_sublocales.TestFrameMemo().test_one_object_per_mask(boolean_square()),
+}
+
+
+def test_every_memo_mutant_has_a_named_killer():
+    assert set(MEMO_KILLED_BY) == {name for name, _ in mutants.MEMO_MUTANTS}
+
+
+@pytest.mark.parametrize("name, apply_mutant", mutants.MEMO_MUTANTS,
+                         ids=[name for name, _ in mutants.MEMO_MUTANTS])
+def test_named_memo_test_kills_memo_mutant(name, apply_mutant, monkeypatch):
+    MEMO_KILLED_BY[name]()
+    apply_mutant(monkeypatch)
+    with pytest.raises((AssertionError, pytest.fail.Exception)):
+        MEMO_KILLED_BY[name]()
 
 
 MATRIX_FRAMES = {

@@ -372,6 +372,7 @@ class TestFamilyOrderMemo:
 class TestFrameMemo:
     def test_one_object_per_mask(self, square):
         assembly = subl.enumerate_assembly(square)
+        assert sorted(s.mask for s in assembly) == sorted(assembly.by_primes)
         for s in assembly:
             assert subl._from_mask(square, s.mask) is s
             assert subl.sublocale_join(square, [s, s]) is s
