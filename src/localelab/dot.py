@@ -15,7 +15,7 @@ from . import sublocales as subl
 
 
 def _quote(s):
-    return '"' + s.replace('"', r'\"') + '"'
+    return '"' + s.replace("\\", "\\\\").replace('"', r'\"') + '"'
 
 
 def frame_dot(frame):

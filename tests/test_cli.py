@@ -256,6 +256,18 @@ class TestDot:
         assembly_dot = (tmp_path / "chain3.assembly.dot").read_text()
         assert frame_dot == GOLDEN_FRAME_DOT
         assert assembly_dot == GOLDEN_ASSEMBLY_DOT
+        # DOT reads \" as a quote and keeps \\, so a label's backslashes
+        # are doubled before its quotes are escaped
+        path = tmp_path / "slash" / "chain3.frame"
+        path.parent.mkdir()
+        path.write_text(CHAIN3_TEXT.replace("label: 1 a", 'label: 1 a\\"\\'))
+        code, _ = run(["dot", str(path), "--out-dir", str(path.parent)])
+        assert code == cli.EXIT_OK
+        quoted = 'a\\\\\\"\\\\'
+        assert (path.parent / "chain3.frame.dot").read_text() == \
+            GOLDEN_FRAME_DOT.replace('"a"', f'"{quoted}"')
+        assert (path.parent / "chain3.assembly.dot").read_text() == \
+            GOLDEN_ASSEMBLY_DOT.replace(",a,", f",{quoted},").replace("{a,", f"{{{quoted},")
 
     def test_assembly_is_four_node_diamond(self, chain3_file, tmp_path):
         run(["dot", chain3_file, "--out-dir", str(tmp_path)])
