@@ -27,6 +27,7 @@ EXIT_CAP = 3
 
 CAP_ENV = "LOCALE_LAB_CAP"
 MAX_BOUND = 7
+MAX_TRUNCATION = 512
 
 
 def _build_parser():
@@ -58,7 +59,7 @@ def _build_parser():
     p.add_argument("--s-desc", default=None, help="description of S")
     p.add_argument("--t-desc", default=None, help="description of T")
     p.add_argument("--truncate", type=int, action="append", default=None,
-                   help="cross-check depth (repeatable; default 16 32 64)")
+                   help="cross-check depth (<= 512; repeatable; default 16 32 64)")
 
     p = sub.add_parser("random", help="generate random frame files")
     p.add_argument("--seed", type=int, default=1)
@@ -87,6 +88,8 @@ def _check_args(args):
         raise ValueError(f"--bound must be between 1 and {MAX_BOUND}")
     if hasattr(args, "count") and args.count < 0:
         raise ValueError("--count must not be negative")
+    if max(getattr(args, "truncate", None) or [0]) > MAX_TRUNCATION:
+        raise ValueError(f"--truncate must be at most {MAX_TRUNCATION}")
 
 
 def _emit(out, text):

@@ -237,48 +237,32 @@ def _bound_table_words(ranked, order, kind):
     return table
 
 
-def _check_distributive(leq, meet, join):
+def _check_distributive(up, down, meet, join):
     """Raise NonDistributive unless a meet (b join c) = (a meet b) join (a meet c).
 
     A finite lattice is distributive exactly when every join-irreducible j
-    is join-prime, j <= x join y forcing j <= x or j <= y (Birkhoff).  With
-    below(x) the join-irreducibles below x, below(x meet y) is below(x) &
-    below(y) and below(x) | below(y) lies in below(x join y), so the test
-    is a count per pair: |below(x join y)| + |below(x meet y)| =
-    |below(x)| + |below(y)|.  Only when that fails does the triple scan
+    is join-prime, j <= x join y forcing j <= x or j <= y (Birkhoff).  On
+    the int rows up and down both are row lookups: j is join-irreducible
+    iff its strict downset down[j] & ~(1 << j) is the downset of one
+    element (its lower cover), and join-prime iff the elements not above
+    j, full & ~up[j], are.  Only when some j fails does the triple scan
     run, one a at a time, to name the lexicographically first witness.
-    It scans only the a above some bad j, a join-irreducible other than
-    the bottom that is not join-prime: a witness (a, b, c) has such a j
-    below a meet (b join c) and not below (a meet b) join (a meet c), and
-    each bad j is a witness itself, so the first witness is the same.
-    j is join-prime iff the elements not above j are the downset of one
-    m, that is iff some m not above j has |down(m)| = n - |up(j)|.  The
-    count test and that compare read the pairs in row blocks
-    (_row_blocks), so they hold no n x n temporary.
+    It scans only the a above a failing j: a witness (a, b, c) has such a
+    j below a meet (b join c) and not below (a meet b) join (a meet c),
+    and each failing j is a witness itself, so the first is the same.
     """
-    n = leq.shape[0]
-    idx = np.arange(n)
-    blocks = list(_row_blocks(n, 8 * n))
-    # x is join-reducible when two elements other than x join to it
-    reducible = np.zeros(n, dtype=bool)
-    for lo, hi in blocks:
-        rows = join[lo:hi]
-        reducible[rows[(rows != idx[lo:hi, None]) & (rows != idx)]] = True
-    count = leq.sum(axis=0, where=~reducible[:, None])
-    if all((count[join[lo:hi]] + count[meet[lo:hi]]
-            == count[lo:hi, None] + count).all() for lo, hi in blocks):
-        return
-    up_count, down_count = leq.sum(axis=1), leq.sum(axis=0)
-    bad_j = ~reducible & (up_count < n)
-    for lo, hi in blocks:
-        prime = ~leq[lo:hi] & (down_count == n - up_count[lo:hi, None])
-        bad_j[lo:hi] &= ~prime.any(axis=1)
-    for a in np.flatnonzero(leq[bad_j].any(axis=0)):
+    downsets = set(down)
+    full = (1 << len(up)) - 1
+    scan = 0
+    for j, (u, d) in enumerate(zip(up, down)):
+        if d & ~(1 << j) in downsets and full & ~u not in downsets:
+            scan |= u
+    for a in bits_of(scan):
         ma = meet[a]
         bad = ma[join] != join[ma[:, None], ma[None, :]]
         if bad.any():
             b, c = np.argwhere(bad)[0]
-            raise NonDistributive((int(a), int(b), int(c)))
+            raise NonDistributive((a, int(b), int(c)))
 
 
 class _Memo:
@@ -316,13 +300,13 @@ class FiniteFrame:
     leq is a read-only boolean matrix and up_masks[a] the int mask of the
     upset of a; meet, join and imp are read-only n x n tables.  The order
     is checked, and meet and join are built, at construction on the up
-    and down rows, as Python ints up to INT_ROW_BITS elements and as
-    numpy 64-bit words in blocks of at most BLOCK_BYTES bytes beyond
-    that, so a large frame never holds an n^3 temporary.  imp is built
-    on first use by a blocked argmax; distributivity is checked by
-    join-primality (_check_distributive).  Instances hash and compare by
-    identity, so sublocales of one frame always reference the same
-    object.
+    and down rows, as Python ints up to INT_ROW_BITS elements (the rows
+    read straight off the matrix) and as numpy 64-bit words in blocks of
+    at most BLOCK_BYTES bytes beyond that, so a large frame never holds
+    an n^3 temporary.  imp is built on first use by a blocked argmax;
+    distributivity is checked by row lookups (_check_distributive).
+    Instances hash and compare by identity, so sublocales of one frame
+    always reference the same object.
 
     An order that is no frame raises NonPoset, NonLattice (with a witness
     pair) or NonDistributive (with a witness triple); the exception
@@ -336,19 +320,22 @@ class FiniteFrame:
         n = leq.shape[0]
         if n == 0:
             raise NonLattice((), "top")
-        below = np.ascontiguousarray(leq.T)     # below[b, x]: x <= b
-        words = _packed_words(leq)
-        up, down = _int_rows(words), _int_rows(_packed_words(below))
+        if n <= INT_ROW_BITS:
+            bits = 1 << np.arange(n)
+            up, down, words = (leq @ bits).tolist(), (bits @ leq).tolist(), None
+        else:
+            words = _packed_words(leq)
+            up, down = _int_rows(words), _int_rows(_packed_words(leq.T))
         _check_poset(leq, up, down, words)
         self.n = n
         leq.flags.writeable = False
         self.leq = leq
         self.up_masks = tuple(up)
-        self.meet = _bound_table(below, down, "meet")
+        self.meet = _bound_table(leq.T, down, "meet")
         self.join = _bound_table(leq, up, "join")
         self.meet.flags.writeable = False
         self.join.flags.writeable = False
-        _check_distributive(leq, self.meet, self.join)
+        _check_distributive(up, down, self.meet, self.join)
         if labels is None:
             labels = tuple(str(i) for i in range(n))
         else:
@@ -529,31 +516,39 @@ def pseudocomplement(frame, a):
     return int(frame.imp[a, frame.bottom])
 
 
+def _count_levels(up, points, elements):
+    """cnt[x], the number of points in up[x], for each x in elements, and
+    level[c], the mask of the elements x with cnt[x] = c."""
+    cnt, level = {}, {}
+    for x in elements:
+        c = cnt[x] = (up[x] & points).bit_count()
+        level[c] = level.get(c, 0) | 1 << x
+    return cnt, level
+
+
 def spectra_of(frame, mask):
-    """(primes, covered primes) of the meet-closed set of elements in
+    """(primes, covered primes) of the meet-closed set S of elements in
     mask (the whole frame or a sublocale) as a lattice in its own right,
     computed once per frame and mask.
 
-    Its meets are the frame's, so p is reducible exactly when two other
-    members meet to it, and a prime p is covered when the meet of the
-    members strictly above p stays strictly above p (so no subset of
-    members reaches p without p).
+    Its meets are the frame's, so p != top is prime iff the members
+    strictly above p, S & up[p] & ~(1 << p), are those above one member
+    z: one lookup per member.  A prime is covered when the meet of the
+    members strictly above it stays strictly above it, decided by the
+    count of meets_of_points: with cnt[x] = |S & up[x]|, that meet is a
+    member y > p with cnt[y] = cnt[p] - 1, and any such y has them all
+    above it.
     """
     spectra = frame._memo.spectra
     got = spectra.get(mask)
     if got is None:
-        members = list(bits_of(mask))
-        meet, up = frame.meet_rows, frame.up_masks
-        reducible = set()
-        for i, x in enumerate(members):
-            row = meet[x]
-            for y in members[i + 1:]:
-                m = row[y]
-                if m != x and m != y:
-                    reducible.add(m)
-        primes = frozenset(members) - reducible - {frame.top}
+        up, members = frame.up_masks, list(bits_of(mask))
+        rows = {mask & up[z] for z in members}
+        primes = frozenset(p for p in members
+                           if p != frame.top and mask & up[p] & ~(1 << p) in rows)
+        cnt, level = _count_levels(up, mask, members)
         covered = frozenset(p for p in primes
-                            if frame.meet_of(bits_of(up[p] & mask & ~(1 << p))) != p)
+                            if up[p] & ~(1 << p) & level.get(cnt[p] - 1, 0))
         got = spectra[mask] = (primes, covered)
     return got
 
@@ -576,11 +571,18 @@ def covered_primes(frame):
 
 def meets_of_points(frame, points, elements=None):
     """Every element (every one of the frame by default) is the meet of
-    the given points above it."""
-    up, pts = frame.up_masks, mask_of(points)
+    the given points above it.
+
+    With cnt[x] the number of points above x, a is that meet iff no y > a
+    has cnt[y] = cnt[a]: the meet of the points above a is >= a and has
+    the same points above it, and a y > a with as many points above it
+    has all of them.  One AND per element, with its count's mask.
+    """
+    up = frame.up_masks
+    cnt, level = _count_levels(up, mask_of(points), range(frame.n))
     if elements is None:
         elements = range(frame.n)
-    return all(frame.meet_of(bits_of(up[a] & pts)) == a for a in elements)
+    return not any(up[a] & ~(1 << a) & level[cnt[a]] for a in elements)
 
 
 def is_spatial(frame):
@@ -598,22 +600,16 @@ def is_strongly_td_spatial(frame):
 
 
 def is_subfit(frame):
-    """Whenever a is not below b there is c with a join c = 1 != b join c."""
-    n, up, join, top = frame.n, frame.up_masks, frame.join_rows, frame.top
-    for a in range(n):
-        row_a = join[a]
-        for b in range(n):
-            if up[a] >> b & 1:
-                continue
-            row_b = join[b]
-            if not any(row_a[c] == top and row_b[c] != top for c in range(n)):
-                return False
-    return True
+    """Whenever a is not below b there is c with a join c = 1 != b join c:
+    T(a) = {c : a join c = 1}, a row of the join table, lies in T(b) only
+    when a <= b, one inclusion_order of those rows."""
+    ones = _int_rows(_packed_words(frame.join == frame.top))
+    return not (inclusion_order(ones) & ~frame.leq).any()
 
 
 def maximal_primes_only(frame):
     """True iff no prime has anything strictly between it and the top."""
-    return all(int(frame.leq[p].sum()) == 2 for p in primes(frame))
+    return all(frame.up_masks[p].bit_count() == 2 for p in primes(frame))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ sublocale_join, which law_open_closed reads; wrong results are handed
 on unvalidated, so the breakage propagates into the laws instead of
 tripping input validation immediately.  The ORDER_MUTANTS break the
 frame kernels (validation and its witness search, the Heyting table,
-the meet closure) and the cap prediction of enumerate_assembly, and the
+the meet closure, the spectra, meets of points and subfitness) and the
+cap prediction of enumerate_assembly, and the
 MEMO_MUTANTS the two entries of the frame memo that _from_mask reads;
 each of these is the kernel's own source with one statement edited
 (_edited), so it differs from the real kernel by exactly that statement.
@@ -196,12 +197,18 @@ def closure_of_one_pass(monkeypatch):
 
 
 def birkhoff_count_of_no_irreducibles(monkeypatch):
-    """The distributivity count takes x = x join x as making x
-    join-reducible, so it counts no join-irreducibles and every lattice
-    passes without the triple scan."""
+    """The join-irreducibility lookup clears the lowest bit of down[j],
+    not j's own: on a lattice whose bottom is element 0 it counts no
+    join-irreducibles, and every lattice passes without the triple scan."""
     _patch_edited(monkeypatch, "_check_distributive",
-                  "reducible[rows[(rows != idx[lo:hi, None]) & (rows != idx)]] = True",
-                  "reducible[rows] = True")
+                  "d & ~(1 << j) in downsets", "d & (d - 1) in downsets")
+
+
+def join_prime_lookup_inverted(monkeypatch):
+    """The join-prime lookup is inverted, so the triple scan starts above
+    the join-irreducibles that are join-prime, not those that are not."""
+    _patch_edited(monkeypatch, "_check_distributive",
+                  "full & ~u not in downsets", "full & ~u in downsets")
 
 
 def heyting_taking_second_candidate(monkeypatch):
@@ -220,8 +227,7 @@ def cap_prediction_refusing_at_cap(monkeypatch):
 def witness_scan_of_bad_irreducibles_only(monkeypatch):
     """The distributivity witness scan tries only the join-irreducibles
     that are not join-prime, not every element above them."""
-    _patch_edited(monkeypatch, "_check_distributive",
-                  "np.flatnonzero(leq[bad_j].any(axis=0))", "np.flatnonzero(bad_j)")
+    _patch_edited(monkeypatch, "_check_distributive", "scan |= u", "scan |= 1 << j")
 
 
 def closure_reading_first_cover(monkeypatch):
@@ -230,6 +236,32 @@ def closure_reading_first_cover(monkeypatch):
     member above it lies above a later cover."""
     _patch_edited(monkeypatch, "meet_close_mask", "for gap in gaps:",
                   "for gap in gaps[:1]:", owner=frames.FiniteFrame)
+
+
+def points_count_reading_whole_upset(monkeypatch):
+    """meets_of_points looks for an element of a's count in the whole
+    upset of a, a included, so no element is a meet of points."""
+    _patch_edited(monkeypatch, "meets_of_points",
+                  "up[a] & ~(1 << a) & level[cnt[a]]", "up[a] & level[cnt[a]]")
+
+
+def prime_lookup_of_whole_upset(monkeypatch):
+    """spectra_of looks up the members above p, p included, so every
+    member but the top counts as prime."""
+    _patch_edited(monkeypatch, "spectra_of",
+                  "mask & up[p] & ~(1 << p) in rows", "mask & up[p] in rows")
+
+
+def covered_count_at_own_level(monkeypatch):
+    """spectra_of looks for a member above p with p's own count, not one
+    less, so no prime counts as covered."""
+    _patch_edited(monkeypatch, "spectra_of",
+                  "level.get(cnt[p] - 1, 0)", "level.get(cnt[p], 0)")
+
+
+def subfit_against_reversed_order(monkeypatch):
+    """is_subfit allows T(a) <= T(b) when b <= a instead of a <= b."""
+    _patch_edited(monkeypatch, "is_subfit", "& ~frame.leq)", "& ~frame.leq.T)")
 
 
 ORDER_MUTANTS = (
@@ -243,6 +275,11 @@ ORDER_MUTANTS = (
     ("cap_prediction_refusing_at_cap", cap_prediction_refusing_at_cap),
     ("closure_reading_first_cover", closure_reading_first_cover),
     ("witness_scan_of_bad_irreducibles_only", witness_scan_of_bad_irreducibles_only),
+    ("join_prime_lookup_inverted", join_prime_lookup_inverted),
+    ("points_count_reading_whole_upset", points_count_reading_whole_upset),
+    ("prime_lookup_of_whole_upset", prime_lookup_of_whole_upset),
+    ("covered_count_at_own_level", covered_count_at_own_level),
+    ("subfit_against_reversed_order", subfit_against_reversed_order),
 )
 
 

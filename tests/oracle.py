@@ -155,13 +155,16 @@ def frame_rejection_bruteforce(rel):
     (exception class, (pair, kind) or triple); None if the poset is a
     frame."""
     n = len(rel)
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    tables = []
     for kind, bound in (("meet", glb_bruteforce), ("join", lub_bruteforce)):
-        for i, j in pairs:
-            if bound(rel, i, j) is None:
-                return frames.NonLattice, ((i, j), kind)
-    meet = [[glb_bruteforce(rel, i, j) for j in range(n)] for i in range(n)]
-    join = [[lub_bruteforce(rel, i, j) for j in range(n)] for i in range(n)]
+        table = [[None] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                table[i][j] = table[j][i] = bound(rel, i, j)
+                if table[i][j] is None:
+                    return frames.NonLattice, ((i, j), kind)
+        tables.append(table)
+    meet, join = tables
     for a, b, c in itertools.product(range(n), repeat=3):
         if meet[a][join[b][c]] != join[meet[a][b]][meet[a][c]]:
             return frames.NonDistributive, (a, b, c)
@@ -196,6 +199,49 @@ def covered_primes_bruteforce(frame):
         if all(mask & bit for mask in range(1 << frame.n) if meets[mask] == p):
             out.add(p)
     return frozenset(out)
+
+
+def spectra_by_pairs(frame, mask):
+    """(primes, covered primes) of the meet-closed set in mask: a member
+    is reducible when two other members meet to it, and a prime is
+    covered when the meet of the members strictly above it, folded over
+    the meet table, stays strictly above it."""
+    members = list(frames.bits_of(mask))
+    meet, up = frame.meet_rows, frame.up_masks
+    reducible = set()
+    for i, x in enumerate(members):
+        for y in members[i + 1:]:
+            m = meet[x][y]
+            if m != x and m != y:
+                reducible.add(m)
+    primes = frozenset(members) - reducible - {frame.top}
+    covered = frozenset(p for p in primes
+                        if frame.meet_of(frames.bits_of(up[p] & mask & ~(1 << p))) != p)
+    return primes, covered
+
+
+def meets_of_points_by_folds(frame, points, elements=None):
+    """Every element (every one by default) is the meet of the given
+    points above it, each meet folded over the meet table."""
+    up, pts = frame.up_masks, frames.mask_of(points)
+    if elements is None:
+        elements = range(frame.n)
+    return all(frame.meet_of(frames.bits_of(up[a] & pts)) == a for a in elements)
+
+
+def subfit_by_triples(frame):
+    """Whenever a is not below b some c has a join c = top != b join c,
+    scanned over every triple."""
+    n, up, join, top = frame.n, frame.up_masks, frame.join_rows, frame.top
+    for a in range(n):
+        row_a = join[a]
+        for b in range(n):
+            if up[a] >> b & 1:
+                continue
+            row_b = join[b]
+            if not any(row_a[c] == top and row_b[c] != top for c in range(n)):
+                return False
+    return True
 
 
 def primes_by_meet_inequality(frame):

@@ -11,6 +11,7 @@ import weakref
 import pytest
 
 from localelab import classify, cli, frames
+from localelab import omegachain as oc
 
 import mutants
 
@@ -201,6 +202,15 @@ class TestRemark:
             assert "N=32" not in text
 
 
+    @pytest.mark.parametrize("depth", ["513", "100000"])
+    def test_large_truncation_refused_before_any_frame(self, depth, monkeypatch):
+        def build(depth):
+            raise AssertionError("a truncated frame was built")
+        monkeypatch.setattr(oc, "truncated_chain_frame", build)
+        assert run(["remark", "--truncate", "16", "--truncate", depth]) == (
+            cli.EXIT_PARSE, f"error: --truncate must be at most {cli.MAX_TRUNCATION}\n")
+
+
 class TestRandom:
     def test_deterministic_bytes(self, tmp_path):
         d1, d2 = tmp_path / "a", tmp_path / "b"
@@ -294,8 +304,9 @@ class TestHostileInput:
                         "distinct 'cover' lines, got 0\n")
 
     def test_large_non_distributive_file_refused_quickly(self, tmp_path):
-        # an 800-element chain with an M3 on top fails the count test; the
-        # witness scan then tries only the 4 elements above the atoms,
+        # an 800-element chain with an M3 on top: its atoms are
+        # join-irreducible and not join-prime, and the witness scan
+        # tries only the 4 elements above them,
         # about 0.2 s in all against 5 s for a scan of every element
         path = tmp_path / "chain_m3.frame"
         path.write_text("elements: 801\n"

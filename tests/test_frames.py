@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from localelab import frames
+from localelab import sublocales as subl
 from localelab.frames import (NonDistributive, NonLattice, NonPoset,
                               FrameFormatError)
 
@@ -211,14 +212,15 @@ class TestBoundTables:
         assert peak < 32 << 20
 
     def test_distributivity_check_stays_within_row_blocks(self):
-        # the count test goes over blocks of rows, each temporary within
-        # BLOCK_BYTES: on the 800-chain it peaks at about 0.8 MB, where
-        # one n x n int64 count array takes 5.1 MB
+        # the test holds no n x n temporary: on the 800-chain its row
+        # lookups stay far below the bound, where one n x n int64 count
+        # array takes 5.1 MB
         n = 800
         f = chain(n)
+        down = [frames.mask_of(np.flatnonzero(f.leq[:, x])) for x in range(n)]
         tracemalloc.start()
         try:
-            frames._check_distributive(f.leq, f.meet, f.join)
+            frames._check_distributive(f.up_masks, down, f.meet, f.join)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -296,6 +298,71 @@ def test_rejection_witness_on_word_rows(data):
     with pytest.raises(NonDistributive) as exc:
         frames.FiniteFrame(rel)
     assert _is_distributivity_witness(rel, *exc.value.triple)
+
+
+def _closure_system_relation(rng):
+    """Inclusion order of a random closure system on five points, in a
+    random order: the full set and the intersections of a few random
+    subsets, at most 32 elements.  Always a lattice, often not
+    distributive."""
+    family = {31}
+    for _ in range(rng.randint(1, 16)):
+        m = rng.getrandbits(5)
+        family |= {m & f for f in family}
+    masks = sorted(family)
+    rng.shuffle(masks)
+    return frames.inclusion_order(masks)
+
+
+def test_closure_system_rejections_match_bruteforce():
+    # the row lookups of _check_distributive name the same first triple
+    # as the brute-force triple scan, on 3,000 lattices
+    rng = random.Random(18)
+    rejected = 0
+    for _ in range(3000):
+        rel = _closure_system_relation(rng)
+        expected = oracle.frame_rejection_bruteforce(rel)
+        if expected is None:
+            frames.FiniteFrame(rel)
+            continue
+        assert expected[0] is NonDistributive
+        with pytest.raises(NonDistributive) as exc:
+            frames.FiniteFrame(rel)
+        assert exc.value.triple == expected[1]
+        rejected += 1
+    assert 0 < rejected < 3000
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 7), st.integers(0, 10**6), st.data())
+def test_frame_kernels_match_their_judges(bound, seed, data):
+    """spectra_of at every assembly mask, meets_of_points and is_subfit,
+    each against the route it replaced (tests/oracle.py), on a random
+    frame at bound 2 to 7."""
+    f = frames.random_frame(random.Random(seed), bound)
+    assert frames.is_subfit(f) == oracle.subfit_by_triples(f)
+    for m in subl.enumerate_assembly(f).masks:
+        primes, covered = frames.spectra_of(f, m)
+        assert (primes, covered) == oracle.spectra_by_pairs(f, m)
+        members = list(frames.bits_of(m))
+        for points in (primes, covered):
+            assert (frames.meets_of_points(f, points, members)
+                    == oracle.meets_of_points_by_folds(f, points, members))
+    elements = st.lists(st.integers(0, f.n - 1), max_size=8)
+    points, some = data.draw(elements), data.draw(elements)
+    for chosen in (None, some):
+        assert (frames.meets_of_points(f, points, chosen)
+                == oracle.meets_of_points_by_folds(f, points, chosen))
+
+
+def test_frame_kernels_match_their_judges_on_the_800_chain():
+    f = chain(800)
+    full = (1 << f.n) - 1
+    assert frames.spectra_of(f, full) == oracle.spectra_by_pairs(f, full)
+    for points in (frames.primes(f), range(0, f.n, 2)):
+        assert (frames.meets_of_points(f, points)
+                == oracle.meets_of_points_by_folds(f, points))
+    assert frames.is_subfit(f) == oracle.subfit_by_triples(f)
 
 
 class TestHeyting:
@@ -385,6 +452,12 @@ class TestSubfit:
         assert not frames.is_subfit(chain3)
         assert frames.is_subfit(square)
         assert frames.is_subfit(chain2)
+
+    def test_boolean_frames_agree_with_the_judge(self):
+        # finite subfit frames are Boolean, which random frames seldom are
+        for k in range(1, 6):
+            f = frames.downset_lattice(np.eye(k, dtype=bool))
+            assert frames.is_subfit(f) and oracle.subfit_by_triples(f)
 
 
 class TestMaximalPrimes:

@@ -187,6 +187,40 @@ def _cap_boundary_holds():
                for f, size in sizes)
 
 
+SMALL_FRAMES = (lambda: chain(3), boolean_square, antichain2_plus_top)
+
+
+def _spectra_match_oracle():
+    """spectra_of equals the pairwise scan at every assembly mask of a
+    few fresh frames."""
+    return all(frames.spectra_of(f, m) == oracle.spectra_by_pairs(f, m)
+               for f in (make() for make in SMALL_FRAMES)
+               for m in oracle.assembly_bruteforce(f))
+
+
+def _covered_primes_match_oracle():
+    return all(frames.covered_primes(f) == oracle.covered_primes_bruteforce(f)
+               for f in (make() for make in SMALL_FRAMES))
+
+
+def _points_match_oracle():
+    """meets_of_points equals the folds on a few fresh frames, for their
+    primes (found by the meet-inequality oracle) and for all but the
+    first of them."""
+    for f in (make() for make in SMALL_FRAMES):
+        pts = sorted(oracle.primes_by_meet_inequality(f))
+        for points in (pts, pts[1:]):
+            if (frames.meets_of_points(f, points)
+                    != oracle.meets_of_points_by_folds(f, points)):
+                return False
+    return True
+
+
+def _subfit_matches_oracle():
+    return all(frames.is_subfit(f) == oracle.subfit_by_triples(f)
+               for f in (make() for make in SMALL_FRAMES))
+
+
 # order mutant -> the oracle comparison that must fail under it; the
 # narrow cases have at most frames.INT_ROW_BITS elements, the wide ones
 # more, in one, two and three 64-bit words
@@ -210,6 +244,11 @@ ORDER_KILLED_BY = {
     "closure_reading_first_cover": _closures_match_oracle,
     "witness_scan_of_bad_irreducibles_only":
         lambda: _rejections_match_oracle([m3_relation(), _m3_times_2_relabelled()]),
+    "join_prime_lookup_inverted": lambda: _rejections_match_oracle([m3_relation()]),
+    "points_count_reading_whole_upset": _points_match_oracle,
+    "prime_lookup_of_whole_upset": _spectra_match_oracle,
+    "covered_count_at_own_level": _covered_primes_match_oracle,
+    "subfit_against_reversed_order": _subfit_matches_oracle,
 }
 
 
