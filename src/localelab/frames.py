@@ -476,17 +476,23 @@ def mask_of(elements):
     return m
 
 
+def mask_words(masks):
+    """The int masks as a uint64 array of shape (words, len(masks)): row w
+    holds bits 64w to 64w + 63 of every mask, and there is at least one row."""
+    masks = list(masks)
+    return np.array([[m >> shift & 0xFFFFFFFFFFFFFFFF for m in masks]
+                     for shift in range(0, max(masks, default=0).bit_length() or 1, 64)],
+                    dtype=np.uint64)
+
+
 def inclusion_order(masks):
     """Boolean matrix leq[i, j]: masks[i] is a subset of masks[j].
 
     The one builder of inclusion orders.  Masks are ints of any width,
     compared one 64-bit word at a time: no k x k x width temporary.
     """
-    masks = list(masks)
     leq = True
-    for shift in range(0, max(masks, default=0).bit_length() or 1, 64):
-        words = np.array([m >> shift & 0xFFFFFFFFFFFFFFFF for m in masks],
-                         dtype=np.uint64)
+    for words in mask_words(masks):
         leq = leq & (words[:, None] & ~words == 0)
     return leq
 
@@ -570,18 +576,22 @@ def covered_primes(frame):
 
 
 def meets_of_points(frame, points, elements=None):
-    """Every element (every one of the frame by default) is the meet of
-    the given points above it.
+    """Every element of elements (of the frame by default) is the meet of
+    the given points above it.  elements, when given, must hold the top
+    and the points and be closed under meets, as a sublocale's members
+    are.
 
     With cnt[x] the number of points above x, a is that meet iff no y > a
     has cnt[y] = cnt[a]: the meet of the points above a is >= a and has
     the same points above it, and a y > a with as many points above it
-    has all of them.  One AND per element, with its count's mask.
+    has all of them.  Such a y, where one exists, can be taken to be that
+    meet, which lies in elements, so the counts are taken over elements
+    alone.  One AND per element, with its count's mask.
     """
     up = frame.up_masks
-    cnt, level = _count_levels(up, mask_of(points), range(frame.n))
     if elements is None:
         elements = range(frame.n)
+    cnt, level = _count_levels(up, mask_of(points), elements)
     return not any(up[a] & ~(1 << a) & level[cnt[a]] for a in elements)
 
 

@@ -9,6 +9,8 @@ difference, and exhaustive assembly enumeration.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from . import frames
@@ -359,12 +361,13 @@ class Assembly:
     With the frame's primes sorted, by_primes[bits] is the mask of the
     meet closure of top and {primes[i] : bit i of bits}, and primes_of
     maps each mask back to its bits.  Every sublocale is such a closure,
-    so joins are ORs of bits (join_mask), intersections ANDs and
-    differences bits & ~bits.  sublocales lists the members sorted by
+    so joins are ORs of bits, intersections ANDs and differences
+    bits & ~bits (bits_table).  sublocales lists the members sorted by
     Sublocale.sort_key, the order family_order_frame gives them, and
     masks their masks in that order; index_of maps a mask back to its
-    index.  d_family is None until subsystems.d_sublocales keeps the
-    D-family of this enumeration there.
+    index, -1 when no member has it, as in the pair tables of
+    subsystems.FrameAnalysis.  d_family is None until
+    subsystems.d_sublocales keeps the D-family of this enumeration there.
     """
 
     def __init__(self, frame, by_primes):
@@ -387,12 +390,22 @@ class Assembly:
         return self.sublocales[i]
 
     def index_of(self, mask):
-        """The index of the member with this mask, None if there is none."""
-        return self._index.get(mask)
+        """The index of the member with this mask, -1 if there is none."""
+        return self._index.get(mask, -1)
 
-    def join_mask(self, a, b):
-        """Mask of the join of the members with masks a and b."""
-        return self.by_primes[self.primes_of[a] | self.primes_of[b]]
+    def bits_table(self, op):
+        """k x k int array: entry [i, j] is the index of the member
+        by_primes[op(b_i, b_j)], where b_i are the prime bits of member i
+        and op acts elementwise on int arrays (np.bitwise_or gives the
+        joins)."""
+        bits, at_bits = self._bits
+        return at_bits[op(bits[:, None], bits)]
+
+    @cached_property
+    def _bits(self):
+        """The prime bits of each member, and the index of by_primes[b]."""
+        return (np.array([self.primes_of[m] for m in self.masks]),
+                np.array([self._index[m] for m in self.by_primes]))
 
 
 def _prime_subset_closures(frame, primes):

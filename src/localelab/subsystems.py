@@ -15,7 +15,7 @@ builds every reverse-inclusion order.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -119,26 +119,39 @@ def adjunction_law(frame, points, family, spectrum):
     """The meet-closure adjunction between subsets Y of points and the
     sublocales S of family, taken in the order given: spectrum(meet_closure(Y))
     is Y, and meet_closure(Y) <= S iff Y <= spectrum(S).  checked counts
-    the (Y, S) pairs."""
+    the (Y, S) pairs.
+
+    Both sides of the law are bitsets over the family: holding[x] has bit
+    t set when family member t contains x, and spanning[x] when x is in
+    its spectrum, so the members above meet_closure(Y) are the AND of
+    holding over its elements and those whose spectrum holds Y the AND
+    of spanning over Y: one comparison per Y.
+    """
     pts = sorted(points)
-    subs = [(s, mask_of(spectrum(s))) for s in family]
+    subs = list(family)
+    holding, spanning = [0] * frame.n, [0] * frame.n
+    for t, s in enumerate(subs):
+        for x in bits_of(s.mask):
+            holding[x] |= 1 << t
+        for x in spectrum(s):
+            spanning[x] |= 1 << t
+    everything = (1 << len(subs)) - 1
     failures = []
-    checked = 0
     for sel in range(1 << len(pts)):
         y = frozenset(pts[i] for i in bits_of(sel))
-        y_mask = mask_of(y)
         m = meet_closure(frame, y)
         if spectrum(m) != y:
             failures.append(f"{spectrum.__name__}(meet_closure({sorted(y)})) "
                             f"!= {sorted(y)}")
-        for s, s_points in subs:
-            checked += 1
-            lhs = m.mask & ~s.mask == 0
-            rhs = y_mask & ~s_points == 0
-            if lhs != rhs:
-                failures.append(
-                    f"law fails for Y={sorted(y)} S={s!r}: {lhs} vs {rhs}")
-    return AdjunctionReport(checked, failures)
+        above = spans = everything
+        for x in bits_of(m.mask):
+            above &= holding[x]
+        for x in y:
+            spans &= spanning[x]
+        for t in bits_of(above ^ spans):
+            failures.append(f"law fails for Y={sorted(y)} S={subs[t]!r}: "
+                            f"{bool(above >> t & 1)} vs {bool(spans >> t & 1)}")
+    return AdjunctionReport(len(subs) << len(pts), failures)
 
 
 def check_td_adjunction(assembly):
@@ -387,15 +400,18 @@ class FrameAnalysis:
     """Lazily computed subsystems of one frame's assembly.
 
     joins, meets and differences are the pair tables the batteries read
-    binary sublocale operations from: with s_i the i-th entry of
-    assembly.masks, joins[i][j] is the assembly index of the meet
-    closure of s_i | s_j (through the frame's closure memo, as
-    sublocale_join), meets[i][j] that of s_i & s_j and differences[i][j]
-    that of difference_mask(s_i, s_j).  Each is k x k over the whole
-    assembly and makes no Sublocale; every ordered pair is computed once,
-    so a commutativity slip still shows in the table.  An entry is None
-    when the result is not a member, which only a broken operation or
-    enumeration gives; the batteries that read it fail there.
+    binary sublocale operations from, each a k x k int array over the
+    whole assembly: with s_i the i-th entry of assembly.masks,
+    joins[i, j] is the assembly index of the meet closure of s_i | s_j
+    (through the frame's closure memo, as sublocale_join), meets[i, j]
+    that of s_i & s_j and differences[i, j] that of the meet closure of
+    top | s_i & U(s_j) (sublocales._pieces_union, as difference_mask).
+    Each distinct closure input is closed once and no Sublocale is made;
+    every ordered pair has an entry of its own, so a table that swaps its
+    arguments still shows.  An entry is -1 when the result is not a
+    member, which only a broken operation or enumeration gives; the
+    batteries that read it fail there.  inclusion[i, j] tells whether
+    s_i lies inside s_j (frames.inclusion_order).
     """
 
     def __init__(self, frame, cap=subl.DEFAULT_CAP):
@@ -406,21 +422,40 @@ class FrameAnalysis:
     def assembly(self):
         return subl.enumerate_assembly(self.frame, self.cap)
 
-    def _pair_table(self, op):
-        index, masks = self.assembly.index_of, self.assembly.masks
-        return tuple(tuple(index(op(s, t)) for t in masks) for s in masks)
+    def index_table(self, inputs, close):
+        """Int array of the assembly index of close(u) for each input
+        mask u, -1 where it is not a member; each distinct input is
+        closed once."""
+        index = self.assembly._index
+        of_input = {u: index.get(close(u), -1) for u in set(inputs)}
+        return np.fromiter(map(of_input.__getitem__, inputs), np.intp, len(inputs))
 
     @cached_property
     def joins(self):
-        return self._pair_table(lambda s, t: subl._meet_closed(self.frame, s | t))
+        masks = self.assembly.masks
+        return self.index_table([s | t for s in masks for t in masks],
+                                partial(subl._meet_closed, self.frame)
+                                ).reshape(len(masks), -1)
 
     @cached_property
     def meets(self):
-        return self._pair_table(lambda s, t: s & t)
+        masks = self.assembly.masks
+        # an intersection of sublocales needs no closing: int is the identity
+        return self.index_table([s & t for s in masks for t in masks],
+                                int).reshape(len(masks), -1)
 
     @cached_property
     def differences(self):
-        return self._pair_table(lambda s, t: subl.difference_mask(self.frame, s, t))
+        frame, masks = self.frame, self.assembly.masks
+        top = 1 << frame.top
+        unions = [subl._pieces_union(frame, t) for t in masks]
+        return self.index_table([top | s & u for s in masks for u in unions],
+                                partial(subl._meet_closed, frame)
+                                ).reshape(len(masks), -1)
+
+    @cached_property
+    def inclusion(self):
+        return frames.inclusion_order(self.assembly.masks)
 
     @cached_property
     def whole(self):
@@ -459,13 +494,22 @@ class FrameAnalysis:
         return tuple(i for i, s in enumerate(self.assembly) if s in self.d_family)
 
     @cached_property
+    def in_d_family(self):
+        """Boolean array of k + 1 entries: entry i tells whether member i
+        is a D-sublocale, and the last, False, is what a -1 entry of a
+        pair table reads."""
+        out = np.zeros(len(self.assembly) + 1, dtype=bool)
+        out[list(self.d_indices)] = True
+        return out
+
+    @cached_property
     def spatial_family(self):
         return spatial_sublocales(self.assembly)
 
     @cached_property
     def td_spatializations(self):
         """Assembly index of the td_spatialization of every D-sublocale,
-        keyed by the D-sublocale's index (None where it is not a member),
+        keyed by the D-sublocale's index (-1 where it is not a member),
         computed once."""
         assembly = self.assembly
         return {i: assembly.index_of(td_spatialization(assembly[i]).mask)

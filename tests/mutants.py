@@ -4,11 +4,12 @@ Used to prove the verification suites are not vacuous: each mutant in
 ALL_MUTANTS must make at least one suite or battery fail, each in
 ORDER_MUTANTS at least one oracle check, and each in MEMO_MUTANTS one
 test of the frame memo (test_mutants.py names which).  The ALL_MUTANTS
-break the mask operations the pair tables read (the join closure,
-difference_mask, the enumeration) or the tables themselves, and
-sublocale_join, which law_open_closed reads; wrong results are handed
-on unvalidated, so the breakage propagates into the laws instead of
-tripping input validation immediately.  The ORDER_MUTANTS break the
+break the mask operations the pair tables read (the join closure, the
+difference's union of pieces, the enumeration), the table builders of
+FrameAnalysis and Assembly themselves, and sublocale_join, which
+law_open_closed reads; wrong results are handed on unvalidated, so the
+breakage propagates into the laws instead of tripping input validation
+immediately.  The ORDER_MUTANTS break the
 frame kernels (validation and its witness search, the Heyting table,
 the meet closure, the spectra, meets of points and subfitness) and the
 cap prediction of enumerate_assembly, and the
@@ -29,7 +30,6 @@ REAL_COVERED = frames.covered_primes
 REAL_PIECES_UNION = subl._pieces_union
 REAL_PRIME_CLOSURES = subl._prime_subset_closures
 REAL_SPECTRA = sy._spectra
-REAL_DIFFERENCES = sy.FrameAnalysis.differences.func
 
 
 def underreport_covered_primes(monkeypatch):
@@ -51,13 +51,12 @@ def join_without_meet_closure(monkeypatch):
 
 
 def difference_without_decomposition(monkeypatch):
-    """Plain set difference plus top instead of the least-solution search,
-    recorded as valid so that difference hands it on unchecked."""
-    def mutant(frame, s, t):
-        d = s & ~t | 1 << frame.top
-        frame._memo.valid.add(d)
-        return d
-    monkeypatch.setattr(subl, "difference_mask", mutant)
+    """FrameAnalysis.differences taking U(T) to be the complement of T, so
+    that each entry is the meet closure of top and plain S minus T
+    instead of the pieces of the decomposition."""
+    _patch_edited(monkeypatch, "differences",
+                  "unions = [subl._pieces_union(frame, t) for t in masks]",
+                  "unions = [~t for t in masks]", owner=sy.FrameAnalysis)
 
 
 def union_memo_ignoring_other(monkeypatch):
@@ -80,10 +79,17 @@ def enumeration_dropping_last_prime(monkeypatch):
 
 
 def table_join_ignoring_second(monkeypatch):
-    """Assembly.join_mask returning by_primes[P(S)], as if T added nothing."""
-    def mutant(self, a, b):
-        return self.by_primes[self.primes_of[a]]
-    monkeypatch.setattr(subl.Assembly, "join_mask", mutant)
+    """Assembly.bits_table applying op to the prime bits of S and none,
+    so the join table reads by_primes[P(S)], as if T added nothing."""
+    _patch_edited(monkeypatch, "bits_table", "op(bits[:, None], bits)",
+                  "op(bits[:, None], 0 * bits)", owner=subl.Assembly)
+
+
+def enumeration_without_prime_meets(monkeypatch):
+    """Prime-subset enumeration adding each prime without its meets with
+    the members already there, so a member need not be meet-closed."""
+    _patch_edited(monkeypatch, "_prime_subset_closures", "grown |= 1 << row[s]",
+                  "grown |= 1 << p", owner=subl)
 
 
 def spectra_of_another_mask(monkeypatch):
@@ -94,24 +100,17 @@ def spectra_of_another_mask(monkeypatch):
     monkeypatch.setattr(sy, "_spectra", mutant)
 
 
-def _replace_pair_table(monkeypatch, name, build):
-    table = functools.cached_property(build)
-    table.__set_name__(sy.FrameAnalysis, name)
-    monkeypatch.setattr(sy.FrameAnalysis, name, table)
-
-
 def pair_differences_transposed(monkeypatch):
-    """FrameAnalysis.differences holding difference(T, S) at [i][j]."""
-    _replace_pair_table(monkeypatch, "differences",
-                        lambda an: tuple(zip(*REAL_DIFFERENCES(an))))
+    """FrameAnalysis.differences holding difference(T, S) at [i, j]."""
+    _patch_edited(monkeypatch, "differences", "for s in masks for u in unions",
+                  "for u in unions for s in masks", owner=sy.FrameAnalysis)
 
 
 def pair_joins_ignoring_second(monkeypatch):
-    """FrameAnalysis.joins holding the join of S alone at [i][j], as if T
+    """FrameAnalysis.joins holding the join of S alone at [i, j], as if T
     added nothing."""
-    def mutant(an):
-        return an._pair_table(lambda s, t: subl._meet_closed(an.frame, s))
-    _replace_pair_table(monkeypatch, "joins", mutant)
+    _patch_edited(monkeypatch, "joins", "[s | t for s in masks for t in masks]",
+                  "[s for s in masks for t in masks]", owner=sy.FrameAnalysis)
 
 
 def closure_memo_answering_first(monkeypatch):
@@ -129,6 +128,7 @@ ALL_MUTANTS = (
     ("union_memo_ignoring_other", union_memo_ignoring_other),
     ("enumeration_dropping_last_prime", enumeration_dropping_last_prime),
     ("table_join_ignoring_second", table_join_ignoring_second),
+    ("enumeration_without_prime_meets", enumeration_without_prime_meets),
     ("spectra_of_another_mask", spectra_of_another_mask),
     ("pair_differences_transposed", pair_differences_transposed),
     ("pair_joins_ignoring_second", pair_joins_ignoring_second),

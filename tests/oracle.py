@@ -16,6 +16,7 @@ import numpy as np
 
 from localelab import frames
 from localelab import sublocales as subl
+from localelab import subsystems as sy
 from localelab.sublocales import Sublocale
 
 
@@ -294,3 +295,30 @@ def least_difference(frame, assembly_masks, s, t):
     least = Sublocale(frame, inter)
     assert s.members <= join_bruteforce(frame, [t, least]).members
     return least
+
+
+# ---------------------------------------------------------------------------
+# the adjunction scan by pairs
+
+def adjunction_law_by_pairs(frame, points, family, spectrum):
+    """subsystems.adjunction_law as one test per (Y, S) pair, the judge of
+    its bitsets: the same report, failures in the same order."""
+    pts = sorted(points)
+    subs = [(s, frames.mask_of(spectrum(s))) for s in family]
+    failures = []
+    checked = 0
+    for sel in range(1 << len(pts)):
+        y = frozenset(pts[i] for i in frames.bits_of(sel))
+        y_mask = frames.mask_of(y)
+        m = sy.meet_closure(frame, y)
+        if spectrum(m) != y:
+            failures.append(f"{spectrum.__name__}(meet_closure({sorted(y)})) "
+                            f"!= {sorted(y)}")
+        for s, s_points in subs:
+            checked += 1
+            lhs = m.mask & ~s.mask == 0
+            rhs = y_mask & ~s_points == 0
+            if lhs != rhs:
+                failures.append(
+                    f"law fails for Y={sorted(y)} S={s!r}: {lhs} vs {rhs}")
+    return sy.AdjunctionReport(checked, failures)

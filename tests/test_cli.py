@@ -139,6 +139,25 @@ class TestVerify:
                              "result: INCOMPLETE\n")
         assert not list(tmp_path.iterdir())
 
+    def test_fresh_verify_never_imports_numpy_ma(self, tmp_path):
+        # np.unique imports numpy.ma on its first call, some 20 ms in a
+        # fresh process; no verify path may pay for it.  Bound 4 runs the
+        # triple scans, the frame of seed 1005201 at bound 6 the 64-member
+        # assembly.
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        code = ("import io, sys\n"
+                "from localelab import cli\n"
+                "for argv in sys.argv[1:]:\n"
+                "    assert cli.main(argv.split(), out=io.StringIO()) == cli.EXIT_OK\n"
+                "print('numpy.ma' in sys.modules)\n")
+        out = f"--out-dir {tmp_path}"
+        child = subprocess.run(
+            [sys.executable, "-c", code, f"verify --seed 1 --bound 4 --count 8 {out}",
+             f"verify --seed 1005201 --bound 6 --count 1 {out}"],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+            timeout=120)
+        assert (child.returncode, child.stdout, child.stderr) == (0, "False\n", "")
+
     def test_failure_writes_reloadable_witness(self, tmp_path, monkeypatch):
         mutants.underreport_covered_primes(monkeypatch)
         code, text = run(["verify", "--count", "8", "--bound", "3",

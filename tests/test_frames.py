@@ -350,7 +350,9 @@ def test_frame_kernels_match_their_judges(bound, seed, data):
                     == oracle.meets_of_points_by_folds(f, points, members))
     elements = st.lists(st.integers(0, f.n - 1), max_size=8)
     points, some = data.draw(elements), data.draw(elements)
-    for chosen in (None, some):
+    # given elements must be meet-closed and hold the points and the top
+    closed = list(frames.bits_of(f.meet_close_mask(frames.mask_of(some + points))))
+    for chosen in (None, closed):
         assert (frames.meets_of_points(f, points, chosen)
                 == oracle.meets_of_points_by_folds(f, points, chosen))
 

@@ -13,6 +13,8 @@ boundary for each instead.
 
 The mutant matrix asserts the converse over all ALL_MUTANTS at once:
 every suite and battery fails under some mutant, save those in UNKILLED.
+It also runs the checks that scan pairs and triples by both their routes,
+numpy gathers and Python loops, which must agree under every mutant.
 """
 
 import io
@@ -39,6 +41,7 @@ KILLED_BY = {
     "union_memo_ignoring_other": ("square", theorems.law_difference),
     "enumeration_dropping_last_prime": ("square", theorems.assembly_powerset_suite),
     "table_join_ignoring_second": ("square", theorems.law_assembly_order),
+    "enumeration_without_prime_meets": ("square", theorems.law_nucleus_roundtrip),
     "spectra_of_another_mask": ("square", theorems.law_spectra),
     "pair_differences_transposed": ("square", theorems.law_difference),
     "pair_joins_ignoring_second": ("square", theorems.law_assembly_order),
@@ -296,13 +299,48 @@ MATRIX_FRAMES = {
 CHECKS = theorems.THEOREM_SUITES + theorems.LAW_BATTERIES
 
 
+# the checks with a loop route and an array route (theorems.LOOP_SCAN_MAX)
+SCANNED = (theorems.covered_primes_suite, theorems.law_difference,
+           theorems.law_td_adjunction, theorems.law_d_family_closure,
+           theorems.law_assembly_order)
+
+
+def _both_routes(check, an):
+    """check(an) by its array route and by its loop route."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(theorems, "LOOP_SCAN_MAX", 0)
+        arrays = check(an)
+        patch.setattr(theorems, "LOOP_SCAN_MAX", 1 << 30)
+        return arrays, check(an)
+
+
+def _routes(an):
+    """Each SCANNED check by its array route and by its loop route, and
+    each side of the meet-closure adjunction by its bitsets and by
+    oracle.adjunction_law_by_pairs: name -> (fast, loops), reports as
+    (checked, failures)."""
+    out = {check.__name__: _both_routes(check, an) for check in SCANNED}
+    frame, assembly = an.frame, an.assembly
+    d_family = sy.d_sublocales(assembly)
+    for name, points, family, spectrum in (
+            ("check_td_adjunction", an.covered, [s for s in assembly if s in d_family],
+             sy.covered_points_of),
+            ("adjunction_law", an.points, assembly, sy.points_of)):
+        out[name] = tuple((report.checked, report.failures) for report in (
+            sy.adjunction_law(frame, points, family, spectrum),
+            oracle.adjunction_law_by_pairs(frame, points, family, spectrum)))
+    return out
+
+
 @pytest.fixture(scope="module")
 def mutant_matrix():
     """Every suite and battery on every MATRIX_FRAMES frame, without a
     mutant (key None) and under each mutant in mutants.ALL_MUTANTS:
-    (failed, raised), where failed[mutant] names the checks that failed
-    and raised maps (mutant, frame, check) to the exception type."""
-    failed, raised = {}, {}
+    (failed, raised, compared), where failed[mutant] names the checks
+    that failed, raised maps (mutant, frame, check) to the exception
+    type, and compared maps (mutant, frame, check) to the two routes'
+    results of each check that _routes runs both ways."""
+    failed, raised, compared = {}, {}, {}
     for name, apply_mutant in [(None, None)] + list(mutants.ALL_MUTANTS):
         failed[name] = set()
         with pytest.MonkeyPatch.context() as patch:
@@ -316,25 +354,79 @@ def mutant_matrix():
                             failed[name].add(check.__name__)
                     except Exception as exc:
                         raised[name, frame_name, check.__name__] = type(exc)
-    return failed, raised
+                if not raised:
+                    for check_name, pair in _routes(an).items():
+                        compared[name, frame_name, check_name] = pair
+    return failed, raised, compared
 
 
 def test_mutant_matrix_raises_only_where_it_raised(mutant_matrix):
     # every suite and battery passes or fails cleanly under every mutant:
     # none raises, so each failure names its condition
-    _, raised = mutant_matrix
+    _, raised, _ = mutant_matrix
     assert raised == {}
 
 
-# the checks that no mutant makes fail on MATRIX_FRAMES.  law_nucleus_roundtrip
-# fails only on an assembly member that is not a sublocale, and no mutant
-# makes one (a FOUND line of CHANGES.md)
-UNKILLED = {"law_nucleus_roundtrip"}
+def test_array_scans_match_their_loops(mutant_matrix):
+    # the array scans and the loops read the same tables; they must agree
+    # on the verdict, the first failure named and the count checked, under
+    # every mutant, and each check must fail somewhere, so that the
+    # agreement covers failures too
+    _, raised, compared = mutant_matrix
+    assert raised == {}
+    assert len(compared) == ((len(mutants.ALL_MUTANTS) + 1) * len(MATRIX_FRAMES)
+                             * (len(SCANNED) + 2))
+    assert {key: pair for key, pair in compared.items() if pair[0] != pair[1]} == {}
+    failing = {key[2] for key, (fast, _) in compared.items()
+               if (fast[1] if isinstance(fast, tuple) else not _passed(fast))}
+    assert failing == {check.__name__ for check in SCANNED} | {
+        "check_td_adjunction", "adjunction_law"}
+
+
+@pytest.mark.parametrize("doctor", [
+    lambda frame, closed: closed & ~(1 << frame.top),
+    lambda frame, closed: (1 << frame.n) - 1,
+], ids=["closure_outside_assembly", "closure_of_everything"])
+@pytest.mark.parametrize("frame_name", MATRIX_FRAMES)
+def test_own_closure_scans_match_their_loops(frame_name, doctor, monkeypatch):
+    # law_difference's triple scan and law_td_adjunction's pair-join scan
+    # close joins of their own, which no mutant reaches: with the tables
+    # built, the frame's closures are doctored, and both routes of each
+    # must name the same first failure with the same count
+    an = sy.FrameAnalysis(MATRIX_FRAMES[frame_name]())
+    theorems.run_theorem_suites(an)
+    theorems.run_law_batteries(an)
+    frame, close = an.frame, an.frame.meet_close_mask
+    monkeypatch.setattr(frame, "meet_close_mask",
+                        lambda mask: doctor(frame, close(mask)), raising=False)
+    arrays, loops = _both_routes(theorems.law_difference, an)
+    assert arrays == loops and not arrays.ok
+    arrays, loops = _both_routes(theorems.law_td_adjunction, an)
+    assert arrays == loops
+
+
+@pytest.mark.parametrize("name, apply_mutant", [(None, None)] + list(mutants.ALL_MUTANTS),
+                         ids=["no_mutant"] + [name for name, _ in mutants.ALL_MUTANTS])
+def test_array_scans_match_their_loops_past_one_word(name, apply_mutant, monkeypatch):
+    # 72 elements and 128 members: masks and covered points take two
+    # 64-bit words, which no MATRIX_FRAMES frame reaches
+    if apply_mutant:
+        apply_mutant(monkeypatch)
+    an = sy.FrameAnalysis(frames.downset_lattice(
+        frames.transitive_reflexive_closure(7, [(0, 1), (2, 3)])))
+    assert an.frame.n > 64
+    results = [_both_routes(check, an) for check in SCANNED]
+    assert all(arrays == loops for arrays, loops in results)
+    assert all(_passed(arrays) for arrays, _ in results) == (name is None)
+
+
+# the checks that no mutant makes fail on MATRIX_FRAMES
+UNKILLED = set()
 
 
 def test_every_check_fails_under_some_mutant(mutant_matrix):
     # a check that no broken engine makes fail judges nothing
-    failed, _ = mutant_matrix
+    failed, _, _ = mutant_matrix
     assert failed.pop(None) == set()
     killed = set().union(*failed.values())
     assert {check.__name__ for check in CHECKS} - killed == UNKILLED
