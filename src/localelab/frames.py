@@ -271,8 +271,10 @@ class _Memo:
     subs maps a mask to the frame's one Sublocale object; valid holds the
     masks that passed Sublocale._validate (a failure is never recorded);
     closures maps an input mask of sublocale_join, of difference_mask or
-    of subsystems.meet_closure (the pair tables read the first two) to its
-    meet closure, the one kernel result they all read; unions maps a mask
+    of subsystems.meet_closure to its meet closure, the one kernel result
+    they all read, filled one mask at a time by those and in batches of
+    meet_close_masks by the pair tables, the supplement row and
+    law_open_closed (sublocales._meet_closed_all); unions maps a mask
     t to the mask U(t) of pieces that difference_mask intersects with s;
     difference_tables holds the tables U is built from, once built;
     spectra maps a mask to spectra_of's (primes, covered primes) of its
@@ -450,7 +452,8 @@ class FiniteFrame:
         members of mask exactly when it is the meet of the members above
         it, that is when every upper cover y of x misses a member of
         mask & up(x).  The top has no upper cover, so it is always in.
-        The worklist closure is the oracle (tests/oracle.py).
+        The worklist closure is the oracle (tests/oracle.py), and
+        meet_close_masks runs the same test on many masks at once.
         """
         out = 0
         for x, gaps in enumerate(self._cover_gaps):
@@ -459,6 +462,44 @@ class FiniteFrame:
                     break
             else:
                 out |= 1 << x
+        return out
+
+    @cached_property
+    def _gap_words(self):
+        """_cover_gaps laid out for meet_close_masks: every gap, element
+        by element, as a (words, gaps) uint64 array (mask_words), the
+        elements that have gaps (all but the top) and the position where
+        the run of each one's gaps starts."""
+        runs = self._cover_gaps
+        owners = [x for x, gaps in enumerate(runs) if gaps]
+        sizes = np.array([len(runs[x]) for x in owners], dtype=np.intp)
+        return (mask_words([gap for gaps in runs for gap in gaps], self.n),
+                np.array(owners, dtype=np.intp), np.cumsum(sizes) - sizes)
+
+    def meet_close_masks(self, masks):
+        """[meet_close_mask(m) for m in masks], by the same cover test run
+        on the whole batch as numpy words.
+
+        Each mask is read as ceil(n / 64) 64-bit words; hit[m, g] tells
+        whether mask m meets gap g, one AND per word, and x is in the
+        closure of m exactly when every gap of x is hit, one
+        AND-reduction over the run of x's gaps (the top has none and is
+        always in).  masks is a list; it goes through in blocks whose
+        temporaries, some 12 bytes per mask and gap, fit in BLOCK_BYTES.
+        The single-mask kernel and the worklist closure are the routes it
+        is tested against.
+        """
+        gaps, owners, starts = self._gap_words
+        size, out = 8 * len(gaps), [0] * len(masks)
+        for lo, hi in _row_blocks(len(masks), 12 * gaps.shape[1] + 2 * self.n + size):
+            raw = b"".join(m.to_bytes(size, "little") for m in masks[lo:hi])
+            rows = np.frombuffer(raw, dtype="<u8").reshape(hi - lo, len(gaps))
+            hit = (rows[:, 0, None] & gaps[0]) != 0
+            for w in range(1, len(gaps)):
+                hit |= (rows[:, w, None] & gaps[w]) != 0
+            closed = np.ones((hi - lo, self.n), dtype=bool)
+            closed[:, owners] = np.logical_and.reduceat(hit, starts, axis=1)
+            out[lo:hi] = _int_rows(_packed_words(closed))
         return out
 
 
@@ -476,13 +517,14 @@ def mask_of(elements):
     return m
 
 
-def mask_words(masks):
+def mask_words(masks, bits=None):
     """The int masks as a uint64 array of shape (words, len(masks)): row w
-    holds bits 64w to 64w + 63 of every mask, and there is at least one row."""
+    holds bits 64w to 64w + 63 of every mask, and there is at least one
+    row; with bits given, ceil(bits / 64) rows, for masks of that many bits."""
     masks = list(masks)
-    return np.array([[m >> shift & 0xFFFFFFFFFFFFFFFF for m in masks]
-                     for shift in range(0, max(masks, default=0).bit_length() or 1, 64)],
-                    dtype=np.uint64)
+    shifts = range(0, bits or max(masks, default=0).bit_length() or 1, 64)
+    return np.array([[m >> shift & 0xFFFFFFFFFFFFFFFF for m in masks] for shift in shifts],
+                    dtype=np.uint64).reshape(len(shifts), len(masks))
 
 
 def inclusion_order(masks):

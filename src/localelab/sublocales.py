@@ -56,10 +56,20 @@ class Sublocale:
             self._validate()
 
     def _validate(self):
-        """Check both closure conditions; callers skip masks already valid."""
+        """Check both closure conditions; callers skip masks already valid.
+
+        Up to INT_ROW_BITS elements both loop over the int rows.  Beyond
+        that each is one gather, of the meet table over members x members
+        and of the implication table over elements x members, and the
+        first missing entry in row-major order is the one the loops would
+        meet first, members taken in the order of the set.
+        """
         frame, mask = self.frame, self.mask
         if not mask >> frame.top & 1:
             raise NotASublocale("missing the top element")
+        if frame.n > frames.INT_ROW_BITS:
+            self._validate_by_gathers()
+            return
         meet = frame.meet_rows
         for i in self.members:
             row = meet[i]
@@ -75,6 +85,25 @@ class Sublocale:
                     raise NotASublocale(
                         f"not closed under implication: {a} -> {s} = {row[s]} missing")
         frame._memo.valid.add(mask)
+
+    def _validate_by_gathers(self):
+        frame = self.frame
+        order = np.fromiter(self.members, dtype=np.intp, count=len(self.members))
+        inside = np.zeros(frame.n, dtype=bool)
+        inside[order] = True
+        meets = frame.meet[order[:, None], order]
+        missing = ~inside[meets]
+        if missing.any():
+            i, j = np.unravel_index(missing.argmax(), missing.shape)
+            raise NotASublocale(f"not meet-closed: {order[i]} meet {order[j]} = "
+                                f"{meets[i, j]} is missing")
+        imps = frame.imp[:, order]
+        missing = ~inside[imps]
+        if missing.any():
+            a, j = np.unravel_index(missing.argmax(), missing.shape)
+            raise NotASublocale(f"not closed under implication: {a} -> {order[j]} = "
+                                f"{imps[a, j]} missing")
+        frame._memo.valid.add(self.mask)
 
     # mask and members determine each other, so the int stands in for the set
     def __eq__(self, other):
@@ -146,15 +175,18 @@ def closed_sublocale(frame, a):
 
 
 def boolean_sublocale(frame, a):
-    """b(a) = {b -> a : b in L}; checked to be Boolean as a lattice."""
-    sub = _from_mask(frame, mask_of(frame.imp_rows[b][a] for b in range(frame.n)),
-                     _validate=True)
-    bot = frame.meet_of(sub.members)
-    meet, join, imp = frame.meet_rows, frame.join_rows, frame.imp_rows
+    """b(a) = {b -> a : b in L}, column a of the implication table;
+    checked to be Boolean as a lattice: x -> a is a complement of each
+    member x, meeting it to the least member and joining it to some y
+    with nu_S(y) = top, that is with no member but the top above y."""
+    col = frame.imp[:, a].tolist()
+    sub = _from_mask(frame, mask_of(col), _validate=True)
+    bot, zero_mask = frame.meet_of(sub.members), 1 << frame.top
+    meet, join, up = frame.meet, frame.join, frame.up_masks
     for x in sub.members:
-        c = imp[x][a]
-        if not sub.mask >> c & 1 or meet[x][c] != bot \
-                or sub_nucleus_image(sub, join[x][c]) != frame.top:
+        c = col[x]
+        if not sub.mask >> c & 1 or meet[x, c] != bot \
+                or sub.mask & up[join[x, c]] != zero_mask:
             raise NotASublocale(f"b({a}) is not Boolean at {x}")
     return sub
 
@@ -162,6 +194,46 @@ def boolean_sublocale(frame, a):
 def sub_nucleus_image(sub, a):
     """nu_S(a): the least member of S above a."""
     return sub.frame.meet_of(bits_of(sub.mask & sub.frame.up_masks[a]))
+
+
+def _nucleus_tables(frame, masks):
+    """k x n int32 array: row i is the nucleus of the meet-closed set of
+    elements in masks[i], nu_S(a) = the meet of S & up(a), the least
+    member above a.  Every row starts at the top and is folded over the
+    elements: x meets into nu_S(a) for each a below x when x is in S.
+    Members go through in blocks whose temporaries fit in BLOCK_BYTES."""
+    n, leq = frame.n, frame.leq
+    tables = np.full((len(masks), n), frame.top, dtype=np.int32)
+    for lo, hi in frames._row_blocks(len(masks), 6 * n):
+        table, inside = tables[lo:hi], frames._matrix_of_rows(masks[lo:hi], n)
+        for x in range(n):
+            np.copyto(table, frame.meet[table, x], where=inside[:, x, None] & leq[:, x])
+    return tables
+
+
+def _nucleus_failure(frame, tables):
+    """(row, message) of the first row of tables, each row a self-map of
+    the frame's elements, that is not a nucleus, and the first law it
+    breaks: element by element, a <= t(a), then t(t(a)) = t(a), then
+    t(a meet b) = t(a) meet t(b) for each b, as a loop over a and b
+    meets them; None when every row is a nucleus.  The laws are gathers
+    over the (row, a) pairs, in blocks whose temporaries, some 14 bytes
+    per pair and element, fit in BLOCK_BYTES."""
+    n, meet, leq = frame.n, frame.meet, frame.leq
+    for lo, hi in frames._row_blocks(len(tables) * n, 16 * n):
+        row, a = np.divmod(np.arange(lo, hi), n)
+        t, pairs = tables[row], np.arange(hi - lo)[:, None]
+        t_a = t[pairs, a[:, None]]
+        bad = np.empty((hi - lo, n + 2), dtype=bool)
+        bad[:, :1] = ~leq[a[:, None], t_a]
+        bad[:, 1:2] = t[pairs, t_a] != t_a
+        bad[:, 2:] = t[pairs, meet[a]] != meet[t_a, t]
+        if bad.any():
+            pair, law = np.unravel_index(bad.argmax(), bad.shape)
+            first, a = divmod(lo + int(pair), n)
+            return first, (f"not inflationary at {a}", f"not idempotent at {a}",
+                           f"does not preserve {a} meet {law - 2}")[min(law, 2)]
+    return None
 
 
 class Nucleus:
@@ -174,16 +246,9 @@ class Nucleus:
         self.table = tuple(int(x) for x in table)
         if len(self.table) != frame.n:
             raise ValueError("nucleus table has wrong length")
-        t, up, meet = self.table, frame.up_masks, frame.meet_rows
-        for a in range(frame.n):
-            if not up[a] >> t[a] & 1:
-                raise ValueError(f"not inflationary at {a}")
-            if t[t[a]] != t[a]:
-                raise ValueError(f"not idempotent at {a}")
-            row, t_row = meet[a], meet[t[a]]
-            for b in range(frame.n):
-                if t[row[b]] != t_row[t[b]]:
-                    raise ValueError(f"does not preserve {a} meet {b}")
+        failure = _nucleus_failure(frame, np.array([self.table], dtype=np.intp))
+        if failure:
+            raise ValueError(failure[1])
 
     def __call__(self, a):
         return self.table[a]
@@ -199,8 +264,8 @@ def nucleus_to_sublocale(nu):
 
 
 def sublocale_to_nucleus(sub):
-    """a maps to the least member above a."""
-    return Nucleus(sub.frame, [sub_nucleus_image(sub, a) for a in range(sub.frame.n)])
+    """a maps to the least member above a (_nucleus_tables)."""
+    return Nucleus(sub.frame, _nucleus_tables(sub.frame, [sub.mask])[0])
 
 
 def _masks_of(frame, parts):
@@ -230,6 +295,15 @@ def _meet_closed(frame, mask):
     return closed
 
 
+def _meet_closed_all(frame, masks):
+    """[_meet_closed(frame, m) for m in masks], through the same memo,
+    with every mask it lacks closed in one frame.meet_close_masks call."""
+    closures = frame._memo.closures
+    missing = [m for m in dict.fromkeys(masks) if m not in closures]
+    closures.update(zip(missing, frame.meet_close_masks(missing)))
+    return [closures[m] for m in masks]
+
+
 def sublocale_meet(frame, parts):
     """Meet: plain intersection (empty meet is the whole frame)."""
     m = (1 << frame.n) - 1
@@ -257,41 +331,48 @@ def is_codense(sub):
 
 
 def _difference_tables(frame):
-    """The distinct basic sublocales o(x) join c(y), each paired with the
-    union of the pieces c(x) meet o(y) of every (x, y) that gives it.
+    """The distinct basic sublocales o(x) join c(y) and, for each, the
+    union of the pieces c(x) meet o(y) of every (x, y) that gives it, as
+    two (basics, words) uint64 arrays.
 
     An element t belongs to o(x) join c(y) exactly when
-    (x -> t) meet (y join t) = t, so no join computation is needed; for
-    each x one numpy gather tests every (y, t).
+    (x -> t) meet (y join t) = t, so no join computation is needed: one
+    numpy gather per block of x tests every (x, y, t).
     """
-    n = frame.n
-    open_masks = [mask_of(frame.imp_rows[a]) for a in range(n)]
+    n, up = frame.n, frame.up_masks
     elements = np.arange(n)
+    opens = [mask_of(row) for row in frame.imp_rows]
     tables = {}
-    for x in range(n):
-        inside = frame.meet[frame.imp[x][None, :], frame.join] == elements
-        rows = np.packbits(inside, axis=1, bitorder="little")
-        up = frame.up_masks[x]
-        for y in range(n):
-            basic = int.from_bytes(rows[y].tobytes(), "little")
-            tables[basic] = tables.get(basic, 0) | up & open_masks[y]
-    return tuple(tables.items())
+    for lo, hi in frames._row_blocks(n, 24 * n * n):
+        inside = frame.meet[frame.imp[lo:hi, None, :], frame.join] == elements
+        basics = iter(frames._int_rows(frames._packed_words(inside.reshape(-1, n))))
+        for x in range(lo, hi):
+            for y, basic in zip(range(n), basics):
+                tables[basic] = tables.get(basic, 0) | up[x] & opens[y]
+    return frames.mask_words(tables, n).T, frames.mask_words(tables.values(), n).T
 
 
-def _pieces_union(frame, t_mask):
-    """U(T): the union of the pieces c(x) meet o(y) over every (x, y)
-    with T inside o(x) join c(y); computed once per frame and T."""
+def _pieces_unions(frame, t_masks):
+    """[U(T) for T in t_masks]: the union of the pieces c(x) meet o(y)
+    over every (x, y) with T inside o(x) join c(y), computed once per
+    frame and T through the memo.  The masks it lacks are found at once:
+    T lies inside a basic b when T & ~b is empty in every word, and U(T)
+    ORs the pieces of the basics holding T, in blocks of masks whose
+    temporaries, some 10 bytes per mask, basic and word, fit in
+    BLOCK_BYTES."""
     memo = frame._memo
-    union = memo.unions.get(t_mask)
-    if union is None:
+    missing = [t for t in dict.fromkeys(t_masks) if t not in memo.unions]
+    if missing:
         if memo.difference_tables is None:
             memo.difference_tables = _difference_tables(frame)
-        union = 0
-        for basic, pieces in memo.difference_tables:
-            if t_mask & ~basic == 0:
-                union |= pieces
-        memo.unions[t_mask] = union
-    return union
+        basics, pieces = memo.difference_tables
+        rows, outside = frames.mask_words(missing, frame.n).T, ~basics
+        for lo, hi in frames._row_blocks(len(missing), 10 * basics.size):
+            holds = ((rows[lo:hi, None, :] & outside) == 0).all(axis=2)
+            unions = np.bitwise_or.reduce(np.where(holds[:, :, None], pieces, np.uint64(0)),
+                                          axis=1)
+            memo.unions.update(zip(missing[lo:hi], frames._int_rows(unions)))
+    return [memo.unions[t] for t in t_masks]
 
 
 def difference_mask(frame, s, t):
@@ -300,10 +381,10 @@ def difference_mask(frame, s, t):
 
     Computed by decomposing t as the intersection of every complemented
     o(x) join c(y) above it and joining the pieces s meet c(x) meet o(y):
-    the meet closure of top and s meet U(t), where U (_pieces_union)
+    the meet closure of top and s meet U(t), where U (_pieces_unions)
     depends on t alone.
     """
-    return _meet_closed(frame, 1 << frame.top | s & _pieces_union(frame, t))
+    return _meet_closed(frame, 1 << frame.top | s & _pieces_unions(frame, [t])[0])
 
 
 def difference(sub, other):

@@ -166,15 +166,6 @@ def check_td_adjunction(assembly):
 # ---------------------------------------------------------------------------
 # the four subsystems
 
-def smooth_sublocales(assembly):
-    """Fixpoints of the double supplement: the Booleanization of the assembly."""
-    out = set()
-    for s in assembly:
-        if subl.supplement(subl.supplement(s)) == s:
-            out.add(s)
-    return frozenset(out)
-
-
 def d_sublocales(assembly):
     """The D-sublocales of an enumerated assembly, found once per
     assembly and kept in assembly.d_family."""
@@ -341,7 +332,9 @@ def lift_surjection(assembly, sub):
 
     # closed-generator square: c(a) in the source maps to c(a) in sub
     for a in sub.members:
-        i = src_index[frame.up_masks[a]]
+        i = src_index.get(frame.up_masks[a])
+        if i is None:
+            raise NotLiftable(f"closed sublocale c({a}) is not a D-sublocale")
         expect = mask_of(pos[x] for x in bits_of(sub.mask & frame.up_masks[a]))
         if tgt_subs[pair.hom[i]].mask != expect:
             raise NotLiftable(f"closed-generator square fails at {a}")
@@ -405,13 +398,16 @@ class FrameAnalysis:
     joins[i, j] is the assembly index of the meet closure of s_i | s_j
     (through the frame's closure memo, as sublocale_join), meets[i, j]
     that of s_i & s_j and differences[i, j] that of the meet closure of
-    top | s_i & U(s_j) (sublocales._pieces_union, as difference_mask).
-    Each distinct closure input is closed once and no Sublocale is made;
-    every ordered pair has an entry of its own, so a table that swaps its
+    top | s_i & U(s_j) (sublocales._pieces_unions, as difference_mask).
+    Each distinct closure input is closed once, all of a table's in one
+    batch (sublocales._meet_closed_all), and no Sublocale is made; every
+    ordered pair has an entry of its own, so a table that swaps its
     arguments still shows.  An entry is -1 when the result is not a
     member, which only a broken operation or enumeration gives; the
     batteries that read it fail there.  inclusion[i, j] tells whether
-    s_i lies inside s_j (frames.inclusion_order).
+    s_i lies inside s_j (frames.inclusion_order).  supplements is the
+    whole frame's row of the differences, from which the smooth family
+    and the complemented members are read.
     """
 
     def __init__(self, frame, cap=subl.DEFAULT_CAP):
@@ -423,35 +419,50 @@ class FrameAnalysis:
         return subl.enumerate_assembly(self.frame, self.cap)
 
     def index_table(self, inputs, close):
-        """Int array of the assembly index of close(u) for each input
-        mask u, -1 where it is not a member; each distinct input is
-        closed once."""
-        index = self.assembly._index
-        of_input = {u: index.get(close(u), -1) for u in set(inputs)}
+        """Int array of the assembly index of the closure of each input
+        mask, -1 where it is not a member.  close maps the list of the
+        distinct inputs to the list of their closures, in one call."""
+        index, distinct = self.assembly._index, list(dict.fromkeys(inputs))
+        of_input = {u: index.get(c, -1) for u, c in zip(distinct, close(distinct))}
         return np.fromiter(map(of_input.__getitem__, inputs), np.intp, len(inputs))
 
     @cached_property
     def joins(self):
         masks = self.assembly.masks
         return self.index_table([s | t for s in masks for t in masks],
-                                partial(subl._meet_closed, self.frame)
+                                partial(subl._meet_closed_all, self.frame)
                                 ).reshape(len(masks), -1)
 
     @cached_property
     def meets(self):
         masks = self.assembly.masks
-        # an intersection of sublocales needs no closing: int is the identity
+        # an intersection of sublocales needs no closing: list is the identity
         return self.index_table([s & t for s in masks for t in masks],
-                                int).reshape(len(masks), -1)
+                                list).reshape(len(masks), -1)
 
     @cached_property
     def differences(self):
         frame, masks = self.frame, self.assembly.masks
         top = 1 << frame.top
-        unions = [subl._pieces_union(frame, t) for t in masks]
+        unions = subl._pieces_unions(frame, masks)
         return self.index_table([top | s & u for s in masks for u in unions],
-                                partial(subl._meet_closed, frame)
+                                partial(subl._meet_closed_all, frame)
                                 ).reshape(len(masks), -1)
+
+    @cached_property
+    def supplements(self):
+        """Int array of k + 1 entries: entry j is the assembly index of
+        the supplement of member j, the least sublocale whose join with it
+        is the whole frame, -1 where that is not a member, and the last
+        entry is -1, which a -1 entry reads.  It is the whole frame's row
+        of differences, the meet closure of top | U(s_j), its k unions
+        found and its k inputs closed in one batch each through the frame
+        memo."""
+        frame, masks = self.frame, self.assembly.masks
+        top = 1 << frame.top
+        row = self.index_table([top | u for u in subl._pieces_unions(frame, masks)],
+                               partial(subl._meet_closed_all, frame))
+        return np.append(row, -1)
 
     @cached_property
     def inclusion(self):
@@ -463,16 +474,25 @@ class FrameAnalysis:
 
     @cached_property
     def smooth(self):
-        return smooth_sublocales(self.assembly)
+        """Fixpoints of the double supplement, the Booleanization of the
+        assembly: the members i with sup[sup[i]] = i."""
+        sup = self.supplements
+        fixed = np.flatnonzero(sup[sup[:-1]] == np.arange(len(sup) - 1))
+        return frozenset(self.assembly[i] for i in fixed.tolist())
 
     @cached_property
     def smooth_by_joins(self):
         """The complemented sublocales and zero: the other published
         description of the smooth sublocales, the joins of complemented
         ones.  No join has to be added, because a finite join of
-        complemented elements of a coframe is complemented."""
-        return frozenset(s for s in self.assembly
-                         if subl.is_complemented(s)) | {subl.zero(self.frame)}
+        complemented elements of a coframe is complemented.  Member i is
+        complemented when it meets its supplement in the zero sublocale
+        {top} alone."""
+        masks, zero_mask = self.assembly.masks, 1 << self.frame.top
+        return frozenset(self.assembly[i]
+                         for i, j in enumerate(self.supplements[:-1].tolist())
+                         if j >= 0 and masks[i] & masks[j] == zero_mask
+                         ) | {subl.zero(self.frame)}
 
     @cached_property
     def closed_joins(self):

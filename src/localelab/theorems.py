@@ -70,16 +70,16 @@ class LawResult:
 
 def is_boolean_lattice(frame):
     """Every element complemented: meet to bottom, join to top."""
-    n, meet, join = frame.n, frame.meet_rows, frame.join_rows
-    bot, top = frame.bottom, frame.top
-    return all(any(m == bot and j == top for m, j in zip(meet[x], join[x]))
-               for x in range(n))
+    return bool(((frame.meet == frame.bottom) & (frame.join == frame.top)).any(axis=1).all())
 
 
 def _order_frame(family):
     """The reverse-inclusion order frame of a family of sublocales, or
-    None when that order is not a frame, which only a broken engine
-    gives; a condition on the family's lattice is then false."""
+    None when that order is not a frame, the order of an empty family
+    included, which only a broken engine gives; a condition on the
+    family's lattice is then false."""
+    if not family:
+        return None
     try:
         return subl.family_order_frame(family)[0]
     except frames.FrameError:
@@ -349,7 +349,6 @@ _DIFFERENCE_TRIPLE_LAWS = ("S\\(T&R) law fails", "(S\\T)\\R law fails",
 
 @_battery("difference_laws")
 def law_difference(an, law):
-    frame = an.frame
     k = len(an.assembly)
     diff = _members_only(law, an, an.differences, "difference")
     supp = [subl.supplement(t).mask for t in an.assembly]
@@ -358,12 +357,10 @@ def law_difference(an, law):
     if k > TRIPLE_SCAN_LIMIT:
         law.detail = "skipped: triple scan, assembly too large"
         return
-    # the join route this battery judges against: its own closures, off
+    # the triple scans close the joins they judge against themselves, off
     # the frame memo that difference reads
-    close = functools.cache(frame.meet_close_mask)
     meets = _members_only(law, an, an.meets, "meet")
-    (_difference_triples_by_loops if loops else _difference_triples)(
-        an, law, diff, meets, close)
+    (_difference_triples_by_loops if loops else _difference_triples)(an, law, diff, meets)
 
 
 def _difference_pairs_by_loops(an, law, diff, supp):
@@ -418,10 +415,11 @@ def _difference_pairs(an, law, diff, supp):
     law.checked = 4 * k * k
 
 
-def _difference_triples_by_loops(an, law, diff, meets, close):
+def _difference_triples_by_loops(an, law, diff, meets):
     subs, masks = an.assembly.sublocales, an.assembly.masks
     k = len(subs)
     diff, meets = diff.tolist(), meets.tolist()
+    close = functools.cache(an.frame.meet_close_mask)
     joined = [[close(s | t) for t in masks] for s in masks]
     for i in range(k):
         drow = diff[i]
@@ -442,15 +440,15 @@ def _difference_triples_by_loops(an, law, diff, meets, close):
                          f"{subs[i]!r},{subs[j]!r},{subs[r]!r}")
 
 
-def _difference_triples(an, law, diff, meets, close):
+def _difference_triples(an, law, diff, meets):
     subs, masks = an.assembly.sublocales, an.assembly.masks
     k = len(subs)
-    incl = an.inclusion
+    incl, close = an.inclusion, an.frame.meet_close_masks
     joined = an.index_table([s | t for s in masks for t in masks], close).reshape(k, k)
     # inside[i, j, r]: S_i lies inside the join of T_j and R_r
     inside = incl[:, joined]
-    for j, r in zip(*np.nonzero(joined < 0)):
-        join_mask = close(masks[j] | masks[r])
+    outside = list(zip(*np.nonzero(joined < 0)))
+    for (j, r), join_mask in zip(outside, close([masks[j] | masks[r] for j, r in outside])):
         inside[:, j, r] = [m & ~join_mask == 0 for m in masks]
     # axes (i, j, r) of S_i, T_j, R_r
     d_ij, d_ir, ks = diff[:, :, None], diff[:, None, :], np.arange(k)
@@ -468,32 +466,38 @@ def _difference_triples(an, law, diff, meets, close):
 
 @_battery("open_closed_identities")
 def law_open_closed(an, law):
+    """The open, closed and boolean sublocales o(a), c(a) and b(a) as
+    masks, rows of the implication table, upsets and columns of the
+    implication table: their meets are intersections, and their joins
+    the frame memo's meet closures of unions, all closed in one batch."""
     frame = an.frame
     n = frame.n
-    opens = [subl.open_sublocale(frame, a) for a in range(n)]
-    closeds = [subl.closed_sublocale(frame, a) for a in range(n)]
-    booleans = [subl.boolean_sublocale(frame, a) for a in range(n)]
+    opens = [frames.mask_of(row) for row in frame.imp_rows]
+    closeds = frame.up_masks
+    booleans = [frames.mask_of(col) for col in frame.imp.T.tolist()]
+    unions = [m[a] | m[b] for m in (opens, closeds) for a in range(n) for b in range(n)]
+    unions += [o | c for o, c in zip(opens, closeds)]
+    joined = dict(zip(unions, subl._meet_closed_all(frame, unions)))
     for a in range(n):
-        join_row, meet_row = frame.join_rows[a], frame.meet_rows[a]
+        join_row, meet_row, imp_row = frame.join_rows[a], frame.meet_rows[a], frame.imp_rows[a]
         for b in range(n):
             law.checked += 5
             jj, mm = join_row[b], meet_row[b]
-            if closeds[jj] != subl.sublocale_meet(frame, [closeds[a], closeds[b]]):
+            if closeds[jj] != closeds[a] & closeds[b]:
                 law.fail(f"closed-of-join at ({a},{b})")
-            if opens[jj] != subl.sublocale_join(frame, [opens[a], opens[b]]):
+            if opens[jj] != joined[opens[a] | opens[b]]:
                 law.fail(f"open-of-join at ({a},{b})")
-            if closeds[mm] != subl.sublocale_join(frame, [closeds[a], closeds[b]]):
+            if closeds[mm] != joined[closeds[a] | closeds[b]]:
                 law.fail(f"closed-of-meet at ({a},{b})")
-            if opens[mm] != subl.sublocale_meet(frame, [opens[a], opens[b]]):
+            if opens[mm] != opens[a] & opens[b]:
                 law.fail(f"open-of-meet at ({a},{b})")
-            if booleans[frame.imp_rows[a][b]] != \
-                    subl.sublocale_meet(frame, [opens[a], booleans[b]]):
+            if booleans[imp_row[b]] != opens[a] & booleans[b]:
                 law.fail(f"boolean-of-implication at ({a},{b})")
     for a in range(n):
         law.checked += 2
-        if subl.sublocale_meet(frame, [opens[a], closeds[a]]) != subl.zero(frame):
+        if opens[a] & closeds[a] != 1 << frame.top:
             law.fail(f"open meet closed not zero at {a}")
-        if subl.sublocale_join(frame, [opens[a], closeds[a]]) != subl.whole(frame):
+        if joined[opens[a] | closeds[a]] != (1 << n) - 1:
             law.fail(f"open join closed not whole at {a}")
 
 
@@ -519,11 +523,24 @@ def law_zero_dimensional(an, law):
 
 @_battery("nucleus_roundtrip")
 def law_nucleus_roundtrip(an, law):
-    for s in an.assembly:
-        law.checked += 1
-        nu = subl.sublocale_to_nucleus(s)
-        if subl.nucleus_to_sublocale(nu) != s:
-            law.fail(repr(s))
+    """Each member S, in assembly order, goes to its nucleus nu_S, which
+    must be a nucleus, and back to the image of nu_S, which must be S.
+    The nuclei of all members are one table (sublocales._nucleus_tables),
+    checked by gathers."""
+    frame, subs, masks = an.frame, an.assembly.sublocales, an.assembly.masks
+    k = len(masks)
+    tables = subl._nucleus_tables(frame, masks)
+    image = np.zeros(tables.shape, dtype=bool)
+    image[np.arange(k)[:, None], tables] = True
+    wrong_image = (image != frames._matrix_of_rows(masks, frame.n)).any(axis=1)
+    first_wrong = int(wrong_image.argmax()) if wrong_image.any() else k
+    failure = subl._nucleus_failure(frame, tables[:first_wrong + 1])
+    if failure:
+        i, message = failure
+        law.fail(f"nucleus of {subs[i]!r} {message}", checked=i + 1)
+    if first_wrong < k:
+        law.fail(repr(subs[first_wrong]), checked=first_wrong + 1)
+    law.checked = k
 
 
 @_battery("covered_degeneracy")
@@ -591,8 +608,7 @@ def law_td_adjunction(an, law):
     # cl(cl(A | B) | C) = cl(A | B | C) the pair law gives the law for
     # families of every size.  Joins are closed here, off the frame memo
     # of sublocale_join.
-    close = functools.cache(frame.meet_close_mask)
-    (_covered_joins_by_loops if loops else _covered_joins)(an, law, close)
+    (_covered_joins_by_loops if loops else _covered_joins)(an, law)
     # the classical adjunction, between subsets of the primes and the
     # whole assembly, and the meet closure against its second route, the
     # join of the one-point sublocales
@@ -672,9 +688,10 @@ def _td_pairs(an, law, joins, meets):
     law.checked += pairs
 
 
-def _covered_joins_by_loops(an, law, close):
+def _covered_joins_by_loops(an, law):
     subs, masks = an.assembly.sublocales, an.assembly.masks
     d_idx = an.d_indices
+    close = functools.cache(an.frame.meet_close_mask)
     covered = {masks[i]: sy.covered_points_of(subs[i]) for i in d_idx}
     for a, i in enumerate(d_idx):
         for j in d_idx[a + 1:]:
@@ -687,7 +704,7 @@ def _covered_joins_by_loops(an, law, close):
                          f"{subs[j]!r} differ from their union")
 
 
-def _covered_joins(an, law, close):
+def _covered_joins(an, law):
     subs, masks = an.assembly.sublocales, an.assembly.masks
     d_idx = an.d_indices
     d = np.array(d_idx, dtype=np.intp)
@@ -697,7 +714,8 @@ def _covered_joins(an, law, close):
     d_position[d] = np.arange(d.size)
     # the D-family position of each pair's join, -1 off the D-family
     joined = d_position[an.index_table([x | y for a, x in enumerate(d_masks)
-                                        for y in d_masks[a + 1:]], close)]
+                                        for y in d_masks[a + 1:]],
+                                       an.frame.meet_close_masks)]
     covered = frames.mask_words(frames.mask_of(sy.covered_points_of(subs[i]))
                                 for i in d_idx)
     failed = _first_failure(
@@ -749,7 +767,9 @@ def law_assembly_order(an, law):
     assembly = an.assembly
     # the order frame lists the members in assembly order, so its
     # elements are assembly indices, as are the table entries
-    order, _ = subl.family_order_frame(assembly)
+    order = _order_frame(assembly)
+    if order is None:
+        law.fail("the order of the assembly is not a frame", checked=1)
     frame = an.frame
     k = len(assembly)
     # the second route to the joins: ORs of prime bits

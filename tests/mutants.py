@@ -11,8 +11,10 @@ law_open_closed reads; wrong results are handed on unvalidated, so the
 breakage propagates into the laws instead of tripping input validation
 immediately.  The ORDER_MUTANTS break the
 frame kernels (validation and its witness search, the Heyting table,
-the meet closure, the spectra, meets of points and subfitness) and the
-cap prediction of enumerate_assembly, and the
+the meet closure one mask at a time and in batches, the spectra, meets
+of points and subfitness), the cap prediction of enumerate_assembly,
+the difference's unions of pieces, the nucleus table and the
+supplement row of FrameAnalysis, and the
 MEMO_MUTANTS the two entries of the frame memo that _from_mask reads;
 each of these is the kernel's own source with one statement edited
 (_edited), so it differs from the real kernel by exactly that statement.
@@ -27,7 +29,7 @@ from localelab import sublocales as subl
 from localelab import subsystems as sy
 
 REAL_COVERED = frames.covered_primes
-REAL_PIECES_UNION = subl._pieces_union
+REAL_PIECES_UNIONS = subl._pieces_unions
 REAL_PRIME_CLOSURES = subl._prime_subset_closures
 REAL_SPECTRA = sy._spectra
 
@@ -41,13 +43,12 @@ def underreport_covered_primes(monkeypatch):
 
 
 def join_without_meet_closure(monkeypatch):
-    """Union plus top, skipping the meet closure of the join formula."""
-    def mutant(frame, parts):
-        out = {frame.top}
-        for p in parts:
-            out |= p.members
-        return subl.Sublocale(frame, out, _validate=False)
-    monkeypatch.setattr(subl, "sublocale_join", mutant)
+    """The frame memo's batched reader (_meet_closed_all, read by the
+    pair tables, the supplement row and law_open_closed) answers each
+    mask with union plus top, skipping the meet closure of the join
+    formula."""
+    _patch_edited(monkeypatch, "_meet_closed_all", "[closures[m] for m in masks]",
+                  "[m | 1 << frame.top for m in masks]", owner=subl)
 
 
 def difference_without_decomposition(monkeypatch):
@@ -55,7 +56,7 @@ def difference_without_decomposition(monkeypatch):
     that each entry is the meet closure of top and plain S minus T
     instead of the pieces of the decomposition."""
     _patch_edited(monkeypatch, "differences",
-                  "unions = [subl._pieces_union(frame, t) for t in masks]",
+                  "unions = subl._pieces_unions(frame, masks)",
                   "unions = [~t for t in masks]", owner=sy.FrameAnalysis)
 
 
@@ -64,11 +65,11 @@ def union_memo_ignoring_other(monkeypatch):
     the U of the first T asked for."""
     first = {}
 
-    def mutant(frame, t_mask):
+    def mutant(frame, t_masks):
         if frame not in first:
-            first[frame] = REAL_PIECES_UNION(frame, t_mask)
-        return first[frame]
-    monkeypatch.setattr(subl, "_pieces_union", mutant)
+            first[frame] = REAL_PIECES_UNIONS(frame, t_masks[:1])[0]
+        return [first[frame]] * len(t_masks)
+    monkeypatch.setattr(subl, "_pieces_unions", mutant)
 
 
 def enumeration_dropping_last_prime(monkeypatch):
@@ -114,11 +115,11 @@ def pair_joins_ignoring_second(monkeypatch):
 
 
 def closure_memo_answering_first(monkeypatch):
-    """The frame's closure memo (_meet_closed, read by the join, the
-    difference, the pair tables and meet_closure) answers every mask with
-    the first closure it stored."""
-    _patch_edited(monkeypatch, "_meet_closed", "closures.get(mask)",
-                  "next(iter(closures.values()), None)", owner=subl)
+    """The frame's closure memo, as its batched reader _meet_closed_all
+    (the pair tables, the supplement row and law_open_closed) reads it,
+    answers every mask with the first closure it stored."""
+    _patch_edited(monkeypatch, "_meet_closed_all", "[closures[m] for m in masks]",
+                  "[next(iter(closures.values())) for m in masks]", owner=subl)
 
 
 ALL_MUTANTS = (
@@ -264,6 +265,36 @@ def subfit_against_reversed_order(monkeypatch):
     _patch_edited(monkeypatch, "is_subfit", "& ~frame.leq)", "& ~frame.leq.T)")
 
 
+def batched_closure_reading_first_gap(monkeypatch):
+    """meet_close_masks decides each element by its first gap alone, so
+    an element with two or more upper covers gets in even when every
+    member above it lies above a later cover."""
+    _patch_edited(monkeypatch, "meet_close_masks",
+                  "np.logical_and.reduceat(hit, starts, axis=1)", "hit[:, starts]",
+                  owner=frames.FiniteFrame)
+
+
+def unions_of_basics_meeting_t(monkeypatch):
+    """_pieces_unions ORs the pieces of every basic that meets T, not of
+    those that hold it."""
+    _patch_edited(monkeypatch, "_pieces_unions", "(rows[lo:hi, None, :] & outside) == 0",
+                  "(rows[lo:hi, None, :] & ~outside) != 0", owner=subl)
+
+
+def nucleus_fold_skipping_a_meet(monkeypatch):
+    """_nucleus_tables folds in every element but element 0, so
+    nu_S(0) misses 0 when S holds it."""
+    _patch_edited(monkeypatch, "_nucleus_tables", "for x in range(n):",
+                  "for x in range(1, n):", owner=subl)
+
+
+def supplement_row_without_pieces(monkeypatch):
+    """FrameAnalysis.supplements closes top | s_j instead of
+    top | U(s_j), so every member is its own supplement."""
+    _patch_edited(monkeypatch, "supplements", "subl._pieces_unions(frame, masks)",
+                  "masks", owner=sy.FrameAnalysis)
+
+
 ORDER_MUTANTS = (
     ("int_table_defaulting_missing_bound", int_table_defaulting_missing_bound),
     ("word_table_skipping_row_equality", word_table_skipping_row_equality),
@@ -280,6 +311,10 @@ ORDER_MUTANTS = (
     ("prime_lookup_of_whole_upset", prime_lookup_of_whole_upset),
     ("covered_count_at_own_level", covered_count_at_own_level),
     ("subfit_against_reversed_order", subfit_against_reversed_order),
+    ("batched_closure_reading_first_gap", batched_closure_reading_first_gap),
+    ("unions_of_basics_meeting_t", unions_of_basics_meeting_t),
+    ("nucleus_fold_skipping_a_meet", nucleus_fold_skipping_a_meet),
+    ("supplement_row_without_pieces", supplement_row_without_pieces),
 )
 
 

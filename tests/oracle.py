@@ -17,6 +17,7 @@ import numpy as np
 from localelab import frames
 from localelab import sublocales as subl
 from localelab import subsystems as sy
+from localelab import theorems
 from localelab.sublocales import Sublocale
 
 
@@ -75,6 +76,32 @@ def meet_closure_worklist(frame, mask):
                 mask |= 1 << row[y]
                 todo.append(row[y])
     return mask
+
+
+def pieces_unions_by_definition(frame, t_masks):
+    """U(T) for each T in t_masks, from its definition: the union of the
+    pieces c(x) meet o(y) over every (x, y) whose basic o(x) join c(y),
+    the worklist closure of o(x) | c(y), holds T."""
+    n, up = frame.n, frame.up_masks
+    opens = [frames.mask_of(frame.imp[a].tolist()) for a in range(n)]
+    basics = [(meet_closure_worklist(frame, opens[x] | up[y]), up[x] & opens[y])
+              for x in range(n) for y in range(n)]
+    unions = []
+    for t in t_masks:
+        union = 0
+        for basic, piece in basics:
+            if t & ~basic == 0:
+                union |= piece
+        unions.append(union)
+    return unions
+
+
+def is_boolean_by_loops(frame):
+    """Every element has a complement, found by scanning its meet and
+    join rows."""
+    meet, join = frame.meet_rows, frame.join_rows
+    return all(any(m == frame.bottom and j == frame.top for m, j in zip(meet[x], join[x]))
+               for x in range(frame.n))
 
 
 def join_closure_bruteforce(frame, masks):
@@ -322,3 +349,55 @@ def adjunction_law_by_pairs(frame, points, family, spectrum):
                 failures.append(
                     f"law fails for Y={sorted(y)} S={s!r}: {lhs} vs {rhs}")
     return sy.AdjunctionReport(checked, failures)
+
+
+# ---------------------------------------------------------------------------
+# nuclei and the smooth family, one sublocale at a time
+
+def nucleus_by_folds(frame, mask):
+    """The nucleus of the meet-closed set in mask as a list: nu_S(a), the
+    meet of the members above a, folded over the meet table for each a."""
+    up = frame.up_masks
+    return [frame.meet_of(frames.bits_of(mask & up[a])) for a in range(frame.n)]
+
+
+def nucleus_failure_by_loops(frame, table):
+    """The first nucleus law the self-map table breaks, element by
+    element: a <= t(a), then t(t(a)) = t(a), then t(a meet b) =
+    t(a) meet t(b) for each b; None when it is a nucleus."""
+    t, up, meet = table, frame.up_masks, frame.meet_rows
+    for a in range(frame.n):
+        if not up[a] >> t[a] & 1:
+            return f"not inflationary at {a}"
+        if t[t[a]] != t[a]:
+            return f"not idempotent at {a}"
+        row, t_row = meet[a], meet[t[a]]
+        for b in range(frame.n):
+            if t[row[b]] != t_row[t[b]]:
+                return f"does not preserve {a} meet {b}"
+    return None
+
+
+def nucleus_roundtrip_by_loops(an):
+    """theorems.law_nucleus_roundtrip one member at a time: each
+    member's nucleus by folds, its laws by loops, then its image."""
+    for i, s in enumerate(an.assembly):
+        table = nucleus_by_folds(an.frame, s.mask)
+        failure = nucleus_failure_by_loops(an.frame, table)
+        if failure or frames.mask_of(table) != s.mask:
+            detail = f"nucleus of {s!r} {failure}" if failure else repr(s)
+            return theorems.LawResult("nucleus_roundtrip", False, i + 1, detail)
+    return theorems.LawResult("nucleus_roundtrip", True, len(an.assembly))
+
+
+def smooth_by_supplements(assembly):
+    """The members fixed by the double supplement, each supplement taken
+    by sublocales.supplement."""
+    return frozenset(s for s in assembly if subl.supplement(subl.supplement(s)) == s)
+
+
+def complemented_by_supplements(assembly):
+    """Zero and the members that meet their supplement in zero
+    (sublocales.is_complemented)."""
+    return (frozenset(s for s in assembly if subl.is_complemented(s))
+            | {subl.zero(assembly.frame)})

@@ -526,6 +526,31 @@ def test_meet_close_mask_matches_worklist(kind, seed, data):
         assert f.meet_close_mask(mask) == oracle.meet_closure_worklist(f, mask)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 3, 4, 5, 6, 7, "boolean7"]), st.integers(0, 10**6), st.data())
+def test_meet_close_masks_match_single_masks(kind, seed, data):
+    """The batched cover test equals meet_close_mask and the worklist
+    oracle, mask by mask, on a batch of sparse and dense random masks of
+    a frame drawn at bound 2 to 7, or of the 128-element downset lattice
+    of a 7-antichain, whose masks take two words."""
+    f = _closure_frame(kind, 0 if kind == "boolean7" else seed)
+    sparse = st.lists(st.integers(0, f.n - 1), max_size=8).map(frames.mask_of)
+    masks = data.draw(st.lists(st.one_of(sparse, st.integers(0, (1 << f.n) - 1)),
+                               max_size=12))
+    assert (f.meet_close_masks(masks) == [f.meet_close_mask(m) for m in masks]
+            == [oracle.meet_closure_worklist(f, m) for m in masks])
+
+
+def test_meet_close_masks_across_blocks():
+    # 300 masks of the 128-element frame go through in several blocks of
+    # BLOCK_BYTES, and come out in their order
+    f = _closure_frame("boolean7", 0)
+    rng = random.Random(7)
+    masks = [rng.getrandbits(f.n) & rng.getrandbits(f.n) for _ in range(300)]
+    assert f.meet_close_masks(masks) == [f.meet_close_mask(m) for m in masks]
+    assert f.meet_close_masks([]) == []
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.integers(0, (1 << 130) - 1), max_size=12), st.data())
 def test_inclusion_order_is_pairwise_subset(masks, data):

@@ -14,7 +14,9 @@ boundary for each instead.
 The mutant matrix asserts the converse over all ALL_MUTANTS at once:
 every suite and battery fails under some mutant, save those in UNKILLED.
 It also runs the checks that scan pairs and triples by both their routes,
-numpy gathers and Python loops, which must agree under every mutant.
+numpy gathers and Python loops, and law_nucleus_roundtrip against its
+member-by-member loop in tests/oracle.py, which must agree under every
+mutant.
 """
 
 import io
@@ -121,6 +123,12 @@ def _not_transitive(n, i, j):
     return rel
 
 
+def _two_word_frame():
+    """The 72-element downset lattice of a 7-point poset with two covers,
+    whose masks take two 64-bit words; it has 128 sublocales."""
+    return frames.downset_lattice(frames.transitive_reflexive_closure(7, [(0, 1), (2, 3)]))
+
+
 def _rejections_match_oracle(rels):
     """FiniteFrame raises what the brute-force oracles name on each rel."""
     for rel in rels:
@@ -224,6 +232,51 @@ def _subfit_matches_oracle():
                for f in (make() for make in SMALL_FRAMES))
 
 
+def _batched_closures_match_oracle():
+    """meet_close_masks equals the worklist closure on every mask of the
+    square, and on masks of a 72-element frame, two words each."""
+    square, wide = boolean_square(), _two_word_frame()
+    rng = np.random.default_rng(0)
+    wide_masks = [int.from_bytes(rng.bytes(9), "little") & ((1 << wide.n) - 1)
+                  for _ in range(40)]
+    return all(f.meet_close_masks(masks) == [oracle.meet_closure_worklist(f, m)
+                                             for m in masks]
+               for f, masks in ((square, list(range(1 << square.n))), (wide, wide_masks)))
+
+
+def _unions_match_oracle():
+    """The unions of pieces U(T) of every sublocale of a few fresh
+    frames equal those from the definition."""
+    for f in (make() for make in SMALL_FRAMES):
+        masks = oracle.assembly_bruteforce(f)
+        if subl._pieces_unions(f, masks) != oracle.pieces_unions_by_definition(f, masks):
+            return False
+    return True
+
+
+def _nuclei_match_oracle():
+    """The nucleus table of every sublocale of a few fresh frames equals
+    the folds, row by row, and every row is a nucleus."""
+    for f in (make() for make in SMALL_FRAMES):
+        masks = oracle.assembly_bruteforce(f)
+        tables = subl._nucleus_tables(f, masks)
+        if (tables.tolist() != [oracle.nucleus_by_folds(f, m) for m in masks]
+                or subl._nucleus_failure(f, tables) is not None):
+            return False
+    return True
+
+
+def _smooth_families_match_oracle():
+    """The smooth family read off the supplement row, and the
+    complemented members with zero, equal the supplement loops."""
+    for f in (make() for make in SMALL_FRAMES):
+        an = sy.FrameAnalysis(f)
+        if (an.smooth != oracle.smooth_by_supplements(an.assembly)
+                or an.smooth_by_joins != oracle.complemented_by_supplements(an.assembly)):
+            return False
+    return True
+
+
 # order mutant -> the oracle comparison that must fail under it; the
 # narrow cases have at most frames.INT_ROW_BITS elements, the wide ones
 # more, in one, two and three 64-bit words
@@ -252,6 +305,10 @@ ORDER_KILLED_BY = {
     "prime_lookup_of_whole_upset": _spectra_match_oracle,
     "covered_count_at_own_level": _covered_primes_match_oracle,
     "subfit_against_reversed_order": _subfit_matches_oracle,
+    "batched_closure_reading_first_gap": _batched_closures_match_oracle,
+    "unions_of_basics_meeting_t": _unions_match_oracle,
+    "nucleus_fold_skipping_a_meet": _nuclei_match_oracle,
+    "supplement_row_without_pieces": _smooth_families_match_oracle,
 }
 
 
@@ -315,11 +372,14 @@ def _both_routes(check, an):
 
 
 def _routes(an):
-    """Each SCANNED check by its array route and by its loop route, and
-    each side of the meet-closure adjunction by its bitsets and by
-    oracle.adjunction_law_by_pairs: name -> (fast, loops), reports as
-    (checked, failures)."""
+    """Each SCANNED check by its array route and by its loop route, each
+    side of the meet-closure adjunction by its bitsets and by
+    oracle.adjunction_law_by_pairs, and law_nucleus_roundtrip by its
+    whole-assembly table and by oracle.nucleus_roundtrip_by_loops:
+    name -> (fast, loops), reports as (checked, failures)."""
     out = {check.__name__: _both_routes(check, an) for check in SCANNED}
+    out["law_nucleus_roundtrip"] = (theorems.law_nucleus_roundtrip(an),
+                                    oracle.nucleus_roundtrip_by_loops(an))
     frame, assembly = an.frame, an.assembly
     d_family = sy.d_sublocales(assembly)
     for name, points, family, spectrum in (
@@ -375,12 +435,12 @@ def test_array_scans_match_their_loops(mutant_matrix):
     _, raised, compared = mutant_matrix
     assert raised == {}
     assert len(compared) == ((len(mutants.ALL_MUTANTS) + 1) * len(MATRIX_FRAMES)
-                             * (len(SCANNED) + 2))
+                             * (len(SCANNED) + 3))
     assert {key: pair for key, pair in compared.items() if pair[0] != pair[1]} == {}
     failing = {key[2] for key, (fast, _) in compared.items()
                if (fast[1] if isinstance(fast, tuple) else not _passed(fast))}
     assert failing == {check.__name__ for check in SCANNED} | {
-        "check_td_adjunction", "adjunction_law"}
+        "check_td_adjunction", "adjunction_law", "law_nucleus_roundtrip"}
 
 
 @pytest.mark.parametrize("doctor", [
@@ -390,15 +450,19 @@ def test_array_scans_match_their_loops(mutant_matrix):
 @pytest.mark.parametrize("frame_name", MATRIX_FRAMES)
 def test_own_closure_scans_match_their_loops(frame_name, doctor, monkeypatch):
     # law_difference's triple scan and law_td_adjunction's pair-join scan
-    # close joins of their own, which no mutant reaches: with the tables
-    # built, the frame's closures are doctored, and both routes of each
-    # must name the same first failure with the same count
+    # close joins of their own, which no mutant reaches, the loops one
+    # mask at a time and the arrays in one batch: with the tables built,
+    # the frame's closures by both kernels are doctored alike, and both
+    # routes of each must name the same first failure with the same count
     an = sy.FrameAnalysis(MATRIX_FRAMES[frame_name]())
     theorems.run_theorem_suites(an)
     theorems.run_law_batteries(an)
-    frame, close = an.frame, an.frame.meet_close_mask
+    frame, close, close_all = an.frame, an.frame.meet_close_mask, an.frame.meet_close_masks
     monkeypatch.setattr(frame, "meet_close_mask",
                         lambda mask: doctor(frame, close(mask)), raising=False)
+    monkeypatch.setattr(frame, "meet_close_masks",
+                        lambda masks: [doctor(frame, m) for m in close_all(masks)],
+                        raising=False)
     arrays, loops = _both_routes(theorems.law_difference, an)
     assert arrays == loops and not arrays.ok
     arrays, loops = _both_routes(theorems.law_td_adjunction, an)
@@ -412,8 +476,7 @@ def test_array_scans_match_their_loops_past_one_word(name, apply_mutant, monkeyp
     # 64-bit words, which no MATRIX_FRAMES frame reaches
     if apply_mutant:
         apply_mutant(monkeypatch)
-    an = sy.FrameAnalysis(frames.downset_lattice(
-        frames.transitive_reflexive_closure(7, [(0, 1), (2, 3)])))
+    an = sy.FrameAnalysis(_two_word_frame())
     assert an.frame.n > 64
     results = [_both_routes(check, an) for check in SCANNED]
     assert all(arrays == loops for arrays, loops in results)

@@ -1,5 +1,8 @@
 import itertools
+import random
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -35,6 +38,83 @@ class TestSublocaleValidation:
     def test_out_of_range(self, chain3):
         with pytest.raises(NotASublocale):
             Sublocale(chain3, {7})
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10**6), st.data())
+def test_unions_of_pieces_match_their_definition(seed, data):
+    # U(T) at the sublocales and at random masks of a frame drawn at
+    # bound 2 to 5, asked in one batch and one at a time
+    f = frames.random_frame(random.Random(seed), data.draw(st.integers(2, 5)))
+    masks = oracle.assembly_bruteforce(f)
+    masks += data.draw(st.lists(st.integers(0, (1 << f.n) - 1), max_size=6))
+    expected = oracle.pieces_unions_by_definition(f, masks)
+    assert subl._pieces_unions(f, masks) == expected
+    g = frames.FiniteFrame(f.leq)
+    assert [subl._pieces_unions(g, [m])[0] for m in masks] == expected
+
+
+def test_unions_of_pieces_past_one_word():
+    # a 70-element chain: masks and pieces take two 64-bit words
+    f = chain(70)
+    rng = random.Random(70)
+    masks = [rng.getrandbits(70) | 1 << f.top for _ in range(20)] + [1 << f.top]
+    assert subl._pieces_unions(f, masks) == oracle.pieces_unions_by_definition(f, masks)
+
+
+def _validation_failure(frame, mask):
+    """The NotASublocale message of validating mask afresh, or None."""
+    try:
+        Sublocale(frame, frames.bits_of(mask), _validate=False)._validate()
+    except NotASublocale as exc:
+        return str(exc)
+    return None
+
+
+def test_validation_gathers_name_the_loops_failure(monkeypatch):
+    # past INT_ROW_BITS elements a mask is validated by two gathers; on
+    # the 32-element Boolean frame they accept and reject what the int
+    # loops do and name the same first failure: random masks with the
+    # top (mostly not meet-closed), their meet closures (mostly not
+    # closed under implication) and the sublocales
+    f = frames.downset_lattice(np.eye(5, dtype=bool))
+    assert f.n > frames.INT_ROW_BITS
+    rng = random.Random(5)
+    drawn = [rng.getrandbits(f.n) | 1 << f.top for _ in range(60)]
+    masks = drawn + f.meet_close_masks(drawn) + list(subl.enumerate_assembly(f).masks)
+    gathers = [_validation_failure(f, m) for m in masks]
+    monkeypatch.setattr(frames, "INT_ROW_BITS", 1 << 30)
+    assert [_validation_failure(f, m) for m in masks] == gathers
+    kinds = {g.split(":")[0] if g else None for g in gathers}
+    assert kinds == {None, "not meet-closed", "not closed under implication"}
+
+
+def test_whole_assembly_passes_stay_within_block_bytes():
+    # the 128-element frame of a 7-antichain has 128 sublocales: the
+    # laws of their nuclei checked at once would take a k x n x n int64
+    # table of 16 MB, and the batched closure of its 6,197 distinct pair
+    # unions 22 MB of gap words.  Beyond what it returns (the result is
+    # alive when current is read), each pass holds at most BLOCK_BYTES of
+    # its own temporaries, plus numpy's iteration buffers, which a
+    # broadcasting ufunc call takes at np.getbufsize() elements of 8
+    # bytes per operand, whatever the size of its arrays.
+    f = frames.downset_lattice(np.eye(7, dtype=bool))
+    masks = list(subl.enumerate_assembly(f).masks)
+    unions = list(dict.fromkeys(s | t for s in masks for t in masks))
+    assert len(masks) == f.n == 128 and len(unions) == 6197
+    f.meet_close_masks([])
+    tables = subl._nucleus_tables(f, masks)
+    numpy_buffers = 2 * 8 * np.getbufsize()
+    for run in (lambda: f.meet_close_masks(unions), lambda: subl._nucleus_tables(f, masks),
+                lambda: subl._nucleus_failure(f, tables)):
+        tracemalloc.start()
+        try:
+            result = run()
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        del result
+        assert peak - current < frames.BLOCK_BYTES + numpy_buffers
 
 
 class TestEnumeration:
@@ -151,6 +231,27 @@ class TestNucleus:
     def test_invalid_nucleus_rejected(self, chain3):
         with pytest.raises(ValueError):
             Nucleus(chain3, [0, 0, 2])     # not inflationary at 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**6), st.data())
+    def test_law_checks_name_the_loops_failure(self, seed, data):
+        # the gathers of _nucleus_failure name the law and the element
+        # the loops of oracle.nucleus_failure_by_loops meet first, on
+        # nuclei of sublocales with one entry doctored and on random maps
+        f = frames.random_frame(random.Random(seed), 4)
+        masks = oracle.assembly_bruteforce(f)
+        table = oracle.nucleus_by_folds(f, data.draw(st.sampled_from(masks)))
+        element = st.integers(0, f.n - 1)
+        table[data.draw(element)] = data.draw(element)
+        tables = [table, data.draw(st.lists(element, min_size=f.n, max_size=f.n))]
+        for t in tables:
+            failure = subl._nucleus_failure(f, np.array([t]))
+            expected = oracle.nucleus_failure_by_loops(f, t)
+            assert failure == (None if expected is None else (0, expected))
+        first = next((i for i, t in enumerate(tables)
+                      if oracle.nucleus_failure_by_loops(f, t)), None)
+        got = subl._nucleus_failure(f, np.array(tables))
+        assert (got and got[0]) == first
 
     def test_roundtrip_both_ways(self, small_corpus):
         for f in (f for f in small_corpus if f.n <= 8):

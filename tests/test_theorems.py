@@ -13,6 +13,7 @@ from localelab import subsystems as sy
 from localelab import theorems
 
 import mutants
+import oracle
 from conftest import chain, random_frames
 
 
@@ -50,6 +51,15 @@ class TestBooleanLattice:
 
     def test_three_chain_is_not(self, chain3):
         assert not theorems.is_boolean_lattice(chain3)
+
+    def test_matches_the_loops(self, small_corpus):
+        # the frames and the reverse-inclusion orders of their assemblies,
+        # Boolean on a finite frame, against the loop that scans the rows
+        orders = [subl.family_order_frame(subl.enumerate_assembly(f))[0]
+                  for f in small_corpus]
+        results = [theorems.is_boolean_lattice(f) for f in small_corpus + orders]
+        assert results == [oracle.is_boolean_by_loops(f) for f in small_corpus + orders]
+        assert set(results) == {True, False}
 
 
 class TestInconsistencyDetection:
@@ -137,6 +147,50 @@ class TestUnprovenStepChecks:
             for b in an.smooth:
                 if b.members <= sp.members:
                     assert b.members in inner_smooth
+
+
+def _with_doctored_member(frame, position, mask):
+    """A FrameAnalysis of frame whose assembly holds mask in place of
+    the member at by_primes[position]."""
+    an = sy.FrameAnalysis(frame)
+    by_primes = list(subl.enumerate_assembly(frame).by_primes)
+    by_primes[position] = mask
+    an.assembly = subl.Assembly(frame, by_primes)
+    return an
+
+
+@pytest.mark.parametrize("draw, mask", [(2, 0b10000001), (13, 0b1001)],
+                         ids=["eight_elements", "square"])
+def test_batteries_fail_on_a_doctored_member(draw, mask):
+    # a mask that is meet-closed but not closed under implication, put
+    # in place of each member in turn: every battery returns a result,
+    # and the nucleus, assembly-order and lifting batteries, which used
+    # to raise there, fail with a detail
+    rng = random.Random(3)
+    frame = [frames.random_frame(rng, 3) for _ in range(draw + 1)][draw]
+    assert frame.meet_close_mask(mask) == mask
+    with pytest.raises(subl.NotASublocale, match="not closed under implication"):
+        subl.Sublocale(frame, frames.bits_of(mask))
+    details = {}
+    for position in range(1 << len(frames.primes(frame))):
+        an = _with_doctored_member(frame, position, mask)
+        for battery in theorems.LAW_BATTERIES:
+            result = battery(an)
+            assert result.ok or result.detail, (position, battery.__name__)
+            if not result.ok:
+                details[position, battery.__name__] = result.detail
+    positions = range(1 << len(frames.primes(frame)))
+    doctored = subl.Sublocale(frame, frames.bits_of(mask), _validate=False)
+    assert all(details[p, "law_nucleus_roundtrip"]
+               == f"nucleus of {doctored!r} does not preserve 1 meet 2" for p in positions)
+    assert all((p, "law_assembly_order") in details for p in positions)
+    if frame.n == 4:
+        # the doctored member replaces c(1) at position 1 and c(2) at 2
+        assert details[1, "law_lifting"].endswith("closed sublocale c(1) is not a D-sublocale")
+        assert details[2, "law_lifting"].endswith("closed sublocale c(2) is not a D-sublocale")
+    else:
+        assert {details[p, "law_assembly_order"] for p in positions} == {
+            "the order of the assembly is not a frame"}
 
 
 class TestLawBatteryDetails:
