@@ -45,22 +45,24 @@ class FrameFormatError(FrameError):
         self.line = line
 
 
-# Largest number of bytes a kernel holds in one temporary.  Rows are
-# processed in blocks that fit (at least one row), so a small frame takes
-# one pass and a large frame never holds an n^3 temporary.
+# Largest number of bytes a kernel holds in one temporary.  Rows (or
+# pairs) are processed in blocks that fit (at least one), so a small frame
+# takes one pass and a large frame never holds an n^3 temporary.
 BLOCK_BYTES = 1 << 18
 
 # Order kernels on frames of at most this many elements loop over Python
-# int rows; larger frames go through numpy words.  Timed on downset
-# lattices, the int loops win up to 16 elements and numpy from 17 on:
+# int rows; larger frames go through numpy words.  FiniteFrame timed on
+# downset lattices of 8 to 40 elements, with the numpy kernels working on
+# set entries and open pairs only: the int loops win up to 17 elements,
+# the two routes trade places from 18 to 24 and numpy wins from 25 on,
 # numpy's fixed cost per call against n^2 Python steps.
 INT_ROW_BITS = 16
 
 
 def _row_blocks(n, row_bytes):
-    """Row ranges [lo, hi) of an n-row kernel whose temporaries take
-    row_bytes bytes per row, each range within BLOCK_BYTES, one row at
-    least."""
+    """Ranges [lo, hi) of an n-row (or n-pair) kernel whose temporaries
+    take row_bytes bytes per row, each range within BLOCK_BYTES, one row
+    at least."""
     step = max(1, BLOCK_BYTES // row_bytes)
     for lo in range(0, n, step):
         yield lo, min(n, lo + step)
@@ -77,9 +79,12 @@ def _packed_words(matrix):
 
 def _int_rows(words):
     """Each row of a word array as one Python int mask."""
-    raw, step = words.tobytes(), 8 * words.shape[1]
-    return [int.from_bytes(raw[lo:lo + step], "little")
-            for lo in range(0, len(raw), step)]
+    if words.shape[1] == 1:
+        return words[:, 0].tolist()
+    # a bytes string of each row; it drops trailing zero bytes, which are
+    # the high bytes of a little-endian int
+    return [int.from_bytes(row, "little")
+            for row in words.view(f"S{8 * words.shape[1]}")[:, 0].tolist()]
 
 
 def _matrix_of_rows(rows, width):
@@ -91,9 +96,8 @@ def _matrix_of_rows(rows, width):
 
 
 def _lowest_bits(words):
-    """Index of the lowest set bit of each word (-1 for a zero word)."""
-    low = words & (~words + np.uint64(1))
-    return np.frexp(low.astype(np.float64))[1] - 1
+    """Index of the lowest set bit of each word (63 for a zero word)."""
+    return np.bitwise_count(words ^ (words - np.uint64(1))) - np.uint8(1)
 
 
 def transitive_reflexive_closure(n, pairs):
@@ -139,8 +143,12 @@ def _or_of_rows_under(leq, up, words):
     """acc[i]: the OR of the rows up[k] over every k in up[i], as ints;
     leq is the boolean matrix of the rows and words their packed form.
 
-    Up to INT_ROW_BITS rows are ORed as ints, more as numpy words, one
-    block of rows at a time.
+    Up to INT_ROW_BITS rows are ORed as ints.  Beyond that only the set
+    entries of leq take part: for each block of rows, the words of the
+    rows they name are gathered in row-major order and each row's run of
+    them ORed by one reduceat, the gathered words of a block within
+    BLOCK_BYTES (one row at least).  A row with no set entry, such as
+    the top's strict row, reads 0.
     """
     if len(up) <= INT_ROW_BITS:
         acc = []
@@ -153,10 +161,31 @@ def _or_of_rows_under(leq, up, words):
             acc.append(a)
         return acc
     n, w = words.shape
-    acc = np.empty_like(words)
-    for lo, hi in _row_blocks(n, 8 * n * w):
-        picked = np.where(leq[lo:hi, :, None], words[None, :, :], np.uint64(0))
-        acc[lo:hi] = np.bitwise_or.reduce(picked, axis=1)
+    counts = np.fromiter(map(int.bit_count, up), np.intp, n)
+    ends = counts.cumsum()
+    starts = ends - counts
+    # reduceat reads one word for an empty run (and cannot start a run
+    # at the end), so when some row has no set entry (none has in a
+    # reflexive relation) only the others are reduced, and that row keeps
+    # its 0
+    gaps = 0 in up
+    acc = np.zeros(words.shape, dtype=words.dtype)
+    budget = max(1, BLOCK_BYTES // (8 * w))
+    lo = 0
+    while lo < n:
+        hi = (n if ends[-1] - starts[lo] <= budget else
+              max(lo + 1, int(np.searchsorted(ends, starts[lo] + budget, side="right"))))
+        # flat index (i - lo) * n + k of each set entry; take wraps it to k
+        flat = np.flatnonzero(leq[lo:hi])
+        gathered = np.take(words, flat, axis=0, mode="wrap")
+        runs = starts[lo:hi] - starts[lo]
+        if gaps:
+            rows = np.flatnonzero(counts[lo:hi])
+            if len(rows):
+                acc[lo + rows] = np.bitwise_or.reduceat(gathered, runs[rows], axis=0)
+        else:
+            np.bitwise_or.reduceat(gathered, runs, axis=0, out=acc[lo:hi])
+        lo = hi
     return _int_rows(acc)
 
 
@@ -178,7 +207,14 @@ def _check_poset(leq, up, down, words):
             raise NonPoset("transitivity fails", (i, (extra & -extra).bit_length() - 1))
 
 
-def _bound_table(matrix, rows, kind):
+def _open_pairs(leq):
+    """The flat indices i * n + j of the incomparable pairs i < j of the
+    partial order leq, in row-major order: the pairs whose bounds the
+    order leaves open."""
+    return np.flatnonzero(np.triu(~(leq | leq.T), 1))
+
+
+def _bound_table(matrix, rows, kind, open_pairs):
     """Table of the bounds of each pair: joins when rows[i] is the int
     mask of the upset of i (matrix its boolean form), meets when it is
     the downset.  Raises NonLattice naming the first pair (i <= j,
@@ -187,16 +223,21 @@ def _bound_table(matrix, rows, kind):
     The bound of {i, j}, if any, is the element whose row is the AND of
     rows i and j: that element is a common bound, and every common bound
     lies in its row.  Up to INT_ROW_BITS elements each AND is looked up
-    among the rows.  Beyond that, elements are ranked by decreasing row
-    size and the rows packed in that order as numpy words: every other
-    common bound lies beyond the bound, so has a smaller row and a later
-    rank, and the candidate is the lowest set bit of the AND, accepted
-    only if its own row is the whole AND.
+    among the rows.  Beyond that a comparable pair takes its bound from
+    the order, j when j is in row i, as in every poset, so no check is
+    dropped; only open_pairs (_open_pairs, one list for both tables)
+    are tested, by _bound_table_words, and as no comparable pair fails,
+    the first bad open pair is the first bad pair.
     """
     if len(rows) <= INT_ROW_BITS:
         return _bound_table_ints(rows, kind)
-    order = np.argsort(-matrix.sum(axis=1), kind="stable")
-    return _bound_table_words(_packed_words(matrix[:, order]), order, kind)
+    index = np.arange(len(rows), dtype=np.int32)
+    table = np.where(matrix, index, index[:, None])
+    if len(open_pairs):
+        sizes = np.fromiter(map(int.bit_count, rows), np.intp, len(rows))
+        order = np.argsort(-sizes, kind="stable")
+        _bound_table_words(table, _packed_words(matrix[:, order]), order, open_pairs, kind)
+    return table
 
 
 def _bound_table_ints(rows, kind):
@@ -213,28 +254,40 @@ def _bound_table_ints(rows, kind):
     return np.array(table, dtype=np.int32)
 
 
-def _bound_table_words(ranked, order, kind):
+def _bound_table_words(table, ranked, order, pairs, kind):
+    """Write the bound of each open pair (i, j), given by its flat index
+    i * n + j, into table at [i, j] and [j, i], or raise NonLattice at the
+    first pair without one.
+
+    Elements are ranked by decreasing row size and their rows packed in
+    that order as numpy words (ranked): every common bound but the bound
+    lies beyond it, so has a smaller row and a later rank, and the
+    candidate is the lowest set bit of the AND, accepted only if its own
+    row is the whole AND.  The work is (pairs x words) gathers, in
+    blocks of pairs whose temporaries, some 40 bytes per pair and word,
+    fit in BLOCK_BYTES.
+    """
     n, w = ranked.shape
-    table = np.empty((n, n), dtype=np.int32)
-    for lo, hi in _row_blocks(n, 8 * n * w):
-        # rows lo..hi against columns lo..n; a column j < lo was met as row j
-        common = ranked[lo:hi, None, :] & ranked[None, lo:, :]
+    if w == 1:
+        # one word a row: flat gathers, and no reduction over words
+        ranked = ranked[:, 0]
+    for lo, hi in _row_blocks(len(pairs), 40 * w + 32):
+        i, j = pairs[lo:hi] // n, pairs[lo:hi] % n
+        common = ranked[i] & ranked[j]
         if w == 1:
-            rank = _lowest_bits(common[..., 0])
+            rank = _lowest_bits(common)
         else:
-            first = (common != 0).argmax(axis=2)
-            word = np.take_along_axis(common, first[..., None], axis=2)[..., 0]
-            rank = 64 * first + _lowest_bits(word)
-        best = order[rank]
-        bad = ~(ranked[best] == common).all(axis=2)
+            first = (common != 0).argmax(axis=1)
+            rank = 64 * first + _lowest_bits(common[np.arange(hi - lo), first])
+        # a zero AND (no common bound) clips to some element, whose row is not zero
+        best = order.take(rank, mode="clip")
+        bad = ranked[best] != common
+        if w > 1:
+            bad = bad.any(axis=1)
         if bad.any():
-            # a bad (i, j) with j < i was met as (j, i) earlier in the
-            # block, so the first bad cell in row-major order has i <= j
-            i, j = np.argwhere(bad)[0]
-            raise NonLattice((int(lo + i), int(lo + j)), kind)
-        table[lo:hi, lo:] = best
-        table[lo:, lo:hi] = best.T
-    return table
+            k = int(bad.argmax())
+            raise NonLattice((int(i[k]), int(j[k])), kind)
+        table[i, j] = table[j, i] = best
 
 
 def _check_distributive(up, down, meet, join):
@@ -303,9 +356,12 @@ class FiniteFrame:
     upset of a; meet, join and imp are read-only n x n tables.  The order
     is checked, and meet and join are built, at construction on the up
     and down rows, as Python ints up to INT_ROW_BITS elements (the rows
-    read straight off the matrix) and as numpy 64-bit words in blocks of
-    at most BLOCK_BYTES bytes beyond that, so a large frame never holds
-    an n^3 temporary.  imp is built on first use by a blocked argmax;
+    read straight off the matrix) and as numpy 64-bit words beyond that,
+    on what the order leaves open: transitivity ORs only the rows of the
+    set entries of leq, and of the pairs only the incomparable ones are
+    tested for a bound, the others reading theirs off leq.  Both go in
+    blocks of at most BLOCK_BYTES bytes, so a large frame never holds an
+    n^3 temporary.  imp is built on first use by a blocked argmax;
     distributivity is checked by row lookups (_check_distributive).
     Instances hash and compare by identity, so sublocales of one frame
     always reference the same object.
@@ -329,12 +385,13 @@ class FiniteFrame:
             words = _packed_words(leq)
             up, down = _int_rows(words), _int_rows(_packed_words(leq.T))
         _check_poset(leq, up, down, words)
+        pairs = None if words is None else _open_pairs(leq)
         self.n = n
         leq.flags.writeable = False
         self.leq = leq
         self.up_masks = tuple(up)
-        self.meet = _bound_table(leq.T, down, "meet")
-        self.join = _bound_table(leq, up, "join")
+        self.meet = _bound_table(leq.T, down, "meet", pairs)
+        self.join = _bound_table(leq, up, "join", pairs)
         self.meet.flags.writeable = False
         self.join.flags.writeable = False
         _check_distributive(up, down, self.meet, self.join)

@@ -351,7 +351,11 @@ _DIFFERENCE_TRIPLE_LAWS = ("S\\(T&R) law fails", "(S\\T)\\R law fails",
 def law_difference(an, law):
     k = len(an.assembly)
     diff = _members_only(law, an, an.differences, "difference")
-    supp = [subl.supplement(t).mask for t in an.assembly]
+    masks, full = an.assembly.masks, (1 << an.frame.n) - 1
+    # the supplement row; an entry that is not a member (only from a
+    # broken engine) has no index, and its mask is closed on its own
+    supp = [masks[a] if a >= 0 else subl.difference_mask(an.frame, full, s)
+            for a, s in zip(an.supplements[:-1].tolist(), masks)]
     loops = _by_loops(an)
     (_difference_pairs_by_loops if loops else _difference_pairs)(an, law, diff, supp)
     if k > TRIPLE_SCAN_LIMIT:

@@ -169,10 +169,26 @@ def int_table_defaulting_missing_bound(monkeypatch):
 
 def word_table_skipping_row_equality(monkeypatch):
     """The numpy-word bound table takes the lowest common bit as the
-    bound without testing that its row is the whole AND."""
+    bound of an open pair without testing that its row is the whole AND."""
     _patch_edited(monkeypatch, "_bound_table_words",
-                  "bad = ~(ranked[best] == common).all(axis=2)",
-                  "bad = np.zeros(best.shape, dtype=bool)")
+                  "bad = ranked[best] != common",
+                  "bad = np.zeros(common.shape, dtype=bool)")
+
+
+def comparable_pairs_taking_wrong_element(monkeypatch):
+    """Past INT_ROW_BITS elements, a comparable pair takes i as its bound
+    when j is in row i, and j when i is, instead of the other way round."""
+    _patch_edited(monkeypatch, "_bound_table",
+                  "np.where(matrix, index, index[:, None])",
+                  "np.where(matrix, index[:, None], index)")
+
+
+def open_pair_blocks_dropping_last(monkeypatch):
+    """The numpy-word bound table never tests or fills the last block of
+    open pairs."""
+    _patch_edited(monkeypatch, "_bound_table_words",
+                  "for lo, hi in _row_blocks(len(pairs), 40 * w + 32):",
+                  "for lo, hi in list(_row_blocks(len(pairs), 40 * w + 32))[:-1]:")
 
 
 def rows_dropping_top_word(monkeypatch):
@@ -298,6 +314,8 @@ def supplement_row_without_pieces(monkeypatch):
 ORDER_MUTANTS = (
     ("int_table_defaulting_missing_bound", int_table_defaulting_missing_bound),
     ("word_table_skipping_row_equality", word_table_skipping_row_equality),
+    ("comparable_pairs_taking_wrong_element", comparable_pairs_taking_wrong_element),
+    ("open_pair_blocks_dropping_last", open_pair_blocks_dropping_last),
     ("rows_dropping_top_word", rows_dropping_top_word),
     ("transitivity_checking_row_zero", transitivity_checking_row_zero),
     ("closure_of_one_pass", closure_of_one_pass),

@@ -156,6 +156,15 @@ def poset_failure_bruteforce(rel):
     return None
 
 
+def cover_relation_by_definition(leq):
+    """covers[i][j] as nested lists: i < j with no k strictly between,
+    scanned from the definition."""
+    n = len(leq)
+    lt = [[bool(leq[i][j]) and i != j for j in range(n)] for i in range(n)]
+    return [[lt[i][j] and not any(lt[i][k] and lt[k][j] for k in range(n))
+             for j in range(n)] for i in range(n)]
+
+
 def closure_bruteforce(n, pairs):
     """Reflexive-transitive closure as nested lists, by a search from
     every element along the pairs."""

@@ -12,8 +12,8 @@ from localelab.frames import (NonDistributive, NonLattice, NonPoset,
                               FrameFormatError)
 
 import oracle
-from conftest import (all_posets, chain, grid_relation, m3_relation, n5_relation,
-                      random_frames)
+from conftest import (all_posets, chain, grid_covers, grid_relation, m3_relation,
+                      n5_relation, random_frames)
 
 
 class TestVerifyFrame:
@@ -150,11 +150,8 @@ def test_cover_relation_matches_definition(case):
     # pairs i < j only, so the closure is a partial order
     n, pairs = case
     pairs = [(i, j) for i, j in pairs if i < j]
-    leq = frames.transitive_reflexive_closure(n, pairs).tolist()
-    lt = [[leq[i][j] and i != j for j in range(n)] for i in range(n)]
-    expected = [[lt[i][j] and not any(lt[i][k] and lt[k][j] for k in range(n))
-                 for j in range(n)] for i in range(n)]
-    assert frames.cover_relation(np.array(leq)).tolist() == expected
+    leq = frames.transitive_reflexive_closure(n, pairs)
+    assert frames.cover_relation(leq).tolist() == oracle.cover_relation_by_definition(leq)
 
 
 def _assert_tables_match_bruteforce(f):
@@ -210,6 +207,26 @@ class TestBoundTables:
             tracemalloc.stop()
         assert f.n == n and f.join[3, 700] == 700 and f.meet[3, 700] == 3
         assert peak < 32 << 20
+
+    def test_open_pairs_stay_within_a_memory_bound(self):
+        # the 900-element 30 x 30 grid has 189,225 open (incomparable)
+        # pairs, which the 800-chain has none of.  Parsing it holds the
+        # two int32 tables (3.1 MB each), the pair list (8 bytes a pair),
+        # a few n x n boolean matrices and a block of BLOCK_BYTES at a
+        # time; one gather of the pairs' 15-word rows unblocked would
+        # take 22.7 MB
+        n = 30 * 30
+        text = f"elements: {n}\n" + "".join(f"cover: {i} {j}\n"
+                                              for i, j in grid_covers(30, 30))
+        tracemalloc.start()
+        try:
+            f = frames.parse_frame_text(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        pairs = len(frames._open_pairs(f.leq))
+        assert pairs == 189225 and f.join[29, 30] == 59 and f.meet[29, 30] == 0
+        assert peak < 2 * 4 * n * n + 8 * pairs + 4 * n * n + 4 * frames.BLOCK_BYTES
 
     def test_distributivity_check_stays_within_row_blocks(self):
         # the test holds no n x n temporary: on the 800-chain its row
@@ -539,6 +556,45 @@ def test_meet_close_masks_match_single_masks(kind, seed, data):
                                max_size=12))
     assert (f.meet_close_masks(masks) == [f.meet_close_mask(m) for m in masks]
             == [oracle.meet_closure_worklist(f, m) for m in masks])
+
+
+def _bowtie_above_grid(a, b):
+    """The a x b grid with two incomparable elements above its top and
+    two more above both: the upper two have no meet, the lower two no
+    join."""
+    top, n = a * b - 1, a * b + 4
+    covers = grid_covers(a, b) + [(top, top + 1), (top, top + 2)]
+    covers += [(x, y) for x in (top + 1, top + 2) for y in (top + 3, top + 4)]
+    return frames.transitive_reflexive_closure(n, covers)
+
+
+def test_validation_across_blocks(monkeypatch):
+    # with BLOCK_BYTES at 1 KB, the 540 open pairs of the 6 x 9 grid go
+    # through some 38 blocks of pairs, and the set entries of its rows,
+    # and of the strict rows of a random poset with four maximal elements
+    # (rows with no set entry), through many blocks of rows; the tables,
+    # the cover relations and the witnesses, of a non-lattice past one
+    # word and of a relation that is not transitive, are the oracle's
+    monkeypatch.setattr(frames, "BLOCK_BYTES", 1 << 10)
+    grid = frames.FiniteFrame(grid_relation(6, 9))
+    assert len(frames._open_pairs(grid.leq)) == 540
+    _assert_tables_match_bruteforce(grid)
+    poset = frames.random_poset(random.Random(3), 60)
+    assert len(np.flatnonzero(poset.sum(axis=1) == 1)) == 4
+    for leq in (grid.leq, poset):
+        assert frames.cover_relation(leq).tolist() == oracle.cover_relation_by_definition(leq)
+    perm = random.Random(5).sample(range(76), 76)
+    rel = _bowtie_above_grid(8, 9)[np.ix_(perm, perm)]
+    with pytest.raises(NonLattice) as exc:
+        frames.FiniteFrame(rel)
+    assert ((NonLattice, (exc.value.pair, exc.value.kind))
+            == oracle.frame_rejection_bruteforce(rel))
+    rel = frames.transitive_reflexive_closure(70, [(i, i + 1) for i in range(69)])
+    rel[40, 66] = False
+    with pytest.raises(NonPoset) as exc:
+        frames.FiniteFrame(rel)
+    assert ((exc.value.reason, exc.value.witness)
+            == oracle.poset_failure_bruteforce(rel.tolist()) == ("transitivity fails", (40, 66)))
 
 
 def test_meet_close_masks_across_blocks():

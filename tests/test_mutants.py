@@ -32,8 +32,8 @@ from localelab import theorems
 import mutants
 import oracle
 import test_sublocales
-from conftest import (antichain2_plus_top, boolean_square, chain, m3_relation,
-                      n5_relation, random_frames)
+from conftest import (antichain2_plus_top, boolean_square, chain, grid_relation,
+                      m3_relation, n5_relation, random_frames)
 
 # mutant -> (frame, the suite or battery that kills it)
 KILLED_BY = {
@@ -154,6 +154,21 @@ def _tables_match_oracle(n):
         f = chain(n)
     except frames.FrameError:
         return False
+    return all(f.meet[a, b] == oracle.glb_bruteforce(f.leq, a, b)
+               and f.join[a, b] == oracle.lub_bruteforce(f.leq, a, b)
+               for a in range(f.n) for b in range(f.n))
+
+
+def _grid_tables_match_oracle():
+    """The meet and join tables of the 5 x 7 grid, whose open pairs go
+    through blocks of a few pairs each under a small BLOCK_BYTES, equal
+    the oracle's."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(frames, "BLOCK_BYTES", 1 << 9)
+        try:
+            f = frames.FiniteFrame(grid_relation(5, 7))
+        except frames.FrameError:
+            return False
     return all(f.meet[a, b] == oracle.glb_bruteforce(f.leq, a, b)
                and f.join[a, b] == oracle.lub_bruteforce(f.leq, a, b)
                for a in range(f.n) for b in range(f.n))
@@ -287,6 +302,8 @@ ORDER_KILLED_BY = {
                                           _bowtie(7)]),
     "word_table_skipping_row_equality":
         lambda: _rejections_match_oracle([_two_tops(WIDE), _bowtie(70), _two_tops(130)]),
+    "comparable_pairs_taking_wrong_element": lambda: _tables_match_oracle(WIDE),
+    "open_pair_blocks_dropping_last": _grid_tables_match_oracle,
     "rows_dropping_top_word": lambda: _tables_match_oracle(65),
     "transitivity_checking_row_zero":
         lambda: _rejections_match_oracle([_not_transitive(6, 2, 5),
