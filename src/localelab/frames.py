@@ -285,7 +285,7 @@ def _bound_table_words(table, ranked, order, pairs, kind):
             first = (common != 0).argmax(axis=1)
             rank = 64 * first + _lowest_bits(common[np.arange(hi - lo), first])
         # a zero AND (no common bound) reads rank -1, which clips to the
-        # first element, whose row is not zero
+        # first ranked element, whose row is not zero
         best = order.take(rank, mode="clip")
         bad = ranked[best] != common
         if w > 1:
