@@ -88,13 +88,12 @@ def meet_closure(frame, points):
                            _validate=True)
 
 
-def spatialization(sub):
-    """Meet closure of the intrinsic primes; sub is spatial iff fixed."""
-    return meet_closure(sub.frame, points_of(sub))
-
-
 def is_spatial_sublocale(sub):
-    return spatialization(sub) == sub
+    """sub is the meet closure of its intrinsic primes, its
+    spatialization.  The closure is compared as a mask and never
+    validated as a Sublocale, so a member that is not a sublocale (only
+    from a broken engine) gets an answer, not an exception."""
+    return subl._meet_closed(sub.frame, mask_of(points_of(sub))) == sub.mask
 
 
 def td_spatialization(sub):

@@ -22,21 +22,6 @@ from . import sublocales as subl
 from . import subsystems as sy
 
 
-# The checks that scan pairs and triples of the assembly run as Python
-# loops on assemblies of at most LOOP_SCAN_MAX members and as numpy
-# gathers on larger ones: below it the fixed cost of the numpy calls,
-# some tens per battery, exceeds that of the loop steps.  Measured over
-# the five checks on random frames (2-core host), the arrays take 1.4
-# times the loops' time at 4 members, 1.1 at 8 and 0.6 at 16.  Both
-# routes read the same tables and name the same first failure with the
-# same count.
-LOOP_SCAN_MAX = 8
-
-
-def _by_loops(an):
-    return len(an.assembly) <= LOOP_SCAN_MAX
-
-
 @dataclass(frozen=True)
 class SuiteResult:
     name: str
@@ -138,13 +123,7 @@ def strongly_td_spatial_suite(an):
 def covered_primes_suite(an):
     every = frozenset(an.assembly)
     d_fam = an.d_family
-    if _by_loops(an):
-        d_set, meets = set(an.d_indices), an.meets.tolist()
-        closed_pairs = all(meets[i][j] in d_set
-                           for i in an.d_indices for j in an.d_indices)
-    else:
-        d = np.array(an.d_indices, dtype=np.intp)
-        closed_pairs = bool(an.in_d_family[an.meets[d[:, None], d]].all())
+    closed_pairs = _d_meets_closed(an)
     return SuiteResult("covered_primes_characterization", (
         ("all_primes_covered", an.covered == an.points),
         ("spatialpart_in_smooth", an.spatial_family <= an.smooth),
@@ -152,6 +131,12 @@ def covered_primes_suite(an):
         ("d_closed_under_meets", an.whole in d_fam and closed_pairs),
         ("spatialpart_in_d", an.spatial_family <= d_fam),
     ), expect_all_true=True)
+
+
+def _d_meets_closed(an):
+    """Whether the meet of every pair of D-sublocales is one again."""
+    d = np.array(an.d_indices, dtype=np.intp)
+    return bool(an.in_d_family[an.meets[d[:, None], d]].all())
 
 
 def total_td_spatiality_suite(an):
@@ -356,39 +341,14 @@ def law_difference(an, law):
     # broken engine) has no index, and its mask is closed on its own
     supp = [masks[a] if a >= 0 else subl.difference_mask(an.frame, full, s)
             for a, s in zip(an.supplements[:-1].tolist(), masks)]
-    loops = _by_loops(an)
-    (_difference_pairs_by_loops if loops else _difference_pairs)(an, law, diff, supp)
+    _difference_pairs(an, law, diff, supp)
     if k > TRIPLE_SCAN_LIMIT:
         law.detail = "skipped: triple scan, assembly too large"
         return
     # the triple scans close the joins they judge against themselves, off
     # the frame memo that difference reads
     meets = _members_only(law, an, an.meets, "meet")
-    (_difference_triples_by_loops if loops else _difference_triples)(an, law, diff, meets)
-
-
-def _difference_pairs_by_loops(an, law, diff, supp):
-    assembly = an.assembly
-    subs, masks = assembly.sublocales, assembly.masks
-    zero_mask = 1 << an.frame.top
-    diff = diff.tolist()
-    # the second route: S\T holds exactly the primes of S not in T
-    prime_diff = assembly.bits_table(lambda a, b: a & ~b).tolist()
-    for i, s in enumerate(masks):
-        for j, t in enumerate(masks):
-            law.checked += 4
-            d = masks[diff[i][j]]
-            if d & ~s:
-                which = 0
-            elif (d == zero_mask) != (s & ~t == 0):
-                which = 1
-            elif t & supp[j] == zero_mask and d != s & supp[j]:
-                which = 2
-            elif diff[i][j] != prime_diff[i][j]:
-                which = 3
-            else:
-                continue
-            law.fail(f"{_DIFFERENCE_PAIR_LAWS[which]} at {subs[i]!r}, {subs[j]!r}")
+    _difference_triples(an, law, diff, meets)
 
 
 def _difference_pairs(an, law, diff, supp):
@@ -417,31 +377,6 @@ def _difference_pairs(an, law, diff, supp):
         law.fail(f"{_DIFFERENCE_PAIR_LAWS[which]} at {subs[i]!r}, {subs[j]!r}",
                  checked=4 * (pos + 1))
     law.checked = 4 * k * k
-
-
-def _difference_triples_by_loops(an, law, diff, meets):
-    subs, masks = an.assembly.sublocales, an.assembly.masks
-    k = len(subs)
-    diff, meets = diff.tolist(), meets.tolist()
-    close = functools.cache(an.frame.meet_close_mask)
-    joined = [[close(s | t) for t in masks] for s in masks]
-    for i in range(k):
-        drow = diff[i]
-        for j in range(k):
-            dij = drow[j]
-            dj, meet_row = diff[dij], meets[j]
-            for r in range(k):
-                law.checked += 3
-                if masks[drow[meet_row[r]]] != joined[dij][drow[r]]:
-                    which = 0
-                elif dj[r] != diff[drow[r]][j]:
-                    which = 1
-                elif bool(masks[dij] & ~masks[r]) != bool(masks[i] & ~joined[j][r]):
-                    which = 2
-                else:
-                    continue
-                law.fail(f"{_DIFFERENCE_TRIPLE_LAWS[which]} at "
-                         f"{subs[i]!r},{subs[j]!r},{subs[r]!r}")
 
 
 def _difference_triples(an, law, diff, meets):
@@ -605,14 +540,13 @@ def law_td_adjunction(an, law):
             law.fail(f"td-spatialization not idempotent on {subs[i]!r}")
     joins = _members_only(law, an, an.joins, "join")
     meets = _members_only(law, an, an.meets, "meet")
-    loops = _by_loops(an)
-    (_td_pairs_by_loops if loops else _td_pairs)(an, law, joins, meets)
+    _td_pairs(an, law, joins, meets)
     # covered points distribute over joins of D-sublocales.  Checked on
     # pairs: a pair's join must be a D-sublocale again, and since
     # cl(cl(A | B) | C) = cl(A | B | C) the pair law gives the law for
     # families of every size.  Joins are closed here, off the frame memo
     # of sublocale_join.
-    (_covered_joins_by_loops if loops else _covered_joins)(an, law)
+    _covered_joins(an, law)
     # the classical adjunction, between subsets of the primes and the
     # whole assembly, and the meet closure against its second route, the
     # join of the one-point sublocales
@@ -628,34 +562,6 @@ def law_td_adjunction(an, law):
         if sy.meet_closure(frame, [pts[i] for i in chosen]) != subl.sublocale_join(
                 frame, [one_points[i] for i in chosen]):
             law.fail("meet closure disagrees with the join of points")
-
-
-def _td_pairs_by_loops(an, law, joins, meets):
-    frame = an.frame
-    subs, masks = an.assembly.sublocales, an.assembly.masks
-    d_idx, sp = an.d_indices, an.td_spatializations
-    joins, meets = joins.tolist(), meets.tolist()
-    # the image meet law depends only on sp[i] meet sp[j]: check each once
-    image_meet_holds = {}
-    for i in d_idx:
-        sp_i, join_row = sp[i], joins[i]
-        sp_join_row, sp_meet_row = joins[sp_i], meets[sp_i]
-        for j in d_idx:
-            law.checked += 1
-            sp_j = sp[j]
-            if masks[i] & ~masks[j] == 0 and masks[sp_i] & ~masks[sp_j]:
-                law.fail(_TD_PAIR_LAWS[0])
-            if sp.get(join_row[j], -1) != sp_join_row[sp_j]:
-                law.fail(f"{_TD_PAIR_LAWS[1]} at {subs[i]!r}, {subs[j]!r}")
-            inter = sp_meet_row[sp_j]
-            if inter not in image_meet_holds:
-                # meets inside the image go through the operator once more
-                image_meet = sp.get(inter, -1)
-                below = [subs[sp[r]] for r in d_idx if not masks[sp[r]] & ~masks[inter]]
-                image_meet_holds[inter] = image_meet >= 0 and \
-                    subl.sublocale_join(frame, below) == subs[image_meet]
-            if not image_meet_holds[inter]:
-                law.fail(f"{_TD_PAIR_LAWS[2]} at {subs[i]!r}, {subs[j]!r}")
 
 
 def _td_pairs(an, law, joins, meets):
@@ -692,22 +598,6 @@ def _td_pairs(an, law, joins, meets):
     law.checked += pairs
 
 
-def _covered_joins_by_loops(an, law):
-    subs, masks = an.assembly.sublocales, an.assembly.masks
-    d_idx = an.d_indices
-    close = functools.cache(an.frame.meet_close_mask)
-    covered = {masks[i]: sy.covered_points_of(subs[i]) for i in d_idx}
-    for a, i in enumerate(d_idx):
-        for j in d_idx[a + 1:]:
-            law.checked += 1
-            jmask = close(masks[i] | masks[j])
-            if jmask not in covered:
-                law.fail(f"join of {subs[i]!r}, {subs[j]!r} is not a D-sublocale")
-            if covered[jmask] != covered[masks[i]] | covered[masks[j]]:
-                law.fail(f"covered points of the join of {subs[i]!r}, "
-                         f"{subs[j]!r} differ from their union")
-
-
 def _covered_joins(an, law):
     subs, masks = an.assembly.sublocales, an.assembly.masks
     d_idx = an.d_indices
@@ -740,25 +630,22 @@ def law_d_family_closure(an, law):
         law.fail("whole frame not in family", checked=1)
     if not an.smooth <= an.d_family:
         law.fail("smooth not inside family", checked=1)
-    # assembly order, so a failure names the same pair and count every run
-    subs = an.assembly.sublocales
-    d_idx = an.d_indices
-    for table, others, what in ((an.joins, d_idx, "join"),
-                                (an.differences, range(len(subs)), "difference")):
-        if _by_loops(an):
-            rows, d_set = table.tolist(), set(d_idx)
-            for i in d_idx:
-                for j in others:
-                    law.checked += 1
-                    if rows[i][j] not in d_set:
-                        law.fail(f"{what} escapes at {subs[i]!r}, {subs[j]!r}")
-            continue
-        failed = _first_failure(~an.in_d_family[table[np.ix_(d_idx, others)]])
-        if failed:
-            a, b = divmod(failed[0], len(others))
-            law.fail(f"{what} escapes at {subs[d_idx[a]]!r}, {subs[others[b]]!r}",
-                     checked=law.checked + failed[0] + 1)
-        law.checked += len(d_idx) * len(others)
+    for table, others, what in ((an.joins, an.d_indices, "join"),
+                                (an.differences, range(len(an.assembly)), "difference")):
+        _d_family_escapes(an, law, table, others, what)
+
+
+def _d_family_escapes(an, law, table, others, what):
+    """Fail at the first entry, in assembly order, of the table's rows of
+    the D-sublocales and columns others that is not a D-sublocale, so a
+    failure names the same pair and count every run."""
+    subs, d_idx = an.assembly.sublocales, an.d_indices
+    failed = _first_failure(~an.in_d_family[table[np.ix_(d_idx, others)]])
+    if failed:
+        a, b = divmod(failed[0], len(others))
+        law.fail(f"{what} escapes at {subs[d_idx[a]]!r}, {subs[others[b]]!r}",
+                 checked=law.checked + failed[0] + 1)
+    law.checked += len(d_idx) * len(others)
 
 
 _ORDER_PAIR_LAWS = ("order join is not intersection", "order meet is not sublocale join",
@@ -775,31 +662,8 @@ def law_assembly_order(an, law):
     if order is None:
         law.fail("the order of the assembly is not a frame", checked=1)
     frame = an.frame
-    k = len(assembly)
     # the second route to the joins: ORs of prime bits
-    prime_joins = assembly.bits_table(np.bitwise_or)
-    if _by_loops(an):
-        joins, meets, prime_joins = an.joins.tolist(), an.meets.tolist(), prime_joins.tolist()
-        for i in range(k):
-            order_join, order_meet = order.join_rows[i], order.meet_rows[i]
-            for j in range(k):
-                law.checked += 3
-                if order_join[j] != meets[i][j]:
-                    law.fail(_ORDER_PAIR_LAWS[0])
-                if order_meet[j] != joins[i][j]:
-                    law.fail(_ORDER_PAIR_LAWS[1])
-                if prime_joins[i][j] != joins[i][j]:
-                    law.fail(f"{_ORDER_PAIR_LAWS[2]} at {assembly[i]!r}, {assembly[j]!r}")
-    else:
-        failed = _first_failure(order.join != an.meets, order.meet != an.joins,
-                                prime_joins != an.joins)
-        if failed:
-            pos, which = failed
-            i, j = divmod(pos, k)
-            law.fail(_ORDER_PAIR_LAWS[which] if which < 2 else
-                     f"{_ORDER_PAIR_LAWS[which]} at {assembly[i]!r}, {assembly[j]!r}",
-                     checked=3 * (pos + 1))
-        law.checked = 3 * k * k
+    _order_pairs(an, law, order, assembly.bits_table(np.bitwise_or))
     # covered primes of the reversed assembly are the one-point sublocales
     expected = {assembly.index_of(1 << frame.top | 1 << p) for p in an.covered}
     got = frames.covered_primes(order)
@@ -816,6 +680,22 @@ def law_assembly_order(an, law):
         law.fail("td-spatial members differ from the boolean "
                  "sublocale at the td-spatialization")
 
+
+def _order_pairs(an, law, order, prime_joins):
+    """The order frame's joins against the meet table, its meets against
+    the join table and the joins by ORs of prime bits against the join
+    table, pair by pair in row-major order."""
+    assembly = an.assembly
+    k = len(assembly)
+    failed = _first_failure(order.join != an.meets, order.meet != an.joins,
+                            prime_joins != an.joins)
+    if failed:
+        pos, which = failed
+        i, j = divmod(pos, k)
+        law.fail(_ORDER_PAIR_LAWS[which] if which < 2 else
+                 f"{_ORDER_PAIR_LAWS[which]} at {assembly[i]!r}, {assembly[j]!r}",
+                 checked=3 * (pos + 1))
+    law.checked = 3 * k * k
 
 
 @_battery("lifting")

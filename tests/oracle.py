@@ -5,11 +5,15 @@ touching the prime-subset enumeration, the implication table, or the
 decomposition formula that the engine uses.  Oracles stay slow and dumb
 on purpose.  The one exception is assembly_frontier, a frontier walk
 over the engine's sublocale_closure_mask: the second route to the
-assembly, beside the prime-subset enumeration.
+assembly, beside the prime-subset enumeration.  The last section is
+another: the pair and triple scans of the theorem checks as Python
+loops over the engine's own tables, the judges of the numpy gathers
+that theorems runs in their place.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -410,3 +414,158 @@ def complemented_by_supplements(assembly):
     (sublocales.is_complemented)."""
     return (frozenset(s for s in assembly if subl.is_complemented(s))
             | {subl.zero(assembly.frame)})
+
+
+# ---------------------------------------------------------------------------
+# the scans of the theorem checks, pair by pair
+#
+# Each loop below is the judge of the array scan in theorems whose name
+# it bears without the "_by_loops" suffix: it takes the same arguments,
+# reads the same tables and fails through the same tally, so the two
+# must give the same result, the same first failure named with the same
+# count included.  The arrays find that failure by argmax over whole
+# tables and rebuild the pair or triple and the count from its position;
+# the loops meet the pairs one at a time in row-major order and count as
+# they go, so that arithmetic has a route of its own.  The triple and the
+# pair-join loops close each join one mask at a time through
+# functools.cache(frame.meet_close_mask), their own route against the
+# batch kernel meet_close_masks that the arrays call.
+# tests/test_mutants.py swaps these in for the arrays under every mutant.
+
+def d_meets_closed_by_loops(an):
+    """theorems._d_meets_closed: every meet of two D-sublocales looked up
+    in the meet table and tested for D-membership in turn."""
+    d_set, meets = set(an.d_indices), an.meets.tolist()
+    return all(meets[i][j] in d_set for i in an.d_indices for j in an.d_indices)
+
+
+def difference_pairs_by_loops(an, law, diff, supp):
+    """theorems._difference_pairs: the four pair laws of S\\T, tested
+    pair by pair, each pair's laws in turn."""
+    assembly = an.assembly
+    subs, masks = assembly.sublocales, assembly.masks
+    zero_mask = 1 << an.frame.top
+    diff = diff.tolist()
+    # the second route: S\T holds exactly the primes of S not in T
+    prime_diff = assembly.bits_table(lambda a, b: a & ~b).tolist()
+    for i, s in enumerate(masks):
+        for j, t in enumerate(masks):
+            law.checked += 4
+            d = masks[diff[i][j]]
+            if d & ~s:
+                which = 0
+            elif (d == zero_mask) != (s & ~t == 0):
+                which = 1
+            elif t & supp[j] == zero_mask and d != s & supp[j]:
+                which = 2
+            elif diff[i][j] != prime_diff[i][j]:
+                which = 3
+            else:
+                continue
+            law.fail(f"{theorems._DIFFERENCE_PAIR_LAWS[which]} at {subs[i]!r}, {subs[j]!r}")
+
+
+def difference_triples_by_loops(an, law, diff, meets):
+    """theorems._difference_triples: the three triple laws of S\\T,
+    tested triple by triple against joins closed one mask at a time."""
+    subs, masks = an.assembly.sublocales, an.assembly.masks
+    k = len(subs)
+    diff, meets = diff.tolist(), meets.tolist()
+    close = functools.cache(an.frame.meet_close_mask)
+    joined = [[close(s | t) for t in masks] for s in masks]
+    for i in range(k):
+        drow = diff[i]
+        for j in range(k):
+            dij = drow[j]
+            dj, meet_row = diff[dij], meets[j]
+            for r in range(k):
+                law.checked += 3
+                if masks[drow[meet_row[r]]] != joined[dij][drow[r]]:
+                    which = 0
+                elif dj[r] != diff[drow[r]][j]:
+                    which = 1
+                elif bool(masks[dij] & ~masks[r]) != bool(masks[i] & ~joined[j][r]):
+                    which = 2
+                else:
+                    continue
+                law.fail(f"{theorems._DIFFERENCE_TRIPLE_LAWS[which]} at "
+                         f"{subs[i]!r},{subs[j]!r},{subs[r]!r}")
+
+
+def td_pairs_by_loops(an, law, joins, meets):
+    """theorems._td_pairs: monotonicity, join preservation and the image
+    meet law of the td-spatialization, pair by pair of D-sublocales,
+    inclusion read from the masks."""
+    frame = an.frame
+    subs, masks = an.assembly.sublocales, an.assembly.masks
+    d_idx, sp = an.d_indices, an.td_spatializations
+    joins, meets = joins.tolist(), meets.tolist()
+    # the image meet law depends only on sp[i] meet sp[j]: check each once
+    image_meet_holds = {}
+    for i in d_idx:
+        sp_i, join_row = sp[i], joins[i]
+        sp_join_row, sp_meet_row = joins[sp_i], meets[sp_i]
+        for j in d_idx:
+            law.checked += 1
+            sp_j = sp[j]
+            if masks[i] & ~masks[j] == 0 and masks[sp_i] & ~masks[sp_j]:
+                law.fail(theorems._TD_PAIR_LAWS[0])
+            if sp.get(join_row[j], -1) != sp_join_row[sp_j]:
+                law.fail(f"{theorems._TD_PAIR_LAWS[1]} at {subs[i]!r}, {subs[j]!r}")
+            inter = sp_meet_row[sp_j]
+            if inter not in image_meet_holds:
+                # meets inside the image go through the operator once more
+                image_meet = sp.get(inter, -1)
+                below = [subs[sp[r]] for r in d_idx if not masks[sp[r]] & ~masks[inter]]
+                image_meet_holds[inter] = image_meet >= 0 and \
+                    subl.sublocale_join(frame, below) == subs[image_meet]
+            if not image_meet_holds[inter]:
+                law.fail(f"{theorems._TD_PAIR_LAWS[2]} at {subs[i]!r}, {subs[j]!r}")
+
+
+def covered_joins_by_loops(an, law):
+    """theorems._covered_joins: each join of two D-sublocales, closed one
+    mask at a time, is a D-sublocale whose covered points are theirs."""
+    subs, masks = an.assembly.sublocales, an.assembly.masks
+    d_idx = an.d_indices
+    close = functools.cache(an.frame.meet_close_mask)
+    covered = {masks[i]: sy.covered_points_of(subs[i]) for i in d_idx}
+    for a, i in enumerate(d_idx):
+        for j in d_idx[a + 1:]:
+            law.checked += 1
+            jmask = close(masks[i] | masks[j])
+            if jmask not in covered:
+                law.fail(f"join of {subs[i]!r}, {subs[j]!r} is not a D-sublocale")
+            if covered[jmask] != covered[masks[i]] | covered[masks[j]]:
+                law.fail(f"covered points of the join of {subs[i]!r}, "
+                         f"{subs[j]!r} differ from their union")
+
+
+def d_family_escapes_by_loops(an, law, table, others, what):
+    """theorems._d_family_escapes: each entry of the D-rows of the table
+    tested for D-membership in turn."""
+    subs, d_idx = an.assembly.sublocales, an.d_indices
+    rows, d_set = table.tolist(), set(d_idx)
+    for i in d_idx:
+        for j in others:
+            law.checked += 1
+            if rows[i][j] not in d_set:
+                law.fail(f"{what} escapes at {subs[i]!r}, {subs[j]!r}")
+
+
+def order_pairs_by_loops(an, law, order, prime_joins):
+    """theorems._order_pairs: the three pair laws of the order frame,
+    pair by pair, read from its join and meet rows."""
+    assembly = an.assembly
+    k = len(assembly)
+    joins, meets, prime_joins = an.joins.tolist(), an.meets.tolist(), prime_joins.tolist()
+    for i in range(k):
+        order_join, order_meet = order.join_rows[i], order.meet_rows[i]
+        for j in range(k):
+            law.checked += 3
+            if order_join[j] != meets[i][j]:
+                law.fail(theorems._ORDER_PAIR_LAWS[0])
+            if order_meet[j] != joins[i][j]:
+                law.fail(theorems._ORDER_PAIR_LAWS[1])
+            if prime_joins[i][j] != joins[i][j]:
+                law.fail(f"{theorems._ORDER_PAIR_LAWS[2]} at {assembly[i]!r}, {assembly[j]!r}")

@@ -13,10 +13,10 @@ boundary for each instead.
 
 The mutant matrix asserts the converse over all ALL_MUTANTS at once:
 every suite and battery fails under some mutant, save those in UNKILLED.
-It also runs the checks that scan pairs and triples by both their routes,
-numpy gathers and Python loops, and law_nucleus_roundtrip against its
-member-by-member loop in tests/oracle.py, which must agree under every
-mutant.
+It also runs the checks that scan pairs and triples as theorems runs
+them, by numpy gathers, and again with those scans swapped for their
+Python loops in tests/oracle.py, and law_nucleus_roundtrip against its
+member-by-member loop there; both must agree under every mutant.
 """
 
 import io
@@ -371,28 +371,45 @@ MATRIX_FRAMES = {
 CHECKS = theorems.THEOREM_SUITES + theorems.LAW_BATTERIES
 
 
-# the checks with a loop route and an array route (theorems.LOOP_SCAN_MAX)
-SCANNED = (theorems.covered_primes_suite, theorems.law_difference,
-           theorems.law_td_adjunction, theorems.law_d_family_closure,
-           theorems.law_assembly_order)
+# the checks that scan pairs or triples of the assembly -> each array
+# scan they call in theorems, with its loop in tests/oracle.py
+SCANNED = {
+    theorems.covered_primes_suite: {"_d_meets_closed": oracle.d_meets_closed_by_loops},
+    theorems.law_difference: {"_difference_pairs": oracle.difference_pairs_by_loops,
+                              "_difference_triples": oracle.difference_triples_by_loops},
+    theorems.law_td_adjunction: {"_td_pairs": oracle.td_pairs_by_loops,
+                                 "_covered_joins": oracle.covered_joins_by_loops},
+    theorems.law_d_family_closure: {"_d_family_escapes": oracle.d_family_escapes_by_loops},
+    theorems.law_assembly_order: {"_order_pairs": oracle.order_pairs_by_loops},
+}
 
 
 def _both_routes(check, an):
-    """check(an) by its array route and by its loop route."""
+    """check(an) as theorems runs it, by its array scans, then again with
+    each scan swapped for its loop: (arrays, loops, calls), where calls
+    counts, by scan name, the calls that reached each loop."""
+    arrays = check(an)
+    calls = dict.fromkeys(SCANNED[check], 0)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(theorems, "LOOP_SCAN_MAX", 0)
-        arrays = check(an)
-        patch.setattr(theorems, "LOOP_SCAN_MAX", 1 << 30)
-        return arrays, check(an)
+        for name, loop in SCANNED[check].items():
+            def counted(*args, _name=name, _loop=loop):
+                calls[_name] += 1
+                return _loop(*args)
+            patch.setattr(theorems, name, counted)
+        return arrays, check(an), calls
 
 
 def _routes(an):
-    """Each SCANNED check by its array route and by its loop route, each
+    """Each SCANNED check by its array scans and by their loops, each
     side of the meet-closure adjunction by its bitsets and by
     oracle.adjunction_law_by_pairs, and law_nucleus_roundtrip by its
     whole-assembly table and by oracle.nucleus_roundtrip_by_loops:
-    name -> (fast, loops), reports as (checked, failures)."""
-    out = {check.__name__: _both_routes(check, an) for check in SCANNED}
+    (name -> (fast, loops), reports as (checked, failures); SCANNED
+    check name -> the calls of _both_routes)."""
+    out, calls = {}, {}
+    for check in SCANNED:
+        arrays, loops, calls[check.__name__] = _both_routes(check, an)
+        out[check.__name__] = arrays, loops
     out["law_nucleus_roundtrip"] = (theorems.law_nucleus_roundtrip(an),
                                     oracle.nucleus_roundtrip_by_loops(an))
     frame, assembly = an.frame, an.assembly
@@ -404,18 +421,20 @@ def _routes(an):
         out[name] = tuple((report.checked, report.failures) for report in (
             sy.adjunction_law(frame, points, family, spectrum),
             oracle.adjunction_law_by_pairs(frame, points, family, spectrum)))
-    return out
+    return out, calls
 
 
 @pytest.fixture(scope="module")
 def mutant_matrix():
     """Every suite and battery on every MATRIX_FRAMES frame, without a
     mutant (key None) and under each mutant in mutants.ALL_MUTANTS:
-    (failed, raised, compared), where failed[mutant] names the checks
-    that failed, raised maps (mutant, frame, check) to the exception
-    type, and compared maps (mutant, frame, check) to the two routes'
-    results of each check that _routes runs both ways."""
-    failed, raised, compared = {}, {}, {}
+    (failed, raised, compared, reached), where failed[mutant] names the
+    checks that failed, raised maps (mutant, frame, check) to the
+    exception type, compared maps (mutant, frame, check) to the two
+    routes' results of each check that _routes runs both ways, and
+    reached maps (mutant, frame, check) to the calls of each oracle loop
+    that a SCANNED check made."""
+    failed, raised, compared, reached = {}, {}, {}, {}
     for name, apply_mutant in [(None, None)] + list(mutants.ALL_MUTANTS):
         failed[name] = set()
         with pytest.MonkeyPatch.context() as patch:
@@ -430,15 +449,18 @@ def mutant_matrix():
                     except Exception as exc:
                         raised[name, frame_name, check.__name__] = type(exc)
                 if not raised:
-                    for check_name, pair in _routes(an).items():
+                    pairs, calls = _routes(an)
+                    for check_name, pair in pairs.items():
                         compared[name, frame_name, check_name] = pair
-    return failed, raised, compared
+                    for check_name, counts in calls.items():
+                        reached[name, frame_name, check_name] = counts
+    return failed, raised, compared, reached
 
 
 def test_mutant_matrix_raises_only_where_it_raised(mutant_matrix):
     # every suite and battery passes or fails cleanly under every mutant:
     # none raises, so each failure names its condition
-    _, raised, _ = mutant_matrix
+    _, raised, _, _ = mutant_matrix
     assert raised == {}
 
 
@@ -447,7 +469,7 @@ def test_array_scans_match_their_loops(mutant_matrix):
     # on the verdict, the first failure named and the count checked, under
     # every mutant, and each check must fail somewhere, so that the
     # agreement covers failures too
-    _, raised, compared = mutant_matrix
+    _, raised, compared, _ = mutant_matrix
     assert raised == {}
     assert len(compared) == ((len(mutants.ALL_MUTANTS) + 1) * len(MATRIX_FRAMES)
                              * (len(SCANNED) + 3))
@@ -456,6 +478,18 @@ def test_array_scans_match_their_loops(mutant_matrix):
                if (fast[1] if isinstance(fast, tuple) else not _passed(fast))}
     assert failing == {check.__name__ for check in SCANNED} | {
         "check_td_adjunction", "adjunction_law", "law_nucleus_roundtrip"}
+
+
+def test_every_scan_reaches_its_loop(mutant_matrix):
+    # a swap that does not take effect would compare the arrays with
+    # themselves: without a mutant, every scan of every SCANNED check must
+    # have run its oracle loop on every frame
+    _, _, _, reached = mutant_matrix
+    for frame_name in MATRIX_FRAMES:
+        for check, loops in SCANNED.items():
+            calls = reached[None, frame_name, check.__name__]
+            assert set(calls) == set(loops)
+            assert all(calls.values()), (frame_name, check.__name__, calls)
 
 
 @pytest.mark.parametrize("doctor", [
@@ -478,10 +512,11 @@ def test_own_closure_scans_match_their_loops(frame_name, doctor, monkeypatch):
     monkeypatch.setattr(frame, "meet_close_masks",
                         lambda masks: [doctor(frame, m) for m in close_all(masks)],
                         raising=False)
-    arrays, loops = _both_routes(theorems.law_difference, an)
+    arrays, loops, calls = _both_routes(theorems.law_difference, an)
     assert arrays == loops and not arrays.ok
-    arrays, loops = _both_routes(theorems.law_td_adjunction, an)
-    assert arrays == loops
+    assert calls["_difference_triples"]
+    arrays, loops, calls = _both_routes(theorems.law_td_adjunction, an)
+    assert arrays == loops and calls["_covered_joins"]
 
 
 @pytest.mark.parametrize("name, apply_mutant", [(None, None)] + list(mutants.ALL_MUTANTS),
@@ -494,8 +529,10 @@ def test_array_scans_match_their_loops_past_one_word(name, apply_mutant, monkeyp
     an = sy.FrameAnalysis(_two_word_frame())
     assert an.frame.n > 64
     results = [_both_routes(check, an) for check in SCANNED]
-    assert all(arrays == loops for arrays, loops in results)
-    assert all(_passed(arrays) for arrays, _ in results) == (name is None)
+    assert all(arrays == loops for arrays, loops, _ in results)
+    assert all(_passed(arrays) for arrays, _, _ in results) == (name is None)
+    if name is None:
+        assert all(any(calls.values()) for _, _, calls in results)
 
 
 # the checks that no mutant makes fail on MATRIX_FRAMES
@@ -504,7 +541,7 @@ UNKILLED = set()
 
 def test_every_check_fails_under_some_mutant(mutant_matrix):
     # a check that no broken engine makes fail judges nothing
-    failed, _, _ = mutant_matrix
+    failed, _, _, _ = mutant_matrix
     assert failed.pop(None) == set()
     killed = set().union(*failed.values())
     assert {check.__name__ for check in CHECKS} - killed == UNKILLED

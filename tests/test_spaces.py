@@ -140,7 +140,7 @@ class TestOmegaPrime:
         for sp in all_small_spaces(3):
             for sel in range(1 << sp.points):
                 sub = spaces.omega_prime(sp, frozenset(frames.bits_of(sel)))
-                assert sy.spatialization(sub) == sub
+                assert sy.meet_closure(sub.frame, sy.points_of(sub)) == sub
 
     def test_injective_iff_td(self):
         for sp in all_small_spaces(3) + all_spaces(4):

@@ -1,7 +1,6 @@
 import gc
 import hashlib
 import random
-import types
 import weakref
 from collections import Counter
 
@@ -128,7 +127,7 @@ class TestUnprovenStepChecks:
         for f in (f for f in small_corpus if f.n <= 8):
             an = sy.FrameAnalysis(f)
             if an.d_family <= an.smooth:
-                sp = sy.spatialization(subl.whole(f))
+                sp = sy.meet_closure(f, sy.points_of(subl.whole(f)))
                 sp_frame, members = sy.sublocale_frame(sp)
                 sp_an = sy.FrameAnalysis(sp_frame)
                 assert frozenset(sp_an.assembly) == sp_an.spatial_family
@@ -138,7 +137,7 @@ class TestUnprovenStepChecks:
         # the spatialization stay smooth in it
         for f in (f for f in small_corpus if f.n <= 8):
             an = sy.FrameAnalysis(f)
-            sp = sy.spatialization(subl.whole(f))
+            sp = sy.meet_closure(f, sy.points_of(subl.whole(f)))
             sp_frame, members = sy.sublocale_frame(sp)
             pos = {a: i for i, a in enumerate(members)}
             inner = sy.FrameAnalysis(sp_frame)
@@ -163,9 +162,9 @@ def _with_doctored_member(frame, position, mask):
                          ids=["eight_elements", "square"])
 def test_batteries_fail_on_a_doctored_member(draw, mask):
     # a mask that is meet-closed but not closed under implication, put
-    # in place of each member in turn: every battery returns a result,
-    # and the nucleus, assembly-order and lifting batteries, which used
-    # to raise there, fail with a detail
+    # in place of each member in turn: every suite and battery returns a
+    # result, none raises, and the nucleus, assembly-order and lifting
+    # batteries fail with a detail
     rng = random.Random(3)
     frame = [frames.random_frame(rng, 3) for _ in range(draw + 1)][draw]
     assert frame.meet_close_mask(mask) == mask
@@ -174,6 +173,8 @@ def test_batteries_fail_on_a_doctored_member(draw, mask):
     details = {}
     for position in range(1 << len(frames.primes(frame))):
         an = _with_doctored_member(frame, position, mask)
+        for suite in theorems.THEOREM_SUITES:
+            assert isinstance(suite(an), theorems.SuiteResult), (position, suite.__name__)
         for battery in theorems.LAW_BATTERIES:
             result = battery(an)
             assert result.ok or result.detail, (position, battery.__name__)
@@ -191,6 +192,36 @@ def test_batteries_fail_on_a_doctored_member(draw, mask):
     else:
         assert {details[p, "law_assembly_order"] for p in positions} == {
             "the order of the assembly is not a frame"}
+
+
+def _reversed(frame):
+    """The frame with its elements numbered backwards, top first."""
+    return frames.FiniteFrame(frame.leq[::-1, ::-1])
+
+
+@pytest.mark.parametrize("make, i, x, law", [
+    (lambda: random_frames(1, 4, 1)[0], 0, 1, "join not preserved at "),
+    (lambda: random_frames(1, 4, 3)[2], 3, 7, "image meet law fails at "),
+    (lambda: _reversed(random_frames(1, 4, 1)[0]), 2, 0, "td-spatialization not monotone"),
+], ids=["join_not_preserved", "image_meet_law_fails", "not_monotone"])
+def test_td_pair_scan_fails_as_its_loop(make, i, x, law, monkeypatch):
+    # the td-spatialization of member i doctored to x, a smaller member
+    # that it fixes, so its inflation and idempotence checks still pass;
+    # the pair scan must fail, and name the same pair with the same count
+    # as its loop in tests/oracle.py.  Members are ordered by their sorted
+    # elements, so with the top numbered last a member comes after every
+    # larger one: where the doctored map is not monotone on a pair, the
+    # join check fails first on the reversed pair.  Numbering the top
+    # first lets a member precede a larger one.
+    an = sy.FrameAnalysis(make())
+    assert theorems.law_td_adjunction(an).ok
+    sp, masks = an.td_spatializations, an.assembly.masks
+    assert i in sp and sp[x] == x and x != sp[i] and masks[x] & ~masks[sp[i]] == 0
+    an.td_spatializations = {**sp, i: x}
+    arrays = theorems.law_td_adjunction(an)
+    monkeypatch.setattr(theorems, "_td_pairs", oracle.td_pairs_by_loops)
+    assert arrays == theorems.law_td_adjunction(an)
+    assert not arrays.ok and arrays.detail.startswith(law)
 
 
 class TestLawBatteryDetails:
@@ -218,12 +249,15 @@ class TestLawBatteryDetails:
          "covered points of the join of {0,2}, {2} differ from their union"),
     ], ids=["join_not_in_family", "covered_points_differ"])
     def test_pair_join_scan_names_the_pair(self, doctor, detail, monkeypatch):
-        # the battery closes pair joins through its own functools.cache,
-        # here a stand-in that doctors every closure it answers
+        # the battery closes pair joins through the frame's batch kernel,
+        # not the frame memo: with the tables built, a stand-in kernel
+        # doctors every closure it answers
         an = sy.FrameAnalysis(chain(3))
-        frame = an.frame
-        monkeypatch.setattr(theorems, "functools", types.SimpleNamespace(
-            cache=lambda close: lambda mask: doctor(frame, close(mask))))
+        assert theorems.law_td_adjunction(an).ok
+        frame, close_all = an.frame, an.frame.meet_close_masks
+        monkeypatch.setattr(frame, "meet_close_masks",
+                            lambda masks: [doctor(frame, m) for m in close_all(masks)],
+                            raising=False)
         result = theorems.law_td_adjunction(an)
         assert not result.ok and result.detail == detail
 
