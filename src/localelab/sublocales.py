@@ -447,9 +447,9 @@ class Assembly:
     Sublocale.sort_key, the order family_order_frame gives them, and
     masks their masks in that order; index_of maps a mask back to its
     index, -1 when no member has it, as in the pair tables of
-    subsystems.FrameAnalysis.  d_family is None until
-    subsystems.d_sublocales keeps the D-family of this enumeration there.
-    """
+    subsystems.FrameAnalysis.  d_family and lifts are None until
+    subsystems.d_sublocales and lift_surjection keep the D-family and
+    the lift onto each member there.  """
 
     def __init__(self, frame, by_primes):
         self.frame = frame
@@ -459,7 +459,7 @@ class Assembly:
                                        key=Sublocale.sort_key))
         self.masks = tuple(s.mask for s in self.sublocales)
         self._index = {m: i for i, m in enumerate(self.masks)}
-        self.d_family = None
+        self.d_family = self.lifts = None
 
     def __len__(self):
         return len(self.sublocales)

@@ -15,7 +15,9 @@ builds every reverse-inclusion order.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import cached_property, partial
+from itertools import zip_longest
 
 import numpy as np
 
@@ -196,8 +198,7 @@ class AdjointPair:
         self.hom = tuple(int(x) for x in hom)
         if right is None:
             up = target.up_masks
-            right = [source.join_of(a for a in range(source.n)
-                                    if up[self.hom[a]] >> b & 1)
+            right = [source.join_of(a for a in range(source.n) if up[self.hom[a]] >> b & 1)
                      for b in range(target.n)]
         self.right = tuple(int(x) for x in right)
         self._validate()
@@ -277,67 +278,105 @@ def is_d_homomorphism(pair):
 # ---------------------------------------------------------------------------
 # lifting a frame surjection to the assemblies of D-sublocales
 
-class AssemblyLift:
-    """The lift of a surjection onto a D-sublocale.
+class AssemblyLift(namedtuple("AssemblyLift",
+                              "hom source_subs target_subs target_members surjective")):
+    """The lift onto a D-sublocale S: target_subs[hom[i]] is source_subs[i]
+    meet S in S's own elements (target_members); pair is built when read."""
 
-    pair is an AdjointPair between the reverse-inclusion order frames of
-    the D-sublocales of the source and of the target sublocale; index
-    tables recover the actual sublocales on both sides.
-    """
-
-    def __init__(self, pair, source_subs, target_subs, target_members):
-        self.pair = pair
-        self.source_subs = source_subs
-        self.target_subs = target_subs
-        self.target_members = target_members
+    @cached_property
+    def pair(self):
+        return AdjointPair(subl.family_order_frame(self.source_subs)[0],
+                           subl.family_order_frame(self.target_subs)[0], self.hom)
 
 
 def lift_surjection(assembly, sub):
-    """Lift the surjection onto `sub` to the assemblies of D-sublocales.
+    """Lift the surjection onto the member `sub` to the order frames of
+    the D-sublocales, T to T meet sub, which exists exactly when sub is
+    a D-sublocale.  All members are lifted on the first call (_lift_all,
+    kept in assembly.lifts); one with no lift raises what it met first."""
+    if assembly.lifts is None:
+        assembly.lifts = _lift_all(assembly)
+    i = assembly.index_of(sub.mask)
+    got = assembly.lifts[i] if assembly[i] == sub else NotLiftable(f"{sub!r} is no member")
+    if isinstance(got, Exception):
+        raise got
+    return got
 
-    The lift sends a D-sublocale T of the enumerated assembly to T meet
-    sub, which must be a D-sublocale again (on a finite frame every
-    sublocale is one); it exists exactly when sub itself is a
-    D-sublocale.  The returned AdjointPair lives on the reverse-inclusion
-    order frames, and is checked to preserve meets, joins, and the
-    closed-sublocale generators with elements of sub.
-    sub's primes are the frame's primes inside it, so its own assembly is
-    enumerated with len(assembly) as the cap, which it never exceeds.
-    """
-    if not is_d_sublocale(sub):
-        raise NotLiftable(f"{sub!r} is not a D-sublocale")
-    frame = assembly.frame
-    src_family = d_sublocales(assembly)
-    src_frame, src_subs = subl.family_order_frame(src_family)
 
-    sub_frame, members = sublocale_frame(sub)
-    pos = {a: i for i, a in enumerate(members)}
-    tgt_assembly = subl.enumerate_assembly(sub_frame, len(assembly))
-    tgt_family = d_sublocales(tgt_assembly)
-    tgt_frame, tgt_subs = subl.family_order_frame(tgt_family)
-    src_index = {t.mask: i for i, t in enumerate(src_subs)}
-    tgt_index = {t.mask: i for i, t in enumerate(tgt_subs)}
+def _lift_all(assembly):
+    """The AssemblyLift onto each member, or what its lift raises: the
+    source side built once, each member's own route to its target, and
+    the laws of each block of lifts, within BLOCK_BYTES, at once."""
+    k, frame, source, out = len(assembly), assembly.frame, None, []
+    for lo, hi in frames._row_blocks(k, 20 * k * k):
+        laws = []
+        for s in assembly.sublocales[lo:hi]:
+            try:
+                if not is_d_sublocale(s):
+                    raise NotLiftable(f"{s!r} is not a D-sublocale")
+                if source is None:
+                    source, src_subs = subl.family_order_frame(d_sublocales(assembly))
+                    index = {t.mask: i for i, t in enumerate(src_subs)}
+                    rows = frames._matrix_of_rows([t.mask for t in src_subs], frame.n)
+                sub_frame, members = sublocale_frame(s)
+                tgt = subl.enumerate_assembly(sub_frame, k)
+                tgt_subs = tuple(t for t in tgt if t in d_sublocales(tgt))
+                position, bits = {t.mask: j for j, t in enumerate(tgt_subs)}, tgt.primes_of
+                images = frames._int_rows(frames._packed_words(rows[:, members]))
+                for t, image in zip(src_subs, images):
+                    if t.mask & s.mask not in index:
+                        raise NotLiftable(f"{t!r} meet {s!r} is not a D-sublocale")
+                    if image not in position:
+                        raise NotLiftable(f"image of {t!r} is not a D-sublocale of the "
+                                          "target")
+                laws.append(([bits[m] for m in images], [bits[t.mask] for t in tgt_subs],
+                             s.members, [index.get(frame.up_masks[a], -2) for a in s.members],
+                             [bits.get(sub_frame.up_masks[members.index(a)], -1)
+                              for a in s.members]))
+                out.append((tuple(map(position.get, images)), src_subs, tgt_subs, members))
+            except (ValueError, subl.CapExceeded) as exc:   # raised by its member's call
+                out.append(exc)
+        lifted = [i for i in range(lo, hi) if not isinstance(out[i], Exception)]
+        for i, (exc, onto) in zip(lifted, _lift_laws(source, *zip(*laws)) if laws else ()):
+            out[i] = exc or AssemblyLift(*out[i], onto)
+    return out
 
-    hom = []
-    for t in src_subs:
-        inter = t.mask & sub.mask
-        if inter not in src_index:
-            raise NotLiftable(f"{t!r} meet {sub!r} is not a D-sublocale")
-        translated = mask_of(pos[a] for a in bits_of(inter))
-        if translated not in tgt_index:
-            raise NotLiftable(f"image of {t!r} is not a D-sublocale of the target")
-        hom.append(tgt_index[translated])
-    pair = AdjointPair(src_frame, tgt_frame, hom)
 
-    # closed-generator square: c(a) in the source maps to c(a) in sub
-    for a in sub.members:
-        i = src_index.get(frame.up_masks[a])
-        if i is None:
-            raise NotLiftable(f"closed sublocale c({a}) is not a D-sublocale")
-        expect = mask_of(pos[x] for x in bits_of(sub.mask & frame.up_masks[a]))
-        if tgt_subs[pair.hom[i]].mask != expect:
-            raise NotLiftable(f"closed-generator square fails at {a}")
-    return AssemblyLift(pair, src_subs, tgt_subs, members)
+def _lift_laws(source, hom, bits, order, gens, expect):
+    """(exception or None, onto) of each lift onto an S, from the prime
+    bits of source members meet S (hom) and of S's targets (bits), and
+    for each a in S.members (order) the source index of c(a), -2 if none
+    (gens), and the bits of S's own (expect): AdjointPair's laws in its
+    order, then the square, as gathers; target meets are ORs, joins ANDs."""
+    n, out = source.n, []
+    hom, bits, gens, expect = (np.array(list(zip_longest(*rows, fillvalue=-1)), np.int32).T
+                               for rows in (hom, bits, gens, expect))
+    bounds = ((hom[:, source.top] != np.bitwise_and.reduce(bits, axis=1))
+              | (hom[:, source.bottom] != np.bitwise_or.reduce(np.maximum(bits, 0), axis=1)))
+    pairs = np.stack([hom[:, source.meet] != hom[:, :, None] | hom[:, None, :],
+                      hom[:, source.join] != hom[:, :, None] & hom[:, None, :]], axis=3)
+    below = (hom[:, :, None] & bits[:, None, :]) == bits[:, None, :]
+    right = np.full(bits.shape, source.bottom)    # right(b): join of the a with h(a) <= b
+    for a in range(n):
+        right = np.where(below[:, a], source.join[right, a], right)
+    ranked, w, valid = np.sort(hom, axis=1), bits.shape[1], bits >= 0
+    adjoint = (below != source.leq[np.arange(n)[:, None], right[:, None, :]]) & valid[:, None]
+    square = np.stack([gens == -2, (gens >= 0) & (np.take_along_axis(
+        hom, np.maximum(gens, 0), axis=1) != expect)], axis=2)
+    onto = (ranked[:, 1:] != ranked[:, :-1]).sum(axis=1) + 1 == valid.sum(axis=1)
+    failed = [f.reshape(len(hom), -1) for f in (pairs, adjoint, square)]
+    for j, elements in enumerate(order):
+        p, q, r = (int(f[j].argmax()) for f in failed)
+        a = [*elements][r // 2]
+        out.append((ValueError("homomorphism does not preserve the bounds") if bounds[j] else
+                    ValueError(f"{('meet', 'join')[p % 2]} of ({p // 2 // n},{p // 2 % n}) "
+                               "not preserved") if failed[0][j, p] else
+                    ValueError(f"adjunction law fails at ({q // w},{q % w})")
+                    if failed[1][j, q] else
+                    NotLiftable(f"closed-generator square fails at {a}" if r % 2 else
+                                f"closed sublocale c({a}) is not a D-sublocale")
+                    if failed[2][j, r] else None, bool(onto[j])))
+    return out
 
 
 # ---------------------------------------------------------------------------

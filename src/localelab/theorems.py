@@ -541,6 +541,11 @@ def law_td_adjunction(an, law):
     joins = _members_only(law, an, an.joins, "join")
     meets = _members_only(law, an, an.meets, "meet")
     _td_pairs(an, law, joins, meets)
+    pts = sorted(an.points)     # td-spatializations as the enumeration closes them
+    for i in an.d_indices:
+        bits = sum(1 << b for b, p in enumerate(pts) if p in sy.covered_points_of(subs[i]))
+        if bits >= len(assembly.by_primes) or masks[sp[i]] != assembly.by_primes[bits]:
+            law.fail(f"td-spatialization of {subs[i]!r} is not its covered points' closure")
     # covered points distribute over joins of D-sublocales.  Checked on
     # pairs: a pair's join must be a D-sublocale again, and since
     # cl(cl(A | B) | C) = cl(A | B | C) the pair law gives the law for
@@ -554,7 +559,6 @@ def law_td_adjunction(an, law):
     law.checked += report.checked
     if not report.passed:
         law.fail(report.failures[0])
-    pts = sorted(an.points)
     one_points = [subl.Sublocale(frame, {frame.top, p}) for p in pts]
     for sel in range(1 << len(pts)):
         law.checked += 1
@@ -707,12 +711,9 @@ def law_lifting(an, law):
         law.checked += 1
         try:
             lift = sy.lift_surjection(an.assembly, s)
-        except (sy.NotLiftable, frames.FrameError) as exc:
-            # a FrameError: s or a family on either side is not a frame
+        except ValueError as exc:   # NotLiftable, a FrameError or a failed law
             law.fail(f"no lift onto {s!r}: {exc}")
-        # the adjoint-pair constructor has already verified meet/join
-        # preservation and the adjunction; spot-check surjectivity
-        if set(lift.pair.hom) != set(range(lift.pair.target.n)):
+        if not lift.surjective:
             law.fail(f"lift onto {s!r} is not surjective")
 
 

@@ -13,8 +13,8 @@ immediately.  The ORDER_MUTANTS break the
 frame kernels (validation and its witness search, the Heyting table,
 the meet closure one mask at a time and in batches, the spectra, meets
 of points and subfitness), the cap prediction of enumerate_assembly,
-the difference's unions of pieces, the nucleus table and the
-supplement row of FrameAnalysis, and the
+the difference's unions of pieces, the nucleus table, the
+supplement row of FrameAnalysis and the batched lift laws, and the
 MEMO_MUTANTS the two entries of the frame memo that _from_mask reads;
 each of these is the kernel's own source with one statement edited
 (_edited), so it differs from the real kernel by exactly that statement.
@@ -304,6 +304,13 @@ def nucleus_fold_skipping_a_meet(monkeypatch):
                   "for x in range(1, n):", owner=subl)
 
 
+def lift_adjunction_reading_padding(monkeypatch):
+    """The batched lift laws test the adjunction on the padding columns
+    of a lift whose target is smaller than another's in its block."""
+    _patch_edited(monkeypatch, "_lift_laws", "& valid[:, None]", "& True",
+                  owner=sy)
+
+
 def supplement_row_without_pieces(monkeypatch):
     """FrameAnalysis.supplements closes top | s_j instead of
     top | U(s_j), so every member is its own supplement."""
@@ -333,6 +340,7 @@ ORDER_MUTANTS = (
     ("unions_of_basics_meeting_t", unions_of_basics_meeting_t),
     ("nucleus_fold_skipping_a_meet", nucleus_fold_skipping_a_meet),
     ("supplement_row_without_pieces", supplement_row_without_pieces),
+    ("lift_adjunction_reading_padding", lift_adjunction_reading_padding),
 )
 
 

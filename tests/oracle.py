@@ -5,10 +5,11 @@ touching the prime-subset enumeration, the implication table, or the
 decomposition formula that the engine uses.  Oracles stay slow and dumb
 on purpose.  The one exception is assembly_frontier, a frontier walk
 over the engine's sublocale_closure_mask: the second route to the
-assembly, beside the prime-subset enumeration.  The last section is
-another: the pair and triple scans of the theorem checks as Python
-loops over the engine's own tables, the judges of the numpy gathers
-that theorems runs in their place.
+assembly, beside the prime-subset enumeration.  The last two sections
+are others: the pair and triple scans of the theorem checks as Python
+loops over the engine's own tables, and the lift onto one member at a
+time through AdjointPair, the judges of the numpy gathers that
+theorems and subsystems run in their place.
 """
 
 from __future__ import annotations
@@ -569,3 +570,51 @@ def order_pairs_by_loops(an, law, order, prime_joins):
                 law.fail(theorems._ORDER_PAIR_LAWS[1])
             if prime_joins[i][j] != joins[i][j]:
                 law.fail(f"{theorems._ORDER_PAIR_LAWS[2]} at {assembly[i]!r}, {assembly[j]!r}")
+
+
+# ---------------------------------------------------------------------------
+# the lift onto one member at a time
+
+def lifts_by_adjoint_pairs(assembly, sub):
+    """subsystems.lift_surjection as each lift was once built on its own,
+    the judge of the one-pass lifting (tests/test_mutants.py swaps it in):
+    it rebuilds the source side, builds and validates the target's order
+    frame, and checks the laws by AdjointPair's loops, then the
+    closed-generator square by masks.  Only the result is built
+    differently: the AssemblyLift is made from the pair, surjective
+    when the pair's hom reaches every element of its target."""
+    if not sy.is_d_sublocale(sub):
+        raise sy.NotLiftable(f"{sub!r} is not a D-sublocale")
+    frame = assembly.frame
+    src_family = sy.d_sublocales(assembly)
+    src_frame, src_subs = subl.family_order_frame(src_family)
+
+    sub_frame, members = sy.sublocale_frame(sub)
+    pos = {a: i for i, a in enumerate(members)}
+    tgt_assembly = subl.enumerate_assembly(sub_frame, len(assembly))
+    tgt_family = sy.d_sublocales(tgt_assembly)
+    tgt_frame, tgt_subs = subl.family_order_frame(tgt_family)
+    src_index = {t.mask: i for i, t in enumerate(src_subs)}
+    tgt_index = {t.mask: i for i, t in enumerate(tgt_subs)}
+
+    hom = []
+    for t in src_subs:
+        inter = t.mask & sub.mask
+        if inter not in src_index:
+            raise sy.NotLiftable(f"{t!r} meet {sub!r} is not a D-sublocale")
+        translated = frames.mask_of(pos[a] for a in frames.bits_of(inter))
+        if translated not in tgt_index:
+            raise sy.NotLiftable(f"image of {t!r} is not a D-sublocale of the target")
+        hom.append(tgt_index[translated])
+    pair = sy.AdjointPair(src_frame, tgt_frame, hom)
+
+    # closed-generator square: c(a) in the source maps to c(a) in sub
+    for a in sub.members:
+        i = src_index.get(frame.up_masks[a])
+        if i is None:
+            raise sy.NotLiftable(f"closed sublocale c({a}) is not a D-sublocale")
+        expect = frames.mask_of(pos[x] for x in frames.bits_of(sub.mask & frame.up_masks[a]))
+        if tgt_subs[pair.hom[i]].mask != expect:
+            raise sy.NotLiftable(f"closed-generator square fails at {a}")
+    return sy.AssemblyLift(pair.hom, src_subs, tgt_subs, members,
+                           set(pair.hom) == set(range(pair.target.n)))

@@ -15,7 +15,8 @@ The mutant matrix asserts the converse over all ALL_MUTANTS at once:
 every suite and battery fails under some mutant, save those in UNKILLED.
 It also runs the checks that scan pairs and triples as theorems runs
 them, by numpy gathers, and again with those scans swapped for their
-Python loops in tests/oracle.py, and law_nucleus_roundtrip against its
+Python loops in tests/oracle.py, law_lifting with its lifts made one
+member at a time there, and law_nucleus_roundtrip against its
 member-by-member loop there; both must agree under every mutant.
 """
 
@@ -290,6 +291,28 @@ def _smooth_families_match_oracle():
     return True
 
 
+def _lift_outcome(lift, assembly, s):
+    """What lift(assembly, s) gives, as comparable values: the exception
+    type and message, or the hom, the target masks and surjectivity."""
+    try:
+        got = lift(assembly, s)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return got.hom, [t.mask for t in got.target_subs], got.surjective
+
+
+def _lifts_match_oracle():
+    """The one-pass lift onto every member of a few fresh frames, the
+    last of 16 members, equals oracle.lifts_by_adjoint_pairs."""
+    for assembly in (subl.enumerate_assembly(make()) for make in
+                     SMALL_FRAMES + (lambda: random_frames(1, 4, 3)[2],)):
+        if any(_lift_outcome(sy.lift_surjection, assembly, s)
+               != _lift_outcome(oracle.lifts_by_adjoint_pairs, assembly, s)
+               for s in assembly):
+            return False
+    return True
+
+
 # order mutant -> the oracle comparison that must fail under it; the
 # narrow cases have at most frames.INT_ROW_BITS elements, the wide ones
 # more, in one, two and three 64-bit words
@@ -324,6 +347,7 @@ ORDER_KILLED_BY = {
     "unions_of_basics_meeting_t": _unions_match_oracle,
     "nucleus_fold_skipping_a_meet": _nuclei_match_oracle,
     "supplement_row_without_pieces": _smooth_families_match_oracle,
+    "lift_adjunction_reading_padding": _lifts_match_oracle,
 }
 
 
@@ -372,7 +396,9 @@ CHECKS = theorems.THEOREM_SUITES + theorems.LAW_BATTERIES
 
 
 # the checks that scan pairs or triples of the assembly -> each array
-# scan they call in theorems, with its loop in tests/oracle.py
+# scan they call in theorems (a dotted name is read through theorems, so
+# "sy.lift_surjection" is subsystems.lift_surjection), with its loop in
+# tests/oracle.py
 SCANNED = {
     theorems.covered_primes_suite: {"_d_meets_closed": oracle.d_meets_closed_by_loops},
     theorems.law_difference: {"_difference_pairs": oracle.difference_pairs_by_loops,
@@ -381,6 +407,7 @@ SCANNED = {
                                  "_covered_joins": oracle.covered_joins_by_loops},
     theorems.law_d_family_closure: {"_d_family_escapes": oracle.d_family_escapes_by_loops},
     theorems.law_assembly_order: {"_order_pairs": oracle.order_pairs_by_loops},
+    theorems.law_lifting: {"sy.lift_surjection": oracle.lifts_by_adjoint_pairs},
 }
 
 
@@ -395,7 +422,8 @@ def _both_routes(check, an):
             def counted(*args, _name=name, _loop=loop):
                 calls[_name] += 1
                 return _loop(*args)
-            patch.setattr(theorems, name, counted)
+            owner, _, attr = name.rpartition(".")
+            patch.setattr(getattr(theorems, owner) if owner else theorems, attr, counted)
         return arrays, check(an), calls
 
 
@@ -523,16 +551,28 @@ def test_own_closure_scans_match_their_loops(frame_name, doctor, monkeypatch):
                          ids=["no_mutant"] + [name for name, _ in mutants.ALL_MUTANTS])
 def test_array_scans_match_their_loops_past_one_word(name, apply_mutant, monkeypatch):
     # 72 elements and 128 members: masks and covered points take two
-    # 64-bit words, which no MATRIX_FRAMES frame reaches
+    # 64-bit words, which no MATRIX_FRAMES frame reaches.  law_lifting
+    # skips an assembly past TRIPLE_SCAN_LIMIT, so it calls no lift here
+    # (test_lift_pass_matches_its_oracle_past_one_word lifts this frame)
     if apply_mutant:
         apply_mutant(monkeypatch)
     an = sy.FrameAnalysis(_two_word_frame())
-    assert an.frame.n > 64
-    results = [_both_routes(check, an) for check in SCANNED]
+    assert an.frame.n > 64 and len(an.assembly) > theorems.TRIPLE_SCAN_LIMIT
+    results = [_both_routes(check, an) for check in SCANNED
+               if check is not theorems.law_lifting]
     assert all(arrays == loops for arrays, loops, _ in results)
     assert all(_passed(arrays) for arrays, _, _ in results) == (name is None)
     if name is None:
         assert all(any(calls.values()) for _, _, calls in results)
+
+
+def test_lift_pass_matches_its_oracle_past_one_word():
+    # the one pass lifts onto all 128 members of the 72-element frame,
+    # whose masks take two words; every eighth is judged by its oracle
+    assembly = subl.enumerate_assembly(_two_word_frame())
+    assert all(_lift_outcome(sy.lift_surjection, assembly, s)
+               == _lift_outcome(oracle.lifts_by_adjoint_pairs, assembly, s)
+               for s in assembly[::8])
 
 
 # the checks that no mutant makes fail on MATRIX_FRAMES

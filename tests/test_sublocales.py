@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from localelab import frames, theorems
 from localelab import sublocales as subl
+from localelab import subsystems as sy
 from localelab.sublocales import (CapExceeded, MixedFrames,
                                   NotASublocale, Nucleus, Sublocale)
 
@@ -92,21 +93,28 @@ def test_validation_gathers_name_the_loops_failure(monkeypatch):
 def test_whole_assembly_passes_stay_within_block_bytes():
     # the 128-element frame of a 7-antichain has 128 sublocales: the
     # laws of their nuclei checked at once would take a k x n x n int64
-    # table of 16 MB, and the batched closure of its 6,197 distinct pair
-    # unions 22 MB of gap words.  Beyond what it returns (the result is
-    # alive when current is read), each pass holds at most BLOCK_BYTES of
-    # its own temporaries, plus numpy's iteration buffers, which a
-    # broadcasting ufunc call takes at np.getbufsize() elements of 8
-    # bytes per operand, whatever the size of its arrays.
+    # table of 16 MB, the batched closure of its 6,197 distinct pair
+    # unions 22 MB of gap words, and the laws of the lifts onto all 128
+    # members a (lifts x k x k) block of 16 MB a gather (verify skips the
+    # lifting battery past TRIPLE_SCAN_LIMIT; the pass is called here
+    # directly).  Beyond what it returns (the result is alive when current
+    # is read), each pass holds at most BLOCK_BYTES of its own
+    # temporaries, plus numpy's iteration buffers, which a broadcasting
+    # ufunc call takes at np.getbufsize() elements of 8 bytes per
+    # operand, whatever the size of its arrays.
     f = frames.downset_lattice(np.eye(7, dtype=bool))
-    masks = list(subl.enumerate_assembly(f).masks)
+    assembly = subl.enumerate_assembly(f)
+    masks = list(assembly.masks)
     unions = list(dict.fromkeys(s | t for s in masks for t in masks))
     assert len(masks) == f.n == 128 and len(unions) == 6197
+    assert len(assembly) > theorems.TRIPLE_SCAN_LIMIT
     f.meet_close_masks([])
     tables = subl._nucleus_tables(f, masks)
     numpy_buffers = 2 * 8 * np.getbufsize()
+    lifts = []
     for run in (lambda: f.meet_close_masks(unions), lambda: subl._nucleus_tables(f, masks),
-                lambda: subl._nucleus_failure(f, tables)):
+                lambda: subl._nucleus_failure(f, tables),
+                lambda: lifts.append(sy._lift_all(assembly))):
         tracemalloc.start()
         try:
             result = run()
@@ -115,6 +123,7 @@ def test_whole_assembly_passes_stay_within_block_bytes():
             tracemalloc.stop()
         del result
         assert peak - current < frames.BLOCK_BYTES + numpy_buffers
+    assert all(isinstance(lift, sy.AssemblyLift) and lift.surjective for lift in lifts[0])
 
 
 class TestEnumeration:

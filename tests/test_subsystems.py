@@ -1,13 +1,20 @@
+import functools
 import itertools
+import re
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from localelab import frames
 from localelab import sublocales as subl
 from localelab import subsystems as sy
+from localelab import theorems
 from localelab.sublocales import Sublocale
 
 import oracle
+from conftest import antichain2_plus_top, boolean_square, chain, random_frames
+from test_mutants import _lift_outcome
 
 
 class TestIntrinsicSpectra:
@@ -179,12 +186,181 @@ class TestLifting:
             sy.lift_surjection(subl.enumerate_assembly(chain3),
                                subl.whole(chain3))
 
+    def test_only_members_are_lifted(self, chain3):
+        # the lifts are looked up by member: a sublocale of another frame
+        # with a member's mask is refused
+        with pytest.raises(sy.NotLiftable, match="is no member"):
+            sy.lift_surjection(subl.enumerate_assembly(chain3), subl.whole(chain(3)))
+
     def test_all_sublocales_lift_on_fixtures(self, fixture_frames):
         for f in fixture_frames.values():
             assembly = subl.enumerate_assembly(f)
             for s in assembly:
                 lift = sy.lift_surjection(assembly, s)
                 assert set(lift.pair.hom) == set(range(lift.pair.target.n))
+
+
+def _lift_inputs(frame):
+    """The assembly of frame, with the source order frame and the per-lift
+    inputs (hom, bits, order, gens, expect) that its lifting pass hands
+    to _lift_laws, each a list over the lifts."""
+    seen = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sy, "_lift_laws", lambda source, *laws: seen.append((source, laws)) or [])
+        assembly = subl.enumerate_assembly(frame)
+        sy._lift_all(assembly)
+    return assembly, seen[0][0], [list(x) for x in seen[0][1]]
+
+
+def _order_of_bits(bits):
+    """The reverse-inclusion order frame of the prime bits of a target."""
+    b = np.array(bits)
+    return frames.FiniteFrame((b[:, None] & b) == b)
+
+
+# the square's members have prime bits 3, 1, 2, 0 in assembly order, and
+# its lift onto itself, the first, is the identity on them; each
+# doctoring sends some of those bits elsewhere
+SQUARE_DOCTORINGS = [
+    ({0: 1}, "homomorphism does not preserve the bounds"),
+    ({2: 0}, "meet of (1,2) not preserved"),
+    ({2: 3}, "join of (1,2) not preserved"),
+    ({1: 2, 2: 1}, "closed-generator square fails at 1"),
+]
+
+
+# the failures of lifts onto members with a doctored source D-family, by
+# a fragment of their message
+KINDS = ("has no meet", "has no join", "not distributive", "} meet {", "closed sublocale",
+         "preserve the bounds")
+
+
+class TestLiftFailureSites:
+    """Each failure the lifting pass can report, reached by doctored homs
+    and tables, and each raise of AdjointPair._validate, the judge's."""
+
+    @pytest.mark.parametrize("hom, right, law", [
+        ([0, 1, 2], [0, 1, 2, 3], "map tables have wrong lengths"),
+        ([3, 3, 3, 3], None, "homomorphism does not preserve the bounds"),
+        ([0, 1, 1, 3], None, "meet of (1,2) not preserved"),
+        ([0, 1, 0, 3], None, "join of (1,2) not preserved"),
+        ([0, 1, 2, 3], [0, 0, 0, 0], "adjunction law fails at (1,1)"),
+    ])
+    def test_adjoint_pair_raises_at_each_site(self, hom, right, law):
+        f = boolean_square()
+        assert (f.bottom, f.top) == (0, 3)
+        sy.AdjointPair(f, f, [0, 1, 2, 3])
+        with pytest.raises(ValueError) as caught:
+            sy.AdjointPair(f, f, hom, right)
+        assert str(caught.value) == law
+
+    @pytest.mark.parametrize("image, law", SQUARE_DOCTORINGS,
+                             ids=["bounds", "meet", "join", "square"])
+    def test_doctored_hom_fails_as_adjoint_pair(self, image, law, monkeypatch):
+        assembly, source, (hom, bits, order, gens, expect) = _lift_inputs(boolean_square())
+        assert hom[0] == bits[0] == [3, 1, 2, 0]
+        hom[0] = [image.get(b, b) for b in hom[0]]
+        exc, onto = sy._lift_laws(source, hom, bits, order, gens, expect)[0]
+        assert str(exc) == law and onto == (len(set(hom[0])) == 4)
+        # the same hom, as positions, through the AdjointPair constructor;
+        # it raises what the pass names, and takes an automorphism, which
+        # only the closed-generator square refuses
+        pair = functools.partial(sy.AdjointPair, source, _order_of_bits(bits[0]),
+                                 [bits[0].index(b) for b in hom[0]])
+        if law.startswith("closed-generator"):
+            pair()
+        else:
+            with pytest.raises(ValueError, match=re.escape(law)):
+                pair()
+        # and through law_lifting, whose first lift is the doctored one
+        real = sy._lift_laws
+
+        def doctored(source, hom, *laws):
+            return real(source, [[image.get(b, b) for b in hom[0]], *hom[1:]], *laws)
+        monkeypatch.setattr(sy, "_lift_laws", doctored)
+        result = theorems.law_lifting(sy.FrameAnalysis(assembly.frame))
+        assert result.detail == f"no lift onto {assembly[0]!r}: {law}"
+
+    def test_doctored_order_fails_the_adjunction_as_adjoint_pair(self, monkeypatch):
+        # the source's order loses whole <= zero: meets and joins hold,
+        # and the right adjoint, found by joins, breaks the adjunction
+        assembly, source, laws = _lift_inputs(boolean_square())
+        leq = source.leq.copy()
+        leq[0, 3] = False
+        doctored = SimpleNamespace(
+            n=source.n, top=source.top, bottom=source.bottom, meet=source.meet,
+            join=source.join, leq=leq, meet_rows=source.meet_rows,
+            join_rows=source.join_rows, join_of=source.join_of,
+            up_masks=tuple(frames.mask_of(np.flatnonzero(row)) for row in leq))
+        exc, _ = sy._lift_laws(doctored, *laws)[0]
+        assert str(exc) == "adjunction law fails at (0,3)"
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            sy.AdjointPair(doctored, _order_of_bits(laws[1][0]), [0, 1, 2, 3])
+        real = sy._lift_laws
+        monkeypatch.setattr(sy, "_lift_laws", lambda source, *laws: real(doctored, *laws))
+        result = theorems.law_lifting(sy.FrameAnalysis(assembly.frame))
+        assert result.detail == f"no lift onto {assembly[0]!r}: {exc}"
+
+    def test_larger_target_is_not_reached(self, monkeypatch):
+        # the square's lift onto itself sent into a six-member distributive
+        # target of three prime bits, as the sublattice 0, 1, 6, 7: every
+        # law and the square hold, and 4 and 5 are never reached
+        image = {3: 7, 1: 1, 2: 6, 0: 0}
+        assembly, source, (hom, bits, order, gens, expect) = _lift_inputs(boolean_square())
+        hom[0] = [image[b] for b in hom[0]]
+        bits[0], expect[0] = [7, 1, 6, 0, 4, 5], [image.get(b, b) for b in expect[0]]
+        assert sy._lift_laws(source, hom, bits, order, gens, expect)[0] == (None, False)
+        pair = sy.AdjointPair(source, _order_of_bits(bits[0]),
+                              [bits[0].index(b) for b in hom[0]])
+        assert set(pair.hom) != set(range(pair.target.n))
+        real = sy._lift_laws
+
+        def doctored(source, hom, bits, order, gens, expect):
+            return real(source, [[image[b] for b in hom[0]], *hom[1:]],
+                        [[7, 1, 6, 0, 4, 5], *bits[1:]], order, gens,
+                        [[image.get(b, b) for b in expect[0]], *expect[1:]])
+        monkeypatch.setattr(sy, "_lift_laws", doctored)
+        result = theorems.law_lifting(sy.FrameAnalysis(assembly.frame))
+        assert result.detail == f"lift onto {assembly[0]!r} is not surjective"
+
+    def test_missing_generator_is_named(self):
+        assembly, source, (hom, bits, order, gens, expect) = _lift_inputs(boolean_square())
+        gens[0] = [-2] * len(gens[0])
+        exc, _ = sy._lift_laws(source, hom, bits, order, gens, expect)[0]
+        assert str(exc) == f"closed sublocale c({next(iter(order[0]))}) is not a D-sublocale"
+
+    def test_pass_matches_its_oracle_on_doctored_families(self):
+        # the source D-family without one or two members: every member's
+        # lift fails or holds as its oracle's, and between them the frames
+        # reach both FrameErrors of the source family, "meet ... is not a
+        # D-sublocale", a missing closed generator, the bounds, a lift that
+        # is not onto and lifts that hold
+        seen = set()
+        for frame in (boolean_square(), chain(3), chain(4), antichain2_plus_top(),
+                      random_frames(1, 4, 3)[2]):
+            for x in range(len(subl.enumerate_assembly(frame))):
+                for drop in ({x}, {x, x + 1}):
+                    assembly = subl.enumerate_assembly(frame)
+                    assembly.d_family = frozenset(s for j, s in enumerate(assembly)
+                                                  if j not in drop)
+                    for s in assembly:
+                        got = _lift_outcome(sy.lift_surjection, assembly, s)
+                        assert got == _lift_outcome(oracle.lifts_by_adjoint_pairs,
+                                                    assembly, s)
+                        seen.add(next(kind for kind in KINDS if kind in got[1])
+                                 if len(got) == 2 else got[2])
+        assert seen == set(KINDS) | {False, True}
+
+    def test_doctored_target_family_misses_the_image(self, monkeypatch):
+        # a target D-family without its zero, which no finite frame has
+        # (every prime of a finite distributive lattice is covered): the
+        # pass names the image that is not a target
+        frame, real = chain(3), sy.d_sublocales
+        monkeypatch.setattr(sy, "d_sublocales", lambda assembly: real(assembly) if
+                            assembly.frame is frame else real(assembly) - {assembly[-1]})
+        assembly = subl.enumerate_assembly(frame)
+        with pytest.raises(sy.NotLiftable, match="is not a D-sublocale of the target"):
+            sy.lift_surjection(assembly, assembly[0])
 
 
 class TestEssentialPrimes:

@@ -224,6 +224,29 @@ def test_td_pair_scan_fails_as_its_loop(make, i, x, law, monkeypatch):
     assert not arrays.ok and arrays.detail.startswith(law)
 
 
+def test_td_spatializations_are_the_enumerations_closures():
+    # every td-spatialization doctored to a smaller D-member, on the
+    # frames of verify --seed 1 --bound 4 --count 40 and --seed 3 --bound
+    # 5 --count 8, fails the battery; the 14 that keep every law (each on
+    # a two-element frame, the whole frame sent to zero) fail where the
+    # entry is compared with by_primes at the bits of its covered points
+    details = Counter()
+    for seed, bound, count in ((1, 4, 40), (3, 5, 8)):
+        for f in random_frames(seed, bound, count):
+            an = sy.FrameAnalysis(f)
+            sp, masks = an.td_spatializations, an.assembly.masks
+            for i, x in ((i, x) for i in sp for x in sp
+                         if x != sp[i] and masks[x] & ~masks[i] == 0):
+                doctored = sy.FrameAnalysis(f)
+                doctored.td_spatializations = {**sp, i: x}
+                result = theorems.law_td_adjunction(doctored)
+                assert not result.ok
+                details[result.detail.endswith("is not its covered points' closure"),
+                        f.n, x] += 1
+    assert sum(details.values()) == 1562
+    assert {key: n for key, n in details.items() if key[0]} == {(True, 2, 1): 14}
+
+
 class TestLawBatteryDetails:
     def test_lifting_battery_skips_large(self, monkeypatch):
         f = chain(3)
