@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import frames as fr
-from . import sublocales as subl
 
 
 def _quote(s):
@@ -30,10 +29,8 @@ def frame_dot(frame):
 
 def assembly_dot(assembly):
     frame = assembly.frame
-    closed = {subl.closed_sublocale(frame, a).mask for a in range(frame.n)}
-    opens = {subl.open_sublocale(frame, a).mask for a in range(frame.n)}
-    shaded = {subl.Sublocale(frame, {frame.top, p}).mask
-              for p in fr.primes(frame)}
+    closed, opens = set(frame.up_masks), set(frame.open_masks)
+    shaded = {1 << frame.top | 1 << p for p in fr.primes(frame)}
     lines = ["digraph assembly {", "  rankdir=BT;"]
     for i, s in enumerate(assembly):
         attrs = [f"label={_quote(repr(s))}"]

@@ -89,9 +89,7 @@ def _int_rows(words):
 
 def _matrix_of_rows(rows, width):
     """Boolean matrix whose row i holds the bits of the int rows[i]."""
-    size = -(-width // 8)
-    raw = b"".join(r.to_bytes(size, "little") for r in rows)
-    packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(rows), size)
+    packed = mask_words(rows, width).view(np.uint8)
     return np.unpackbits(packed, axis=1, count=width, bitorder="little").view(bool)
 
 
@@ -466,19 +464,18 @@ class FiniteFrame:
         return tuple(map(tuple, self.imp.tolist()))
 
     @cached_property
-    def imp_closure_masks(self):
-        """For each s, the bitmask of {a -> s : a in L}.
+    def open_masks(self):
+        """o(a) for each a, the mask of row a of imp: {a -> b : b in L}."""
+        return tuple(_int_rows(_packed_words(_row_sets(self.imp))))
+
+    @cached_property
+    def boolean_masks(self):
+        """b(s) for each s, the mask of column s of imp: {a -> s : a in L}.
 
         Since a -> (b -> s) = (a meet b) -> s, one union of these masks
         already closes a set under the implication condition.
         """
-        out = []
-        for s in range(self.n):
-            m = 0
-            for a in range(self.n):
-                m |= 1 << self.imp_rows[a][s]
-            out.append(m)
-        return tuple(out)
+        return tuple(_int_rows(_packed_words(_row_sets(self.imp.T))))
 
     @cached_property
     def _spectra(self):
@@ -530,13 +527,12 @@ class FiniteFrame:
     @cached_property
     def _gap_words(self):
         """_cover_gaps laid out for meet_close_masks: every gap, element
-        by element, as a (words, gaps) uint64 array (mask_words), the
-        elements that have gaps (all but the top) and the position where
-        the run of each one's gaps starts."""
+        by element, as mask_words transposed to (words, gaps), the elements
+        that have gaps (all but the top) and where each one's run starts."""
         runs = self._cover_gaps
         owners = [x for x, gaps in enumerate(runs) if gaps]
         sizes = np.array([len(runs[x]) for x in owners], dtype=np.intp)
-        return (mask_words([gap for gaps in runs for gap in gaps], self.n),
+        return (mask_words([gap for gaps in runs for gap in gaps], self.n).T,
                 np.array(owners, dtype=np.intp), np.cumsum(sizes) - sizes)
 
     def meet_close_masks(self, masks):
@@ -553,10 +549,9 @@ class FiniteFrame:
         is tested against.
         """
         gaps, owners, starts = self._gap_words
-        size, out = 8 * len(gaps), [0] * len(masks)
-        for lo, hi in _row_blocks(len(masks), 12 * gaps.shape[1] + 2 * self.n + size):
-            raw = b"".join(m.to_bytes(size, "little") for m in masks[lo:hi])
-            rows = np.frombuffer(raw, dtype="<u8").reshape(hi - lo, len(gaps))
+        out = [0] * len(masks)
+        for lo, hi in _row_blocks(len(masks), 12 * gaps.shape[1] + 2 * self.n + 8 * len(gaps)):
+            rows = mask_words(masks[lo:hi], self.n)
             hit = (rows[:, 0, None] & gaps[0]) != 0
             for w in range(1, len(gaps)):
                 hit |= (rows[:, w, None] & gaps[w]) != 0
@@ -580,14 +575,21 @@ def mask_of(elements):
     return m
 
 
-def mask_words(masks, bits=None):
-    """The int masks as a uint64 array of shape (words, len(masks)): row w
-    holds bits 64w to 64w + 63 of every mask, and there is at least one
-    row; with bits given, ceil(bits / 64) rows, for masks of that many bits."""
-    masks = list(masks)
-    shifts = range(0, bits or max(masks, default=0).bit_length() or 1, 64)
-    return np.array([[m >> shift & 0xFFFFFFFFFFFFFFFF for m in masks] for shift in shifts],
-                    dtype=np.uint64).reshape(len(shifts), len(masks))
+def mask_words(masks, bits):
+    """The int masks of at most bits bits as a uint64 array of shape
+    (len(masks), ceil(bits / 64)), one word at least: bit j of masks[i]
+    is bit j % 64 of [i, j // 64]."""
+    size = 8 * max(1, -(-bits // 64))
+    raw = b"".join(m.to_bytes(size, "little") for m in masks)
+    return np.frombuffer(raw, dtype="<u8").reshape(-1, size // 8)
+
+
+def _row_sets(table):
+    """Boolean matrix whose [i, x] tells whether x is in row i of an
+    index table, whose entries lie below its width."""
+    inside = np.zeros(table.shape, dtype=bool)
+    inside[np.arange(len(table))[:, None], table] = True
+    return inside
 
 
 def inclusion_order(masks):
@@ -596,8 +598,9 @@ def inclusion_order(masks):
     The one builder of inclusion orders.  Masks are ints of any width,
     compared one 64-bit word at a time: no k x k x width temporary.
     """
+    masks = list(masks)
     leq = True
-    for words in mask_words(masks):
+    for words in mask_words(masks, max(masks, default=0).bit_length()).T:
         leq = leq & (words[:, None] & ~words == 0)
     return leq
 

@@ -48,13 +48,7 @@ class ChainSublocale:
     bottom: bool
 
     def has_level(self, n):
-        if n == 0:
-            return True
-        if n in self.finite_part:
-            return True
-        t = self.tail
-        return (t is not None and n >= t.offset
-                and t.pattern[(n - t.offset) % len(t.pattern)])
+        return n == 0 or ChainPointSet.has_level(self, n)
 
     def is_infinite(self):
         return self.tail is not None
@@ -81,9 +75,6 @@ class ChainPointSet:
         t = self.tail
         return (t is not None and n >= t.offset
                 and t.pattern[(n - t.offset) % len(t.pattern)])
-
-    def is_empty(self):
-        return not self.finite_part and self.tail is None and not self.bottom
 
 
 def _canonical_levels(finite, tail):

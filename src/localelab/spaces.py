@@ -98,9 +98,6 @@ class OmegaFrame:
     def index_of(self, u):
         return self.opens.index(frozenset(u))
 
-    def open_of(self, i):
-        return self.opens[i]
-
 
 # omega's results, keyed weakly by space: an entry goes with the space it
 # was built for, so no open-set frame is kept for the life of the process
@@ -125,10 +122,9 @@ def omega(sp):
 
 @dataclass(frozen=True)
 class SpectrumSpace:
-    """A spectrum: the space plus which frame element each point came from."""
+    """A spectrum: the space, point i the i-th prime up, and each element's open."""
 
     space: FiniteSpace
-    prime_of_point: tuple[int, ...]
     sigma: tuple[frozenset[int], ...]   # sigma[a] = points whose prime misses a
 
 
@@ -139,7 +135,7 @@ def _spectrum_from(frame, prime_list):
     sigma = tuple(frozenset(pos[p] for p in prime_list if not up[a] >> p & 1)
                   for a in range(frame.n))
     sp = FiniteSpace(len(prime_list), frozenset(sigma))
-    return SpectrumSpace(sp, tuple(prime_list), sigma)
+    return SpectrumSpace(sp, sigma)
 
 
 def spectrum(frame):
@@ -177,8 +173,7 @@ def is_sober(sp):
     full = frozenset(range(sp.points))
     comp_closures = [full - sp.closure_of(frozenset({x})) for x in range(sp.points)]
     for p in frames.primes(om.frame):
-        u = om.open_of(p)
-        if sum(1 for c in comp_closures if c == u) != 1:
+        if sum(1 for c in comp_closures if c == om.opens[p]) != 1:
             return False
     return True
 

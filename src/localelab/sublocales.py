@@ -140,7 +140,7 @@ def sublocale_closure_mask(frame, seed_mask):
     closure of an implication-closed set stays implication-closed because
     a -> (s meet t) = (a -> s) meet (a -> t).
     """
-    imp_masks = frame.imp_closure_masks
+    imp_masks = frame.boolean_masks
     m = 1 << frame.top
     s = seed_mask
     while s:
@@ -166,7 +166,7 @@ def zero(frame):
 
 def open_sublocale(frame, a):
     """o(a) = {a -> b : b in L}."""
-    return _from_mask(frame, mask_of(frame.imp_rows[a]), _validate=True)
+    return _from_mask(frame, frame.open_masks[a], _validate=True)
 
 
 def closed_sublocale(frame, a):
@@ -189,11 +189,6 @@ def boolean_sublocale(frame, a):
                 or sub.mask & up[join[x, c]] != zero_mask:
             raise NotASublocale(f"b({a}) is not Boolean at {x}")
     return sub
-
-
-def sub_nucleus_image(sub, a):
-    """nu_S(a): the least member of S above a."""
-    return sub.frame.meet_of(bits_of(sub.mask & sub.frame.up_masks[a]))
 
 
 def _nucleus_tables(frame, masks):
@@ -324,10 +319,7 @@ def is_dense(sub):
 def is_codense(sub):
     """Only the top is sent to top by the associated nucleus."""
     frame = sub.frame
-    for a in range(frame.n):
-        if a != frame.top and sub_nucleus_image(sub, a) == frame.top:
-            return False
-    return True
+    return bool((_nucleus_tables(frame, [sub.mask])[0] == frame.top).sum() == 1)
 
 
 def _difference_tables(frame):
@@ -339,9 +331,8 @@ def _difference_tables(frame):
     (x -> t) meet (y join t) = t, so no join computation is needed: one
     numpy gather per block of x tests every (x, y, t).
     """
-    n, up = frame.n, frame.up_masks
+    n, up, opens = frame.n, frame.up_masks, frame.open_masks
     elements = np.arange(n)
-    opens = [mask_of(row) for row in frame.imp_rows]
     tables = {}
     for lo, hi in frames._row_blocks(n, 24 * n * n):
         inside = frame.meet[frame.imp[lo:hi, None, :], frame.join] == elements
@@ -349,7 +340,7 @@ def _difference_tables(frame):
         for x in range(lo, hi):
             for y, basic in zip(range(n), basics):
                 tables[basic] = tables.get(basic, 0) | up[x] & opens[y]
-    return frames.mask_words(tables, n).T, frames.mask_words(tables.values(), n).T
+    return frames.mask_words(tables, n), frames.mask_words(tables.values(), n)
 
 
 def _pieces_unions(frame, t_masks):
@@ -366,7 +357,7 @@ def _pieces_unions(frame, t_masks):
         if memo.difference_tables is None:
             memo.difference_tables = _difference_tables(frame)
         basics, pieces = memo.difference_tables
-        rows, outside = frames.mask_words(missing, frame.n).T, ~basics
+        rows, outside = frames.mask_words(missing, frame.n), ~basics
         for lo, hi in frames._row_blocks(len(missing), 10 * basics.size):
             holds = ((rows[lo:hi, None, :] & outside) == 0).all(axis=2)
             unions = np.bitwise_or.reduce(np.where(holds[:, :, None], pieces, np.uint64(0)),
@@ -426,6 +417,8 @@ def family_order_frame(subs):
     Sublocale.sort_key); i <= j iff members[i] contains members[j].
     """
     subs = tuple(sorted(subs, key=Sublocale.sort_key))
+    if not subs:
+        raise frames.NonLattice((), "top")
     orders = subs[0].frame._memo.orders
     masks = tuple(_masks_of(subs[0].frame, subs))
     got = orders.get(masks)

@@ -242,7 +242,7 @@ def sublocale_surjection_pair(sub):
     """The frame surjection onto a sublocale with the inclusion as adjoint."""
     sub_frame, members = sublocale_frame(sub)
     pos = {a: i for i, a in enumerate(members)}
-    hom = [pos[subl.sub_nucleus_image(sub, a)] for a in range(sub.frame.n)]
+    hom = [pos[a] for a in subl._nucleus_tables(sub.frame, [sub.mask])[0].tolist()]
     return AdjointPair(sub.frame, sub_frame, hom, members), sub_frame, members
 
 

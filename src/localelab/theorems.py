@@ -63,8 +63,6 @@ def _order_frame(family):
     None when that order is not a frame, the order of an empty family
     included, which only a broken engine gives; a condition on the
     family's lattice is then false."""
-    if not family:
-        return None
     try:
         return subl.family_order_frame(family)[0]
     except frames.FrameError:
@@ -301,14 +299,14 @@ def _battery(name):
 
 
 def _members_only(law, an, table, what):
-    """The pair table, after failing the battery at its first entry, in
-    row-major order, that is not an assembly member (-1), so no -1 is
-    read as an index."""
+    """The table of member indices, a row or a pair table, after failing
+    the battery at its first entry, in row-major order, that is not an
+    assembly member (-1), so no -1 is read as an index."""
     failed = _first_failure(table < 0)
     if failed:
-        i, j = divmod(failed[0], len(table))
-        subs = an.assembly.sublocales
-        law.fail(f"a {what} is not a sublocale at {subs[i]!r}, {subs[j]!r}")
+        at = np.unravel_index(failed[0], table.shape)
+        law.fail(f"a {what} is not a sublocale at "
+                 + ", ".join(repr(an.assembly[int(x)]) for x in at))
     return table
 
 
@@ -336,11 +334,7 @@ _DIFFERENCE_TRIPLE_LAWS = ("S\\(T&R) law fails", "(S\\T)\\R law fails",
 def law_difference(an, law):
     k = len(an.assembly)
     diff = _members_only(law, an, an.differences, "difference")
-    masks, full = an.assembly.masks, (1 << an.frame.n) - 1
-    # the supplement row; an entry that is not a member (only from a
-    # broken engine) has no index, and its mask is closed on its own
-    supp = [masks[a] if a >= 0 else subl.difference_mask(an.frame, full, s)
-            for a, s in zip(an.supplements[:-1].tolist(), masks)]
+    supp = _members_only(law, an, an.supplements[:-1], "supplement")
     _difference_pairs(an, law, diff, supp)
     if k > TRIPLE_SCAN_LIMIT:
         law.detail = "skipped: triple scan, assembly too large"
@@ -357,14 +351,9 @@ def _difference_pairs(an, law, diff, supp):
     k = len(subs)
     zero_mask = 1 << an.frame.top
     incl = an.inclusion
-    # S\C is S meet supp(C) for a complemented C; a supplement that is
-    # not a member (only from a broken engine) has its column met here
-    complemented = np.array([m & c == zero_mask for m, c in zip(masks, supp)])
-    at = [assembly.index_of(c) for c in supp]
-    meet_supp = an.meets[:, at]
-    for j, a in enumerate(at):
-        if a < 0:
-            meet_supp[:, j] = [assembly.index_of(m & supp[j]) for m in masks]
+    # S\C is S meet supp(C) for a complemented C
+    complemented = np.array([m & masks[c] == zero_mask for m, c in zip(masks, supp.tolist())])
+    meet_supp = an.meets[:, supp]
     failed = _first_failure(
         ~incl[diff, np.arange(k)[:, None]],
         (diff == assembly.index_of(zero_mask)) != incl,
@@ -405,15 +394,13 @@ def _difference_triples(an, law, diff, meets):
 
 @_battery("open_closed_identities")
 def law_open_closed(an, law):
-    """The open, closed and boolean sublocales o(a), c(a) and b(a) as
-    masks, rows of the implication table, upsets and columns of the
-    implication table: their meets are intersections, and their joins
-    the frame memo's meet closures of unions, all closed in one batch."""
+    """The open, closed and boolean sublocales o(a), c(a) and b(a) as the
+    frame's open_masks, up_masks and boolean_masks: their meets are
+    intersections, and their joins the frame memo's meet closures of
+    unions, all closed in one batch."""
     frame = an.frame
     n = frame.n
-    opens = [frames.mask_of(row) for row in frame.imp_rows]
-    closeds = frame.up_masks
-    booleans = [frames.mask_of(col) for col in frame.imp.T.tolist()]
+    opens, closeds, booleans = frame.open_masks, frame.up_masks, frame.boolean_masks
     unions = [m[a] | m[b] for m in (opens, closeds) for a in range(n) for b in range(n)]
     unions += [o | c for o, c in zip(opens, closeds)]
     joined = dict(zip(unions, subl._meet_closed_all(frame, unions)))
@@ -469,8 +456,7 @@ def law_nucleus_roundtrip(an, law):
     frame, subs, masks = an.frame, an.assembly.sublocales, an.assembly.masks
     k = len(masks)
     tables = subl._nucleus_tables(frame, masks)
-    image = np.zeros(tables.shape, dtype=bool)
-    image[np.arange(k)[:, None], tables] = True
+    image = frames._row_sets(tables)
     wrong_image = (image != frames._matrix_of_rows(masks, frame.n)).any(axis=1)
     first_wrong = int(wrong_image.argmax()) if wrong_image.any() else k
     failure = subl._nucleus_failure(frame, tables[:first_wrong + 1])
@@ -544,7 +530,7 @@ def law_td_adjunction(an, law):
     pts = sorted(an.points)     # td-spatializations as the enumeration closes them
     for i in an.d_indices:
         bits = sum(1 << b for b, p in enumerate(pts) if p in sy.covered_points_of(subs[i]))
-        if bits >= len(assembly.by_primes) or masks[sp[i]] != assembly.by_primes[bits]:
+        if masks[sp[i]] != assembly.by_primes[bits]:
             law.fail(f"td-spatialization of {subs[i]!r} is not its covered points' closure")
     # covered points distribute over joins of D-sublocales.  Checked on
     # pairs: a pair's join must be a D-sublocale again, and since
@@ -614,8 +600,8 @@ def _covered_joins(an, law):
     joined = d_position[an.index_table([x | y for a, x in enumerate(d_masks)
                                         for y in d_masks[a + 1:]],
                                        an.frame.meet_close_masks)]
-    covered = frames.mask_words(frames.mask_of(sy.covered_points_of(subs[i]))
-                                for i in d_idx)
+    covered = frames.mask_words((frames.mask_of(sy.covered_points_of(subs[i]))
+                                 for i in d_idx), an.frame.n).T
     failed = _first_failure(
         joined < 0,
         (covered[:, joined] != covered[:, first] | covered[:, second]).any(axis=0))

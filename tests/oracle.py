@@ -446,6 +446,7 @@ def difference_pairs_by_loops(an, law, diff, supp):
     assembly = an.assembly
     subs, masks = assembly.sublocales, assembly.masks
     zero_mask = 1 << an.frame.top
+    supp = [masks[a] for a in supp.tolist()]
     diff = diff.tolist()
     # the second route: S\T holds exactly the primes of S not in T
     prime_diff = assembly.bits_table(lambda a, b: a & ~b).tolist()

@@ -363,6 +363,19 @@ class TestHostileInput:
         assert (child.returncode, child.stdout, child.stderr) == \
             (cli.EXIT_PARSE, "error: out of memory: the input is too large\n", "")
 
+    def test_missing_file_is_one_error_line(self, tmp_path):
+        code, text = run(["analyze", str(tmp_path / "absent.frame")])
+        assert code == cli.EXIT_PARSE
+        assert text.startswith("error: ") and text.count("\n") == 1
+
+    def test_memory_error_inside_a_command_is_a_documented_refusal(
+            self, chain3_file, monkeypatch):
+        def exhausted(frame, cap, name):
+            raise MemoryError
+        monkeypatch.setattr(classify, "classify_frame", exhausted)
+        assert run(["analyze", chain3_file]) == (
+            cli.EXIT_PARSE, "error: out of memory: the input is too large\n")
+
 
 class TestArguments:
     @pytest.mark.parametrize("argv, message", [

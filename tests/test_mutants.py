@@ -547,6 +547,20 @@ def test_own_closure_scans_match_their_loops(frame_name, doctor, monkeypatch):
     assert arrays == loops and calls["_covered_joins"]
 
 
+@pytest.mark.parametrize("frame_name", MATRIX_FRAMES)
+def test_supplement_outside_the_assembly_fails_both_routes(frame_name):
+    # a supplement row with entries that are not members (-1), which only
+    # a broken engine gives: law_difference fails at the first of them,
+    # by its array scans and by their loops alike
+    an = sy.FrameAnalysis(MATRIX_FRAMES[frame_name]())
+    k = len(an.assembly)
+    an.supplements = an.supplements.copy()
+    an.supplements[[k // 2, k - 1]] = -1
+    arrays, loops, _ = _both_routes(theorems.law_difference, an)
+    assert arrays == loops and not arrays.ok
+    assert arrays.detail == f"a supplement is not a sublocale at {an.assembly[k // 2]!r}"
+
+
 @pytest.mark.parametrize("name, apply_mutant", [(None, None)] + list(mutants.ALL_MUTANTS),
                          ids=["no_mutant"] + [name for name, _ in mutants.ALL_MUTANTS])
 def test_array_scans_match_their_loops_past_one_word(name, apply_mutant, monkeypatch):

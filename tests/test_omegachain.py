@@ -100,7 +100,7 @@ class TestCoveredPrimes:
         assert oc.chain_ptd(c) == oc.chain_point_set(bottom=True)
 
     def test_top_only_empty(self):
-        assert oc.chain_ptd(oc.chain_sublocale()).is_empty()
+        assert oc.chain_ptd(oc.chain_sublocale()) == oc.chain_point_set()
 
     def test_bottom_covered_iff_finitely_many_levels(self):
         for c in CORPUS:

@@ -451,6 +451,11 @@ class TestFamilyOrderMemo:
                 for j, t in enumerate(subs):
                     assert order.leq[i, j] == (t.members <= s.members)
 
+    def test_empty_family_has_no_order_frame(self):
+        # the order of no sublocales has no top, as a frame of no elements
+        with pytest.raises(frames.FrameError, match=r"pair \(\) has no top"):
+            subl.family_order_frame(())
+
     def test_equal_family_in_another_order_is_the_same_frame(self, square):
         assembly = subl.enumerate_assembly(square)
         order, subs = subl.family_order_frame(assembly)

@@ -362,6 +362,21 @@ class TestLiftFailureSites:
         with pytest.raises(sy.NotLiftable, match="is not a D-sublocale of the target"):
             sy.lift_surjection(assembly, assembly[0])
 
+    def test_oracle_on_an_emptied_one_member_target_family(self, monkeypatch):
+        # the zero sublocale's frame has one element, so its target has one
+        # member; with that target's D-family doctored empty, the lift
+        # oracle fails on the empty family's order frame (no IndexError)
+        # and the pass names the image that is not a target
+        real = sy.d_sublocales
+        monkeypatch.setattr(sy, "d_sublocales", lambda assembly: frozenset()
+                            if len(assembly) == 1 else real(assembly))
+        assembly = subl.enumerate_assembly(chain(3))
+        zero = subl.zero(assembly.frame)
+        assert _lift_outcome(oracle.lifts_by_adjoint_pairs, assembly, zero) == (
+            frames.NonLattice, "not a lattice: pair () has no top")
+        with pytest.raises(sy.NotLiftable, match="is not a D-sublocale of the target"):
+            sy.lift_surjection(assembly, zero)
+
 
 class TestEssentialPrimes:
     def test_prime_essential_for_itself(self, small_corpus):
