@@ -46,11 +46,9 @@ def is_d_scattered_by_pointless(analysis):
     The absolute form of being D-scattered: it quantifies over sublocales
     without mentioning the smooth family computed from supplements.
     """
-    smooth_joins = analysis.smooth_by_joins
-    for s in analysis.assembly:
-        if not sy.covered_points_of(s) and s not in smooth_joins:
-            return False
-    return True
+    frame, smooth_joins = analysis.frame, analysis.smooth_by_joins
+    return all(frames.spectra_of(frame, m)[1] or i in smooth_joins
+               for i, m in enumerate(analysis.assembly.masks))
 
 
 @dataclass(frozen=True)
@@ -89,7 +87,7 @@ def _row_definitions(analysis, booleans):
     so those three properties are computed here along their own routes.
     """
     frame = analysis.frame
-    every = frozenset(analysis.assembly)
+    every = frozenset(range(len(analysis.assembly)))
     smooth = analysis.smooth
     closed_joins = analysis.closed_joins
     d_fam = analysis.d_family
@@ -166,10 +164,11 @@ def classify_frame(frame, cap=DEFAULT_CAP, name="frame"):
         "d_sublocales": len(analysis.d_family),
         "spatial_sublocales": len(analysis.spatial_family),
     }
+    every = frozenset(range(len(assembly)))
     booleans.update({
-        "scattered": analysis.smooth == frozenset(assembly),
+        "scattered": analysis.smooth == every,
         "d_scattered": analysis.d_family <= analysis.smooth,
-        "totally_spatial": frozenset(assembly) == analysis.spatial_family,
+        "totally_spatial": every == analysis.spatial_family,
     })
     out.rows = tuple(RowVerdict(key, rel_text, prop_text, rel, prop)
                      for key, rel_text, prop_text, rel, prop

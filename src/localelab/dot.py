@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import frames as fr
+from .sublocales import _label
 
 
 def _quote(s):
@@ -32,18 +33,18 @@ def assembly_dot(assembly):
     closed, opens = set(frame.up_masks), set(frame.open_masks)
     shaded = {1 << frame.top | 1 << p for p in fr.primes(frame)}
     lines = ["digraph assembly {", "  rankdir=BT;"]
-    for i, s in enumerate(assembly):
-        attrs = [f"label={_quote(repr(s))}"]
-        if s.mask in closed:
+    for i, m in enumerate(assembly.masks):
+        attrs = [f"label={_quote(_label(frame, m))}"]
+        if m in closed:
             attrs.append("shape=box")
-        elif s.mask in opens:
+        elif m in opens:
             attrs.append("shape=ellipse")
-        if s.mask in shaded:
+        if m in shaded:
             attrs.append("style=filled")
         lines.append(f"  n{i} [{', '.join(attrs)}];")
     # cover relation of the inclusion order, without validating the order
     # as a frame: that check holds k^3 integers in memory
-    covers = fr.cover_relation(fr.inclusion_order(s.mask for s in assembly))
+    covers = fr.cover_relation(fr.inclusion_order(assembly.masks))
     for i, j in zip(*covers.nonzero()):
         lines.append(f"  n{i} -> n{j};")
     lines.append("}")

@@ -325,19 +325,18 @@ def _check_distributive(up, down, meet, join):
 class _Memo:
     """What the sublocale engine computes once per frame (see sublocales).
 
-    subs maps a mask to the frame's one Sublocale object; valid holds the
-    masks that passed Sublocale._validate (a failure is never recorded);
-    closures maps an input mask of sublocale_join, of difference_mask or
-    of subsystems.meet_closure to its meet closure, the one kernel result
-    they all read, filled one mask at a time by those and in batches of
-    meet_close_masks by the pair tables, the supplement row and
-    law_open_closed (sublocales._meet_closed_all); unions maps a mask
-    t to the mask U(t) of pieces that difference_mask intersects with s;
-    difference_tables holds the tables U is built from, once built;
-    spectra maps a mask to spectra_of's (primes, covered primes) of its
-    members, the frame's own at the full mask; orders maps the masks of a
-    family of sublocales, in Sublocale.sort_key order, to its
-    family_order_frame result.
+    subs maps a mask to the frame's one Sublocale object, made only when
+    a caller asks for one; valid holds the masks that passed
+    sublocales._validate_mask (a failure is never recorded); closures
+    maps an input mask to its meet closure, the one kernel result the
+    join, the difference and the meet closures of points read, filled
+    one mask at a time and in batches of meet_close_masks
+    (sublocales._meet_closed_all); unions maps a mask t to the mask U(t)
+    of pieces that difference_mask intersects with s; difference_tables
+    holds the tables U is built from, once built; spectra maps a mask to
+    spectra_of's (primes, covered primes) of its members, the frame's
+    own at the full mask; orders maps the masks of a family, in member
+    order, to its family_order_frame result.
     """
 
     __slots__ = ("subs", "valid", "closures", "unions", "difference_tables",

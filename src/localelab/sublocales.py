@@ -41,7 +41,8 @@ class CapExceeded(RuntimeError):
 
 
 class Sublocale:
-    """An immutable subset of a frame satisfying the two closure conditions."""
+    """An immutable subset of a frame satisfying the two closure
+    conditions; the engine computes on masks and builds these on request."""
 
     __slots__ = ("frame", "members", "mask")
 
@@ -52,43 +53,65 @@ class Sublocale:
         self.frame = frame
         self.members = members
         self.mask = mask_of(members)
-        if _validate and self.mask not in frame._memo.valid:
-            self._validate()
+        if _validate:
+            _validate_mask(frame, self.mask)
 
-    def _validate(self):
-        """Check both closure conditions; callers skip masks already valid.
+    # mask and members determine each other, so the int stands in for the set
+    def __eq__(self, other):
+        return (isinstance(other, Sublocale)
+                and other.frame is self.frame and other.mask == self.mask)
 
-        Up to INT_ROW_BITS elements both loop over the int rows.  Beyond
-        that each is one gather, of the meet table over members x members
-        and of the implication table over elements x members, and the
-        first missing entry in row-major order is the one the loops would
-        meet first, members taken in the order of the set.
-        """
-        frame, mask = self.frame, self.mask
-        if not mask >> frame.top & 1:
-            raise NotASublocale("missing the top element")
-        if frame.n > frames.INT_ROW_BITS:
-            self._validate_by_gathers()
-            return
+    def __hash__(self):
+        return hash(self.mask)
+
+    def __repr__(self):
+        return _label(self.frame, self.mask)
+
+
+def _label(frame, mask):
+    """{a,b,...}, the name of a sublocale in reprs, labels and messages."""
+    return "{" + ",".join(frame.labels[i] for i in bits_of(mask)) + "}"
+
+
+def _member_key(mask):
+    """The sort key of member order: the members in increasing order."""
+    return tuple(bits_of(mask))
+
+
+def _validate_mask(frame, mask):
+    """Return mask after checking that it holds the top and both closure
+    conditions; a mask that passes is kept in frame._memo.valid and never
+    checked again, a failure is never recorded.
+
+    Up to INT_ROW_BITS elements both loop over the int rows.  Beyond
+    that each is one gather, of the meet table over members x members
+    and of the implication table over elements x members, and the first
+    missing entry in row-major order is the one the loops would meet
+    first.
+    """
+    valid = frame._memo.valid
+    if mask in valid:
+        return mask
+    if not mask >> frame.top & 1:
+        raise NotASublocale("missing the top element")
+    members = list(bits_of(mask))
+    if frame.n <= frames.INT_ROW_BITS:
         meet = frame.meet_rows
-        for i in self.members:
+        for i in members:
             row = meet[i]
-            for j in self.members:
+            for j in members:
                 if not mask >> row[j] & 1:
                     raise NotASublocale(
                         f"not meet-closed: {i} meet {j} = {row[j]} is missing")
         imp = frame.imp_rows
         for a in range(frame.n):
             row = imp[a]
-            for s in self.members:
+            for s in members:
                 if not mask >> row[s] & 1:
                     raise NotASublocale(
                         f"not closed under implication: {a} -> {s} = {row[s]} missing")
-        frame._memo.valid.add(mask)
-
-    def _validate_by_gathers(self):
-        frame = self.frame
-        order = np.fromiter(self.members, dtype=np.intp, count=len(self.members))
+    else:
+        order = np.array(members, dtype=np.intp)
         inside = np.zeros(frame.n, dtype=bool)
         inside[order] = True
         meets = frame.meet[order[:, None], order]
@@ -103,22 +126,8 @@ class Sublocale:
             a, j = np.unravel_index(missing.argmax(), missing.shape)
             raise NotASublocale(f"not closed under implication: {a} -> {order[j]} = "
                                 f"{imps[a, j]} missing")
-        frame._memo.valid.add(self.mask)
-
-    # mask and members determine each other, so the int stands in for the set
-    def __eq__(self, other):
-        return (isinstance(other, Sublocale)
-                and other.frame is self.frame and other.mask == self.mask)
-
-    def __hash__(self):
-        return hash(self.mask)
-
-    def sort_key(self):
-        return tuple(sorted(self.members))
-
-    def __repr__(self):
-        inner = ",".join(self.frame.labels[i] for i in sorted(self.members))
-        return "{" + inner + "}"
+    valid.add(mask)
+    return mask
 
 
 def _from_mask(frame, mask, _validate=False):
@@ -127,8 +136,8 @@ def _from_mask(frame, mask, _validate=False):
     sub = memo.subs.get(mask)
     if sub is None:
         sub = memo.subs[mask] = Sublocale(frame, bits_of(mask), _validate=False)
-    if _validate and mask not in memo.valid:
-        sub._validate()
+    if _validate:
+        _validate_mask(frame, mask)
     return sub
 
 
@@ -157,11 +166,6 @@ def generate_sublocale(frame, seed):
 
 def whole(frame):
     return _from_mask(frame, (1 << frame.n) - 1)
-
-
-def zero(frame):
-    """The one-point sublocale {top}, bottom of the assembly."""
-    return _from_mask(frame, 1 << frame.top)
 
 
 def open_sublocale(frame, a):
@@ -408,24 +412,24 @@ def is_complemented(sub):
     return sub.mask & supplement(sub).mask == 1 << sub.frame.top
 
 
-def family_order_frame(subs):
-    """Reverse-inclusion order frame of a family of sublocales of one frame.
+def family_order_frame(frame, masks):
+    """Reverse-inclusion order frame of the sublocales of frame with
+    these masks.
 
     The one builder of such frames, and their one cache: each distinct
     family is built and validated once per frame, whatever order its
-    members come in.  Returns (frame, members as a tuple sorted by
-    Sublocale.sort_key); i <= j iff members[i] contains members[j].
+    masks come in.  Returns (frame, the masks in member order as a
+    tuple); i <= j iff masks[i] contains masks[j].
     """
-    subs = tuple(sorted(subs, key=Sublocale.sort_key))
-    if not subs:
+    masks = tuple(sorted(masks, key=_member_key))
+    if not masks:
         raise frames.NonLattice((), "top")
-    orders = subs[0].frame._memo.orders
-    masks = tuple(_masks_of(subs[0].frame, subs))
+    orders = frame._memo.orders
     got = orders.get(masks)
     if got is None:
         leq = frames.inclusion_order(masks).T
         got = orders[masks] = (
-            frames.FiniteFrame(leq, labels=[repr(s) for s in subs]), subs)
+            frames.FiniteFrame(leq, labels=[_label(frame, m) for m in masks]), masks)
     return got
 
 
@@ -436,32 +440,28 @@ class Assembly:
     meet closure of top and {primes[i] : bit i of bits}, and primes_of
     maps each mask back to its bits.  Every sublocale is such a closure,
     so joins are ORs of bits, intersections ANDs and differences
-    bits & ~bits (bits_table).  sublocales lists the members sorted by
-    Sublocale.sort_key, the order family_order_frame gives them, and
-    masks their masks in that order; index_of maps a mask back to its
-    index, -1 when no member has it, as in the pair tables of
-    subsystems.FrameAnalysis.  d_family and lifts are None until
-    subsystems.d_sublocales and lift_surjection keep the D-family and
-    the lift onto each member there.  """
+    bits & ~bits (bits_table).  A member is its mask: masks lists them
+    in member order, index_of maps a mask back to its index (-1 for
+    none), and assembly[i] and iteration build Sublocales on demand.
+    d_family (indices) and lifts are None until subsystems.d_sublocales
+    and lift_surjection keep them there.  """
 
     def __init__(self, frame, by_primes):
         self.frame = frame
         self.by_primes = tuple(by_primes)
         self.primes_of = {m: bits for bits, m in enumerate(self.by_primes)}
-        self.sublocales = tuple(sorted((_from_mask(frame, m) for m in self.by_primes),
-                                       key=Sublocale.sort_key))
-        self.masks = tuple(s.mask for s in self.sublocales)
+        self.masks = tuple(sorted(self.by_primes, key=_member_key))
         self._index = {m: i for i, m in enumerate(self.masks)}
         self.d_family = self.lifts = None
 
     def __len__(self):
-        return len(self.sublocales)
+        return len(self.masks)
 
     def __iter__(self):
-        return iter(self.sublocales)
+        return (_from_mask(self.frame, m) for m in self.masks)
 
     def __getitem__(self, i):
-        return self.sublocales[i]
+        return _from_mask(self.frame, self.masks[i])
 
     def index_of(self, mask):
         """The index of the member with this mask, -1 if there is none."""

@@ -43,67 +43,48 @@ class PreconditionFailed(ValueError):
 # ---------------------------------------------------------------------------
 # intrinsic spectra of a sublocale (as a lattice in its own right)
 
-def _spectra(sub):
-    """(primes, covered primes) of the sublocale as its own lattice."""
-    return frames.spectra_of(sub.frame, sub.mask)
-
-
 def points_of(sub):
-    """The classical spectrum of a sublocale: its intrinsic primes.
-
-    For sublocales these coincide with the ambient primes lying inside,
-    which the tests assert; the intrinsic computation is the definition.
-    """
-    return _spectra(sub)[0]
+    """The classical spectrum of a sublocale: its intrinsic primes, which
+    for sublocales are the ambient primes lying inside (the tests check)."""
+    return frames.spectra_of(sub.frame, sub.mask)[0]
 
 
 def covered_points_of(sub):
-    """The covered-prime spectrum of a sublocale, computed intrinsically.
-
-    Intentionally NOT the ambient covered primes restricted to the
-    members: the divergence of the two is exactly what makes a sublocale
-    fail to interact well with the covered-prime duality.
-    """
-    return _spectra(sub)[1]
+    """The covered-prime spectrum of a sublocale, computed intrinsically:
+    NOT the ambient covered primes among its members, whose divergence
+    from it is what makes a sublocale fail the covered-prime duality."""
+    return frames.spectra_of(sub.frame, sub.mask)[1]
 
 
-def is_d_sublocale(sub):
-    """True iff every intrinsic covered prime is covered in the frame.
-
-    The intrinsic side is memoised per mask; the ambient side is read
-    from frames.covered_primes on every call.
-    """
-    return covered_points_of(sub) <= frames.covered_primes(sub.frame)
+def _is_d(frame, mask):
+    """True iff every intrinsic covered prime is covered in the frame."""
+    return frames.spectra_of(frame, mask)[1] <= frames.covered_primes(frame)
 
 
 # ---------------------------------------------------------------------------
 # the meet-closure adjunction
 
 def meet_closure(frame, points):
-    """The sublocale {meet of A : A subset of the given primes}.
-
-    Closed once per frame and set of points, through the frame's memo.
-    theorems.law_td_adjunction compares it with the join of the one-point
-    sublocales {1, p}, the second route, on every subset of the primes.
-    """
+    """The sublocale {meet of A : A subset of the given primes}, closed
+    once per frame and set of points through the frame's memo."""
     return subl._from_mask(frame, subl._meet_closed(frame, mask_of(points)),
                            _validate=True)
 
 
-def is_spatial_sublocale(sub):
-    """sub is the meet closure of its intrinsic primes, its
-    spatialization.  The closure is compared as a mask and never
-    validated as a Sublocale, so a member that is not a sublocale (only
-    from a broken engine) gets an answer, not an exception."""
-    return subl._meet_closed(sub.frame, mask_of(points_of(sub))) == sub.mask
+def _is_spatial(frame, mask):
+    """The mask is the meet closure of its intrinsic primes, unvalidated,
+    so a non-sublocale (from a broken engine) gets an answer."""
+    return subl._meet_closed(frame, mask_of(frames.spectra_of(frame, mask)[0])) == mask
 
 
-def td_spatialization(sub):
-    """Meet closure of the covered primes; only defined on D-sublocales."""
-    if not is_d_sublocale(sub):
-        raise NotDSublocale(f"{sub!r} has intrinsic covered primes not covered "
-                            "in the frame")
-    return meet_closure(sub.frame, covered_points_of(sub))
+def _td_spatialization(frame, mask):
+    """The validated meet closure of the covered primes, as a mask; only
+    defined on D-sublocales."""
+    if not _is_d(frame, mask):
+        raise NotDSublocale(f"{subl._label(frame, mask)} has intrinsic covered primes "
+                            "not covered in the frame")
+    covered = mask_of(frames.spectra_of(frame, mask)[1])
+    return subl._validate_mask(frame, subl._meet_closed(frame, covered))
 
 
 class AdjunctionReport:
@@ -116,67 +97,64 @@ class AdjunctionReport:
         return not self.failures
 
 
-def adjunction_law(frame, points, family, spectrum):
+def adjunction_law(frame, points, family, covered):
     """The meet-closure adjunction between subsets Y of points and the
-    sublocales S of family, taken in the order given: spectrum(meet_closure(Y))
-    is Y, and meet_closure(Y) <= S iff Y <= spectrum(S).  checked counts
-    the (Y, S) pairs.
+    family's masks S, in its order, with sp the covered points if covered
+    and the points otherwise: sp(meet_closure(Y)) is Y, and
+    meet_closure(Y) <= S iff Y <= sp(S).  checked counts the (Y, S) pairs.
 
-    Both sides of the law are bitsets over the family: holding[x] has bit
-    t set when family member t contains x, and spanning[x] when x is in
-    its spectrum, so the members above meet_closure(Y) are the AND of
-    holding over its elements and those whose spectrum holds Y the AND
-    of spanning over Y: one comparison per Y.
+    Both sides are bitsets over the family: holding[x] has bit t set when
+    member t contains x, and spanning[x] when x is in its sp, so the
+    members above meet_closure(Y) are the AND of holding over its
+    elements and those whose sp holds Y the AND of spanning over Y.
     """
-    pts = sorted(points)
-    subs = list(family)
+    pts, name = sorted(points), ("points_of", "covered_points_of")[covered]
     holding, spanning = [0] * frame.n, [0] * frame.n
-    for t, s in enumerate(subs):
-        for x in bits_of(s.mask):
+    for t, s in enumerate(family):
+        for x in bits_of(s):
             holding[x] |= 1 << t
-        for x in spectrum(s):
+        for x in frames.spectra_of(frame, s)[covered]:
             spanning[x] |= 1 << t
-    everything = (1 << len(subs)) - 1
+    everything = (1 << len(family)) - 1
     failures = []
     for sel in range(1 << len(pts)):
         y = frozenset(pts[i] for i in bits_of(sel))
-        m = meet_closure(frame, y)
-        if spectrum(m) != y:
-            failures.append(f"{spectrum.__name__}(meet_closure({sorted(y)})) "
-                            f"!= {sorted(y)}")
+        m = subl._validate_mask(frame, subl._meet_closed(frame, mask_of(y)))
+        if frames.spectra_of(frame, m)[covered] != y:
+            failures.append(f"{name}(meet_closure({sorted(y)})) != {sorted(y)}")
         above = spans = everything
-        for x in bits_of(m.mask):
+        for x in bits_of(m):
             above &= holding[x]
         for x in y:
             spans &= spanning[x]
         for t in bits_of(above ^ spans):
-            failures.append(f"law fails for Y={sorted(y)} S={subs[t]!r}: "
+            failures.append(f"law fails for Y={sorted(y)} S={subl._label(frame, family[t])}: "
                             f"{bool(above >> t & 1)} vs {bool(spans >> t & 1)}")
-    return AdjunctionReport(len(subs) << len(pts), failures)
+    return AdjunctionReport(len(family) << len(pts), failures)
 
 
 def check_td_adjunction(assembly):
     """The adjunction law between subsets of the covered primes and the
     D-sublocales of the enumerated assembly, in assembly order."""
-    d_family = d_sublocales(assembly)
     return adjunction_law(assembly.frame, frames.covered_primes(assembly.frame),
-                          [s for s in assembly if s in d_family],
-                          covered_points_of)
+                          [assembly.masks[i] for i in sorted(d_sublocales(assembly))], True)
 
 
 # ---------------------------------------------------------------------------
-# the four subsystems
+# the four subsystems, as frozensets of assembly indices
 
 def d_sublocales(assembly):
     """The D-sublocales of an enumerated assembly, found once per
     assembly and kept in assembly.d_family."""
     if assembly.d_family is None:
-        assembly.d_family = frozenset(s for s in assembly if is_d_sublocale(s))
+        assembly.d_family = frozenset(i for i, m in enumerate(assembly.masks)
+                                      if _is_d(assembly.frame, m))
     return assembly.d_family
 
 
 def spatial_sublocales(assembly):
-    return frozenset(s for s in assembly if is_spatial_sublocale(s))
+    return frozenset(i for i, m in enumerate(assembly.masks)
+                     if _is_spatial(assembly.frame, m))
 
 
 # ---------------------------------------------------------------------------
@@ -225,22 +203,20 @@ class AdjointPair:
                     raise ValueError(f"adjunction law fails at ({a},{b})")
 
 
-def sublocale_frame(sub):
-    """The sublocale as a frame in its own right, with its element map.
-
-    Returns (frame, members) where members[i] is the ambient element of
-    the i-th new element; the order restricted to the members is
-    re-validated as a frame.
-    """
-    members = sorted(sub.members)
-    labels = [sub.frame.labels[a] for a in members]
-    return (frames.FiniteFrame(sub.frame.leq[np.ix_(members, members)],
-                               labels=labels), tuple(members))
+def _frame_on(frame, members):
+    """The sublocale with these increasing members as a frame in its own
+    right: the order restricted to them, re-validated, or frame itself
+    if they are all of it; its i-th element is members[i]."""
+    if len(members) == frame.n:
+        return frame
+    return frames.FiniteFrame(frame.leq[np.ix_(members, members)],
+                              labels=[frame.labels[a] for a in members])
 
 
 def sublocale_surjection_pair(sub):
     """The frame surjection onto a sublocale with the inclusion as adjoint."""
-    sub_frame, members = sublocale_frame(sub)
+    members = tuple(sorted(sub.members))
+    sub_frame = _frame_on(sub.frame, members)
     pos = {a: i for i, a in enumerate(members)}
     hom = [pos[a] for a in subl._nucleus_tables(sub.frame, [sub.mask])[0].tolist()]
     return AdjointPair(sub.frame, sub_frame, hom, members), sub_frame, members
@@ -279,25 +255,50 @@ def is_d_homomorphism(pair):
 # lifting a frame surjection to the assemblies of D-sublocales
 
 class AssemblyLift(namedtuple("AssemblyLift",
-                              "hom source_subs target_subs target_members surjective")):
-    """The lift onto a D-sublocale S: target_subs[hom[i]] is source_subs[i]
-    meet S in S's own elements (target_members); pair is built when read."""
+                              "frame source hom target_members surjective")):
+    """The lift onto the D-sublocale S of frame with elements
+    target_members: hom[i] is the position of source[i] meet S among the
+    D-sublocales of S's own frame (source: the masks of frame's), both in
+    member order.  The target is rebuilt when pair or target_subs is read."""
+
+    @cached_property
+    def _target(self):
+        sub_frame = _frame_on(self.frame, self.target_members)
+        tgt = subl.enumerate_assembly(sub_frame)
+        order, masks = subl.family_order_frame(
+            sub_frame, [tgt.masks[j] for j in d_sublocales(tgt)])
+        return order, tuple(subl._from_mask(sub_frame, m) for m in masks)
 
     @cached_property
     def pair(self):
-        return AdjointPair(subl.family_order_frame(self.source_subs)[0],
-                           subl.family_order_frame(self.target_subs)[0], self.hom)
+        return AdjointPair(subl.family_order_frame(self.frame, self.source)[0],
+                           self._target[0], self.hom)
+
+    @property
+    def source_subs(self):
+        return tuple(subl._from_mask(self.frame, m) for m in self.source)
+
+    @property
+    def target_subs(self):
+        return self._target[1]
 
 
 def lift_surjection(assembly, sub):
     """Lift the surjection onto the member `sub` to the order frames of
     the D-sublocales, T to T meet sub, which exists exactly when sub is
-    a D-sublocale.  All members are lifted on the first call (_lift_all,
-    kept in assembly.lifts); one with no lift raises what it met first."""
+    a D-sublocale."""
+    i = assembly.index_of(sub.mask)
+    if i < 0 or sub.frame is not assembly.frame:
+        raise NotLiftable(f"{sub!r} is no member")
+    return _lift(assembly, i)
+
+
+def _lift(assembly, i):
+    """The lift onto member i, or what it raised: all members are lifted
+    on the first call and kept in assembly.lifts."""
     if assembly.lifts is None:
         assembly.lifts = _lift_all(assembly)
-    i = assembly.index_of(sub.mask)
-    got = assembly.lifts[i] if assembly[i] == sub else NotLiftable(f"{sub!r} is no member")
+    got = assembly.lifts[i]
     if isinstance(got, Exception):
         raise got
     return got
@@ -306,39 +307,43 @@ def lift_surjection(assembly, sub):
 def _lift_all(assembly):
     """The AssemblyLift onto each member, or what its lift raises: the
     source side built once, each member's own route to its target, and
-    the laws of each block of lifts, within BLOCK_BYTES, at once."""
+    the laws of each block of lifts, within BLOCK_BYTES, at once; each
+    target frame and enumeration is dropped once its lift is found."""
     k, frame, source, out = len(assembly), assembly.frame, None, []
+    label = partial(subl._label, frame)
     for lo, hi in frames._row_blocks(k, 20 * k * k):
         laws = []
-        for s in assembly.sublocales[lo:hi]:
+        for s in assembly.masks[lo:hi]:
             try:
-                if not is_d_sublocale(s):
-                    raise NotLiftable(f"{s!r} is not a D-sublocale")
+                if not _is_d(frame, s):
+                    raise NotLiftable(f"{label(s)} is not a D-sublocale")
                 if source is None:
-                    source, src_subs = subl.family_order_frame(d_sublocales(assembly))
-                    index = {t.mask: i for i, t in enumerate(src_subs)}
-                    rows = frames._matrix_of_rows([t.mask for t in src_subs], frame.n)
-                sub_frame, members = sublocale_frame(s)
+                    source, src_masks = subl.family_order_frame(
+                        frame, [assembly.masks[i] for i in d_sublocales(assembly)])
+                    index = {t: i for i, t in enumerate(src_masks)}
+                    rows = frames._matrix_of_rows(src_masks, frame.n)
+                members = tuple(bits_of(s))
+                sub_frame = _frame_on(frame, members)
                 tgt = subl.enumerate_assembly(sub_frame, k)
-                tgt_subs = tuple(t for t in tgt if t in d_sublocales(tgt))
-                position, bits = {t.mask: j for j, t in enumerate(tgt_subs)}, tgt.primes_of
+                tgt_masks = [tgt.masks[j] for j in sorted(d_sublocales(tgt))]
+                position, bits = {t: j for j, t in enumerate(tgt_masks)}, tgt.primes_of
                 images = frames._int_rows(frames._packed_words(rows[:, members]))
-                for t, image in zip(src_subs, images):
-                    if t.mask & s.mask not in index:
-                        raise NotLiftable(f"{t!r} meet {s!r} is not a D-sublocale")
+                for t, image in zip(src_masks, images):
+                    if t & s not in index:
+                        raise NotLiftable(f"{label(t)} meet {label(s)} is not a D-sublocale")
                     if image not in position:
-                        raise NotLiftable(f"image of {t!r} is not a D-sublocale of the "
+                        raise NotLiftable(f"image of {label(t)} is not a D-sublocale of the "
                                           "target")
-                laws.append(([bits[m] for m in images], [bits[t.mask] for t in tgt_subs],
-                             s.members, [index.get(frame.up_masks[a], -2) for a in s.members],
-                             [bits.get(sub_frame.up_masks[members.index(a)], -1)
-                              for a in s.members]))
-                out.append((tuple(map(position.get, images)), src_subs, tgt_subs, members))
+                laws.append(([bits[m] for m in images], [bits[t] for t in tgt_masks],
+                             members, [index.get(frame.up_masks[a], -2) for a in members],
+                             [bits.get(u, -1) for u in sub_frame.up_masks]))
+                out.append(AssemblyLift(frame, src_masks, tuple(map(position.get, images)),
+                                        members, None))
             except (ValueError, subl.CapExceeded) as exc:   # raised by its member's call
                 out.append(exc)
         lifted = [i for i in range(lo, hi) if not isinstance(out[i], Exception)]
         for i, (exc, onto) in zip(lifted, _lift_laws(source, *zip(*laws)) if laws else ()):
-            out[i] = exc or AssemblyLift(*out[i], onto)
+            out[i] = exc or out[i]._replace(surjective=onto)
     return out
 
 
@@ -430,22 +435,20 @@ def weakly_covered(frame, p):
 class FrameAnalysis:
     """Lazily computed subsystems of one frame's assembly.
 
-    joins, meets and differences are the pair tables the batteries read
-    binary sublocale operations from, each a k x k int array over the
-    whole assembly: with s_i the i-th entry of assembly.masks,
-    joins[i, j] is the assembly index of the meet closure of s_i | s_j
-    (through the frame's closure memo, as sublocale_join), meets[i, j]
-    that of s_i & s_j and differences[i, j] that of the meet closure of
-    top | s_i & U(s_j) (sublocales._pieces_unions, as difference_mask).
+    The families (smooth, smooth_by_joins, closed_joins, d_family and
+    spatial_family) are frozensets of assembly indices.  joins, meets
+    and differences are k x k int arrays over assembly.masks (s_i):
+    joins[i, j] is the index of the memoised meet closure of s_i | s_j,
+    as sublocale_join, meets[i, j] that of s_i & s_j and differences[i, j]
+    that of the meet closure of top | s_i & U(s_j), as difference_mask.
     Each distinct closure input is closed once, all of a table's in one
-    batch (sublocales._meet_closed_all), and no Sublocale is made; every
-    ordered pair has an entry of its own, so a table that swaps its
-    arguments still shows.  An entry is -1 when the result is not a
-    member, which only a broken operation or enumeration gives; the
-    batteries that read it fail there.  inclusion[i, j] tells whether
-    s_i lies inside s_j (frames.inclusion_order).  supplements is the
-    whole frame's row of the differences, from which the smooth family
-    and the complemented members are read.
+    batch (sublocales._meet_closed_all); every ordered pair has an entry
+    of its own, so a table that swaps its arguments still shows.  An
+    index is -1, in a table or a family, where the result is not a
+    member, which only a broken engine gives; the batteries that read
+    it fail there.  inclusion[i, j] tells whether s_i lies inside s_j.
+    supplements is the whole frame's row of the differences, from which
+    the smooth family and the complemented members are read.
     """
 
     def __init__(self, frame, cap=subl.DEFAULT_CAP):
@@ -507,39 +510,30 @@ class FrameAnalysis:
         return frames.inclusion_order(self.assembly.masks)
 
     @cached_property
-    def whole(self):
-        return subl.whole(self.frame)
-
-    @cached_property
     def smooth(self):
         """Fixpoints of the double supplement, the Booleanization of the
         assembly: the members i with sup[sup[i]] = i."""
         sup = self.supplements
-        fixed = np.flatnonzero(sup[sup[:-1]] == np.arange(len(sup) - 1))
-        return frozenset(self.assembly[i] for i in fixed.tolist())
+        return frozenset(np.flatnonzero(sup[sup[:-1]] == np.arange(len(sup) - 1)).tolist())
 
     @cached_property
     def smooth_by_joins(self):
-        """The complemented sublocales and zero: the other published
-        description of the smooth sublocales, the joins of complemented
-        ones.  No join has to be added, because a finite join of
-        complemented elements of a coframe is complemented.  Member i is
-        complemented when it meets its supplement in the zero sublocale
-        {top} alone."""
+        """The complemented sublocales and zero, the joins of complemented
+        ones (a finite join of complemented elements of a coframe is
+        complemented): member i meets its supplement in {top} alone."""
         masks, zero_mask = self.assembly.masks, 1 << self.frame.top
-        return frozenset(self.assembly[i]
-                         for i, j in enumerate(self.supplements[:-1].tolist())
+        return frozenset(i for i, j in enumerate(self.supplements[:-1].tolist())
                          if j >= 0 and masks[i] & masks[j] == zero_mask
-                         ) | {subl.zero(self.frame)}
+                         ) | {self.assembly.index_of(zero_mask)}
 
     @cached_property
     def closed_joins(self):
         """All joins of closed sublocales, the empty join zero = c(top)
         included.  They are the closed sublocales c(a) themselves, because
         c(a) join c(b) = c(a meet b) (law_open_closed checks it on every
-        pair)."""
-        frame = self.frame
-        return frozenset(subl.closed_sublocale(frame, a) for a in range(frame.n))
+        pair); each c(a) is validated."""
+        return frozenset(self.assembly.index_of(subl._validate_mask(self.frame, up))
+                         for up in self.frame.up_masks)
 
     @cached_property
     def d_family(self):
@@ -547,17 +541,14 @@ class FrameAnalysis:
 
     @cached_property
     def d_indices(self):
-        """Assembly indices of the D-family, in assembly order (which is
-        Sublocale.sort_key order)."""
-        return tuple(i for i, s in enumerate(self.assembly) if s in self.d_family)
+        return tuple(sorted(self.d_family))
 
     @cached_property
     def in_d_family(self):
         """Boolean array of k + 1 entries: entry i tells whether member i
-        is a D-sublocale, and the last, False, is what a -1 entry of a
-        pair table reads."""
+        is a D-sublocale, the last (False) what a -1 entry reads."""
         out = np.zeros(len(self.assembly) + 1, dtype=bool)
-        out[list(self.d_indices)] = True
+        out[list(self.d_family)] = True
         return out
 
     @cached_property
@@ -566,12 +557,10 @@ class FrameAnalysis:
 
     @cached_property
     def td_spatializations(self):
-        """Assembly index of the td_spatialization of every D-sublocale,
-        keyed by the D-sublocale's index (-1 where it is not a member),
-        computed once."""
-        assembly = self.assembly
-        return {i: assembly.index_of(td_spatialization(assembly[i]).mask)
-                for i in self.d_indices}
+        """The index of each D-member's td-spatialization, -1 where it is
+        not a member, keyed by the D-member's index."""
+        masks, index_of = self.assembly.masks, self.assembly.index_of
+        return {i: index_of(_td_spatialization(self.frame, masks[i])) for i in self.d_indices}
 
     @cached_property
     def spectrum(self):

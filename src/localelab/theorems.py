@@ -58,24 +58,30 @@ def is_boolean_lattice(frame):
     return bool(((frame.meet == frame.bottom) & (frame.join == frame.top)).any(axis=1).all())
 
 
-def _order_frame(family):
-    """The reverse-inclusion order frame of a family of sublocales, or
-    None when that order is not a frame, the order of an empty family
+def _order_frame(an, family):
+    """The reverse-inclusion order frame of a family of assembly indices,
+    or None when that order is not a frame, the order of an empty family
     included, which only a broken engine gives; a condition on the
     family's lattice is then false."""
     try:
-        return subl.family_order_frame(family)[0]
+        return subl.family_order_frame(an.frame, [an.assembly.masks[i] for i in family])[0]
     except frames.FrameError:
         return None
 
 
-def _intrinsically_td_spatial(sub):
-    """Every member is the meet of the sublocale's covered points above it."""
-    return frames.meets_of_points(sub.frame, sy.covered_points_of(sub), sub.members)
+def _name(an, i):
+    return subl._label(an.frame, an.assembly.masks[i])
 
 
-def _intrinsically_spatial(sub):
-    return frames.meets_of_points(sub.frame, sy.points_of(sub), sub.members)
+def _whole(an):
+    return an.assembly.index_of((1 << an.frame.n) - 1)
+
+
+def _intrinsically_spatial(frame, mask, covered):
+    """Every member of the sublocale is the meet of its points (covered
+    points if covered) above it."""
+    return frames.meets_of_points(frame, frames.spectra_of(frame, mask)[covered],
+                                  list(frames.bits_of(mask)))
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +90,7 @@ def _intrinsically_spatial(sub):
 def td_spatial_suite(an):
     frame = an.frame
     spec = spaces.spectrum_td(frame)
-    smooth_frame = _order_frame(an.smooth)
+    smooth_frame = _order_frame(an, an.smooth)
     return SuiteResult("td_spatial_characterization", (
         ("counit_injective", len(set(spec.sigma)) == frame.n),
         ("meets_of_covered", frames.is_td_spatial(frame)),
@@ -101,7 +107,7 @@ def strongly_td_spatial_suite(an):
     spec = an.spectrum
     covered_all = an.covered == an.points
     injective = len(set(spec.sigma)) == frame.n
-    spatial_frame = _order_frame(an.spatial_family)
+    spatial_frame = _order_frame(an, an.spatial_family)
     return SuiteResult("strongly_td_spatial_characterization", (
         ("counit_injective_and_covered", injective and covered_all),
         ("meets_of_covered_and_covered",
@@ -119,14 +125,13 @@ def strongly_td_spatial_suite(an):
 
 
 def covered_primes_suite(an):
-    every = frozenset(an.assembly)
     d_fam = an.d_family
     closed_pairs = _d_meets_closed(an)
     return SuiteResult("covered_primes_characterization", (
         ("all_primes_covered", an.covered == an.points),
         ("spatialpart_in_smooth", an.spatial_family <= an.smooth),
-        ("d_is_everything", d_fam == every),
-        ("d_closed_under_meets", an.whole in d_fam and closed_pairs),
+        ("d_is_everything", d_fam == frozenset(range(len(an.assembly)))),
+        ("d_closed_under_meets", _whole(an) in d_fam and closed_pairs),
         ("spatialpart_in_d", an.spatial_family <= d_fam),
     ), expect_all_true=True)
 
@@ -139,15 +144,14 @@ def _d_meets_closed(an):
 
 def total_td_spatiality_suite(an):
     frame = an.frame
-    every = list(an.assembly)
+    masks = an.assembly.masks
     d_fam = an.d_family
-    d_frame = _order_frame(d_fam)
-    zero = subl.zero(frame)
+    d_frame = _order_frame(an, d_fam)
     return SuiteResult("total_td_spatiality_characterization", (
         ("all_sublocales_td_spatial",
-         all(_intrinsically_td_spatial(s) for s in every)),
+         all(_intrinsically_spatial(frame, m, True) for m in masks)),
         ("all_d_sublocales_td_spatial",
-         all(_intrinsically_td_spatial(s) for s in d_fam)),
+         all(_intrinsically_spatial(frame, masks[i], True) for i in d_fam)),
         ("td_spatialization_fixes_d",
          all(sp == i for i, sp in an.td_spatializations.items())),
         ("d_lattice_powerset", d_frame is not None and is_boolean_lattice(d_frame)
@@ -157,17 +161,18 @@ def total_td_spatiality_suite(an):
         ("smooth_eq_d_and_td_spatial",
          an.smooth == d_fam and frames.is_td_spatial(frame)),
         ("nonzero_has_intrinsic_covered_point",
-         all(s == zero or sy.covered_points_of(s) for s in every)),
+         all(m == 1 << frame.top or frames.spectra_of(frame, m)[1] for m in masks)),
     ), expect_all_true=True)
 
 
 def assembly_powerset_suite(an):
     frame = an.frame
-    every = list(an.assembly)
-    order = _order_frame(an.assembly)
+    masks = an.assembly.masks
+    every = frozenset(range(len(masks)))
+    order = _order_frame(an, every)
     covered_all = an.covered == an.points
-    totally_spatial = an.spatial_family == frozenset(an.assembly)
-    zero = subl.zero(frame)
+    totally_spatial = an.spatial_family == every
+    zero_mask, covered_mask = 1 << frame.top, frames.mask_of(an.covered)
 
     def covered_essentials(a):
         return sy.essential_primes(frame, a) & an.covered
@@ -180,8 +185,8 @@ def assembly_powerset_suite(an):
         ("totally_spatial_and_strongly_td",
          totally_spatial and frames.is_strongly_td_spatial(frame)),
         ("all_sublocales_strongly_td",
-         all(_intrinsically_spatial(s)
-             and sy.covered_points_of(s) == sy.points_of(s) for s in every)),
+         all(_intrinsically_spatial(frame, m, False)
+             and frames.spectra_of(frame, m)[1] == frames.spectra_of(frame, m)[0] for m in masks)),
         ("assembly_powerset", order is not None and is_boolean_lattice(order)
          and order.n == 1 << len(an.covered)),
         ("assembly_spatial_boolean", order is not None
@@ -196,7 +201,7 @@ def assembly_powerset_suite(an):
          and all(a == frame.top or covered_abs_essentials(a)
                  for a in range(frame.n))),
         ("nonzero_contains_ambient_covered_prime",
-         all(s == zero or (s.members & an.covered) for s in every)),
+         all(m == zero_mask or m & covered_mask for m in masks)),
     ), expect_all_true=True)
 
 
@@ -225,7 +230,7 @@ def d_family_vs_closed_joins_suite(an):
 
 def totally_spatial_suite(an):
     return SuiteResult("totally_spatial_characterization", (
-        ("all_sublocales_spatial", an.spatial_family == frozenset(an.assembly)),
+        ("all_sublocales_spatial", an.spatial_family == frozenset(range(len(an.assembly)))),
         ("d_in_spatialpart", an.d_family <= an.spatial_family),
         ("meets_of_essential_primes",
          classify.is_totally_spatial_by_essentials(an.frame)),
@@ -306,7 +311,7 @@ def _members_only(law, an, table, what):
     if failed:
         at = np.unravel_index(failed[0], table.shape)
         law.fail(f"a {what} is not a sublocale at "
-                 + ", ".join(repr(an.assembly[int(x)]) for x in at))
+                 + ", ".join(_name(an, int(x)) for x in at))
     return table
 
 
@@ -347,8 +352,8 @@ def law_difference(an, law):
 
 def _difference_pairs(an, law, diff, supp):
     assembly = an.assembly
-    subs, masks = assembly.sublocales, assembly.masks
-    k = len(subs)
+    masks = assembly.masks
+    k = len(masks)
     zero_mask = 1 << an.frame.top
     incl = an.inclusion
     # S\C is S meet supp(C) for a complemented C
@@ -363,14 +368,14 @@ def _difference_pairs(an, law, diff, supp):
     if failed:
         pos, which = failed
         i, j = divmod(pos, k)
-        law.fail(f"{_DIFFERENCE_PAIR_LAWS[which]} at {subs[i]!r}, {subs[j]!r}",
+        law.fail(f"{_DIFFERENCE_PAIR_LAWS[which]} at {_name(an, i)}, {_name(an, j)}",
                  checked=4 * (pos + 1))
     law.checked = 4 * k * k
 
 
 def _difference_triples(an, law, diff, meets):
-    subs, masks = an.assembly.sublocales, an.assembly.masks
-    k = len(subs)
+    masks = an.assembly.masks
+    k = len(masks)
     incl, close = an.inclusion, an.frame.meet_close_masks
     joined = an.index_table([s | t for s in masks for t in masks], close).reshape(k, k)
     # inside[i, j, r]: S_i lies inside the join of T_j and R_r
@@ -386,8 +391,8 @@ def _difference_triples(an, law, diff, meets):
         incl[d_ij, ks] != inside)
     if failed:
         pos, which = failed
-        i, j, r = (subs[x] for x in np.unravel_index(pos, (k, k, k)))
-        law.fail(f"{_DIFFERENCE_TRIPLE_LAWS[which]} at {i!r},{j!r},{r!r}",
+        i, j, r = (_name(an, x) for x in np.unravel_index(pos, (k, k, k)))
+        law.fail(f"{_DIFFERENCE_TRIPLE_LAWS[which]} at {i},{j},{r}",
                  checked=4 * k * k + 3 * (pos + 1))
     law.checked += 3 * k ** 3
 
@@ -429,22 +434,25 @@ def law_open_closed(an, law):
 
 @_battery("zero_dimensionality")
 def law_zero_dimensional(an, law):
-    """Every sublocale is the meet of the basic complemented ones above it."""
+    """Every sublocale is the meet of the basic complemented ones above
+    it, the n^2 joins o(x) join c(y), closed in one batch and validated."""
     frame = an.frame
-    n = frame.n
-    opens = [subl.open_sublocale(frame, x) for x in range(n)]
-    closeds = [subl.closed_sublocale(frame, y) for y in range(n)]
-    # the n^2 basics o(x) join c(y) take few distinct masks: test each once
-    basics = {subl.sublocale_join(frame, [o, c]).mask
-              for o in opens for c in closeds}
-    for s in an.assembly:
+    joined = subl._meet_closed_all(frame, [o | c for o in frame.open_masks
+                                           for c in frame.up_masks])
+    for m in (*frame.open_masks, *frame.up_masks, *joined):
+        try:
+            subl._validate_mask(frame, m)
+        except subl.NotASublocale as exc:
+            law.fail(f"{subl._label(frame, m)} is not a sublocale: {exc}")
+    basics = set(joined)    # few distinct masks: test each once
+    for i, s in enumerate(an.assembly.masks):
         law.checked += 1
-        acc = (1 << n) - 1
+        acc = (1 << frame.n) - 1
         for b in basics:
-            if s.mask & ~b == 0:
+            if s & ~b == 0:
                 acc &= b
-        if acc != s.mask:
-            law.fail(f"not an intersection of basics: {s!r}")
+        if acc != s:
+            law.fail(f"not an intersection of basics: {_name(an, i)}")
 
 
 @_battery("nucleus_roundtrip")
@@ -453,7 +461,7 @@ def law_nucleus_roundtrip(an, law):
     must be a nucleus, and back to the image of nu_S, which must be S.
     The nuclei of all members are one table (sublocales._nucleus_tables),
     checked by gathers."""
-    frame, subs, masks = an.frame, an.assembly.sublocales, an.assembly.masks
+    frame, masks = an.frame, an.assembly.masks
     k = len(masks)
     tables = subl._nucleus_tables(frame, masks)
     image = frames._row_sets(tables)
@@ -462,9 +470,9 @@ def law_nucleus_roundtrip(an, law):
     failure = subl._nucleus_failure(frame, tables[:first_wrong + 1])
     if failure:
         i, message = failure
-        law.fail(f"nucleus of {subs[i]!r} {message}", checked=i + 1)
+        law.fail(f"nucleus of {_name(an, i)} {message}", checked=i + 1)
     if first_wrong < k:
-        law.fail(repr(subs[first_wrong]), checked=first_wrong + 1)
+        law.fail(_name(an, first_wrong), checked=first_wrong + 1)
     law.checked = k
 
 
@@ -475,10 +483,11 @@ def law_covered_degeneracy(an, law):
     law.checked = 1
     if frames.covered_primes(an.frame) != frames.primes(an.frame):
         law.fail("frame level")
-    for s in an.assembly:
+    for i, m in enumerate(an.assembly.masks):
         law.checked += 1
-        if sy.covered_points_of(s) != sy.points_of(s):
-            law.fail(repr(s))
+        points, covered = frames.spectra_of(an.frame, m)
+        if covered != points:
+            law.fail(_name(an, i))
 
 
 @_battery("spectra")
@@ -494,10 +503,11 @@ def law_spectra(an, law):
     law.checked += 1
     if len(set(spec.sigma)) != frame.n:
         law.fail("counit not injective")
-    for s in an.assembly:
+    points = frames.mask_of(an.points)
+    for i, m in enumerate(an.assembly.masks):
         law.checked += 1
-        if sy.points_of(s) != an.points & s.members:
-            law.fail(f"intrinsic vs ambient points differ on {s!r}")
+        if frames.mask_of(frames.spectra_of(frame, m)[0]) != points & m:
+            law.fail(f"intrinsic vs ambient points differ on {_name(an, i)}")
 
 
 _TD_PAIR_LAWS = ("td-spatialization not monotone", "join not preserved",
@@ -506,61 +516,59 @@ _TD_PAIR_LAWS = ("td-spatialization not monotone", "join not preserved",
 
 @_battery("td_adjunction")
 def law_td_adjunction(an, law):
-    frame = an.frame
-    assembly = an.assembly
+    frame, assembly = an.frame, an.assembly
     report = sy.check_td_adjunction(assembly)
     law.checked = report.checked
     if not report.passed:
         law.fail(report.failures[0])
-    subs = assembly.sublocales
     masks = assembly.masks
     # sp[i]: the assembly index of the td-spatialization of member i
     sp = an.td_spatializations
     for i in an.d_indices:
         law.checked += 2
         if sp[i] < 0:
-            law.fail(f"td-spatialization of {subs[i]!r} is not a sublocale")
+            law.fail(f"td-spatialization of {_name(an, i)} is not a sublocale")
         if masks[sp[i]] & ~masks[i]:
-            law.fail(f"td-spatialization inflates {subs[i]!r}")
+            law.fail(f"td-spatialization inflates {_name(an, i)}")
         if sp.get(sp[i]) != sp[i]:
-            law.fail(f"td-spatialization not idempotent on {subs[i]!r}")
+            law.fail(f"td-spatialization not idempotent on {_name(an, i)}")
     joins = _members_only(law, an, an.joins, "join")
     meets = _members_only(law, an, an.meets, "meet")
     _td_pairs(an, law, joins, meets)
-    pts = sorted(an.points)     # td-spatializations as the enumeration closes them
-    for i in an.d_indices:
-        bits = sum(1 << b for b, p in enumerate(pts) if p in sy.covered_points_of(subs[i]))
+    # td-spatializations as the enumeration closes them (covered points
+    # read once for this and _covered_joins)
+    pts = sorted(an.points)
+    covered = [frames.mask_of(frames.spectra_of(frame, masks[i])[1]) for i in an.d_indices]
+    for i, cov in zip(an.d_indices, covered):
+        bits = sum(1 << b for b, p in enumerate(pts) if cov >> p & 1)
         if masks[sp[i]] != assembly.by_primes[bits]:
-            law.fail(f"td-spatialization of {subs[i]!r} is not its covered points' closure")
+            law.fail(f"td-spatialization of {_name(an, i)} is not its covered points' closure")
     # covered points distribute over joins of D-sublocales.  Checked on
     # pairs: a pair's join must be a D-sublocale again, and since
     # cl(cl(A | B) | C) = cl(A | B | C) the pair law gives the law for
     # families of every size.  Joins are closed here, off the frame memo
     # of sublocale_join.
-    _covered_joins(an, law)
+    _covered_joins(an, law, covered)
     # the classical adjunction, between subsets of the primes and the
-    # whole assembly, and the meet closure against its second route, the
-    # join of the one-point sublocales
-    report = sy.adjunction_law(frame, an.points, assembly, sy.points_of)
+    # whole assembly, and each subset's meet closure against the
+    # enumeration's, grown one prime at a time
+    report = sy.adjunction_law(frame, an.points, masks, False)
     law.checked += report.checked
     if not report.passed:
         law.fail(report.failures[0])
-    one_points = [subl.Sublocale(frame, {frame.top, p}) for p in pts]
-    for sel in range(1 << len(pts)):
+    for sel, grown in enumerate(assembly.by_primes):
         law.checked += 1
-        chosen = list(frames.bits_of(sel))
-        if sy.meet_closure(frame, [pts[i] for i in chosen]) != subl.sublocale_join(
-                frame, [one_points[i] for i in chosen]):
-            law.fail("meet closure disagrees with the join of points")
+        chosen = [pts[i] for i in frames.bits_of(sel)]
+        if subl._meet_closed(frame, frames.mask_of(chosen)) != grown:
+            law.fail(f"meet closure of {chosen} disagrees with the enumeration")
 
 
 def _td_pairs(an, law, joins, meets):
-    frame = an.frame
-    subs = an.assembly.sublocales
+    frame, masks = an.frame, an.assembly.masks
     d_idx, sp, incl = an.d_indices, an.td_spatializations, an.inclusion
     d = np.array(d_idx, dtype=np.intp)
     sp_d = np.array([sp[i] for i in d_idx], dtype=np.intp)
-    sp_of = np.full(len(subs), -1)      # sp.get(x) of every member, -1 off D
+    sp_of = np.full(len(masks), -1)     # sp.get(x) of every member, -1 off D
     sp_of[d] = sp_d
     pairs = d.size * d.size
     failed = _first_failure(
@@ -569,54 +577,56 @@ def _td_pairs(an, law, joins, meets):
     # the image meet law depends only on sp[i] meet sp[j]: check each
     # value once, where it first appears, up to the first failure above
     inter = meets[sp_d[:, None], sp_d].ravel()
-    first_seen = np.full(len(subs), pairs)
+    first_seen = np.full(len(masks), pairs)
     np.minimum.at(first_seen, inter, np.arange(pairs))
     for pos in np.sort(first_seen[first_seen < (failed[0] if failed else pairs)]):
-        # meets inside the image go through the operator once more
-        image_meet = sp_of[inter[pos]]
-        below = [subs[x] for x in sp_d[incl[sp_d, inter[pos]]]]
-        if not (image_meet >= 0 and
-                subl.sublocale_join(frame, below) == subs[image_meet]):
+        # meets inside the image go through the operator once more; the
+        # join is closed and validated as sublocale_join does
+        image_meet, union = sp_of[inter[pos]], 0
+        for x in sp_d[incl[sp_d, inter[pos]]].tolist():
+            union |= masks[x]
+        joined = subl._validate_mask(frame, subl._meet_closed(frame, union))
+        if not (image_meet >= 0 and joined == masks[image_meet]):
             failed = (int(pos), 2)
             break
     if failed:
         pos, which = failed
         a, b = divmod(pos, d.size)
         law.fail(_TD_PAIR_LAWS[which] if which == 0 else
-                 f"{_TD_PAIR_LAWS[which]} at {subs[d_idx[a]]!r}, {subs[d_idx[b]]!r}",
+                 f"{_TD_PAIR_LAWS[which]} at {_name(an, d_idx[a])}, {_name(an, d_idx[b])}",
                  checked=law.checked + pos + 1)
     law.checked += pairs
 
 
-def _covered_joins(an, law):
-    subs, masks = an.assembly.sublocales, an.assembly.masks
+def _covered_joins(an, law, covered):
+    """covered: the masks of the D-members' covered points, in order."""
+    masks = an.assembly.masks
     d_idx = an.d_indices
     d = np.array(d_idx, dtype=np.intp)
     d_masks = [masks[i] for i in d_idx]
     first, second = np.nonzero(np.arange(d.size)[:, None] < np.arange(d.size))
-    d_position = np.full(len(subs) + 1, -1)
+    d_position = np.full(len(masks) + 1, -1)
     d_position[d] = np.arange(d.size)
     # the D-family position of each pair's join, -1 off the D-family
     joined = d_position[an.index_table([x | y for a, x in enumerate(d_masks)
                                         for y in d_masks[a + 1:]],
                                        an.frame.meet_close_masks)]
-    covered = frames.mask_words((frames.mask_of(sy.covered_points_of(subs[i]))
-                                 for i in d_idx), an.frame.n).T
+    covered = frames.mask_words(covered, an.frame.n).T
     failed = _first_failure(
         joined < 0,
         (covered[:, joined] != covered[:, first] | covered[:, second]).any(axis=0))
     if failed:
         pos, which = failed
-        i, j = subs[d_idx[first[pos]]], subs[d_idx[second[pos]]]
-        law.fail(f"join of {i!r}, {j!r} is not a D-sublocale" if which == 0 else
-                 f"covered points of the join of {i!r}, {j!r} differ from their union",
+        i, j = _name(an, d_idx[first[pos]]), _name(an, d_idx[second[pos]])
+        law.fail(f"join of {i}, {j} is not a D-sublocale" if which == 0 else
+                 f"covered points of the join of {i}, {j} differ from their union",
                  checked=law.checked + pos + 1)
     law.checked += first.size
 
 
 @_battery("d_family_closure")
 def law_d_family_closure(an, law):
-    if an.whole not in an.d_family:
+    if _whole(an) not in an.d_family:
         law.fail("whole frame not in family", checked=1)
     if not an.smooth <= an.d_family:
         law.fail("smooth not inside family", checked=1)
@@ -629,11 +639,11 @@ def _d_family_escapes(an, law, table, others, what):
     """Fail at the first entry, in assembly order, of the table's rows of
     the D-sublocales and columns others that is not a D-sublocale, so a
     failure names the same pair and count every run."""
-    subs, d_idx = an.assembly.sublocales, an.d_indices
+    d_idx = an.d_indices
     failed = _first_failure(~an.in_d_family[table[np.ix_(d_idx, others)]])
     if failed:
         a, b = divmod(failed[0], len(others))
-        law.fail(f"{what} escapes at {subs[d_idx[a]]!r}, {subs[others[b]]!r}",
+        law.fail(f"{what} escapes at {_name(an, d_idx[a])}, {_name(an, others[b])}",
                  checked=law.checked + failed[0] + 1)
     law.checked += len(d_idx) * len(others)
 
@@ -648,7 +658,7 @@ def law_assembly_order(an, law):
     assembly = an.assembly
     # the order frame lists the members in assembly order, so its
     # elements are assembly indices, as are the table entries
-    order = _order_frame(assembly)
+    order = _order_frame(an, range(len(assembly)))
     if order is None:
         law.fail("the order of the assembly is not a frame", checked=1)
     frame = an.frame
@@ -663,7 +673,7 @@ def law_assembly_order(an, law):
                  "one-point sublocales")
     # the td-spatial members form the boolean sublocale at the
     # td-spatialization of the whole frame
-    sp_index = an.td_spatializations.get(assembly.index_of(an.whole.mask), -1)
+    sp_index = an.td_spatializations.get(_whole(an), -1)
     image = set(an.td_spatializations.values())
     law.checked += 1
     if sp_index < 0 or image != subl.boolean_sublocale(order, sp_index).members:
@@ -683,7 +693,7 @@ def _order_pairs(an, law, order, prime_joins):
         pos, which = failed
         i, j = divmod(pos, k)
         law.fail(_ORDER_PAIR_LAWS[which] if which < 2 else
-                 f"{_ORDER_PAIR_LAWS[which]} at {assembly[i]!r}, {assembly[j]!r}",
+                 f"{_ORDER_PAIR_LAWS[which]} at {_name(an, i)}, {_name(an, j)}",
                  checked=3 * (pos + 1))
     law.checked = 3 * k * k
 
@@ -693,14 +703,14 @@ def law_lifting(an, law):
     if len(an.assembly) > TRIPLE_SCAN_LIMIT:
         law.detail = "skipped: assembly too large"
         return
-    for s in an.assembly:
+    for i in range(len(an.assembly)):
         law.checked += 1
         try:
-            lift = sy.lift_surjection(an.assembly, s)
+            lift = sy._lift(an.assembly, i)
         except ValueError as exc:   # NotLiftable, a FrameError or a failed law
-            law.fail(f"no lift onto {s!r}: {exc}")
+            law.fail(f"no lift onto {_name(an, i)}: {exc}")
         if not lift.surjective:
-            law.fail(f"lift onto {s!r} is not surjective")
+            law.fail(f"lift onto {_name(an, i)} is not surjective")
 
 
 @_battery("essential_primes")

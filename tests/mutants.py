@@ -15,7 +15,8 @@ the meet closure one mask at a time and in batches, the spectra, meets
 of points and subfitness), the cap prediction of enumerate_assembly,
 the difference's unions of pieces, the nucleus table, the
 supplement row of FrameAnalysis and the batched lift laws, and the
-MEMO_MUTANTS the two entries of the frame memo that _from_mask reads;
+MEMO_MUTANTS the two entries of the frame memo that _from_mask and
+_validate_mask read;
 each of these is the kernel's own source with one statement edited
 (_edited), so it differs from the real kernel by exactly that statement.
 """
@@ -31,7 +32,7 @@ from localelab import subsystems as sy
 REAL_COVERED = frames.covered_primes
 REAL_PIECES_UNIONS = subl._pieces_unions
 REAL_PRIME_CLOSURES = subl._prime_subset_closures
-REAL_SPECTRA = sy._spectra
+REAL_SPECTRA = frames.spectra_of
 
 
 def underreport_covered_primes(monkeypatch):
@@ -94,11 +95,11 @@ def enumeration_without_prime_meets(monkeypatch):
 
 
 def spectra_of_another_mask(monkeypatch):
-    """An intrinsic-spectra memo that answers every sublocale with the
+    """An intrinsic-spectra reader that answers every mask with the
     entry of the whole frame."""
-    def mutant(sub):
-        return REAL_SPECTRA(subl.whole(sub.frame))
-    monkeypatch.setattr(sy, "_spectra", mutant)
+    def mutant(frame, mask):
+        return REAL_SPECTRA(frame, (1 << frame.n) - 1)
+    monkeypatch.setattr(frames, "spectra_of", mutant)
 
 
 def pair_differences_transposed(monkeypatch):
@@ -345,10 +346,10 @@ ORDER_MUTANTS = (
 
 
 def validation_memo_reading_subs(monkeypatch):
-    """_from_mask skips validation of any mask it has an object for, as
-    if every interned mask had been validated."""
-    _patch_edited(monkeypatch, "_from_mask", "mask not in memo.valid",
-                  "mask not in memo.subs", owner=subl)
+    """_validate_mask skips any mask the frame has an object for, as if
+    every interned mask had been validated."""
+    _patch_edited(monkeypatch, "_validate_mask", "if mask in valid:",
+                  "if mask in valid or mask in frame._memo.subs:", owner=subl)
 
 
 def object_memo_answering_first(monkeypatch):

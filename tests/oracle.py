@@ -313,6 +313,18 @@ def fully_distributive(frame):
     return True
 
 
+def sublocale_frame(sub):
+    """The sublocale as a frame in its own right, with its element map:
+    (frame, members), members[i] the ambient element of the i-th new one."""
+    members = tuple(sorted(sub.members))
+    return sy._frame_on(sub.frame, members), members
+
+
+def zero(frame):
+    """The one-point sublocale {top}, bottom of the assembly."""
+    return Sublocale(frame, {frame.top})
+
+
 def join_bruteforce(frame, parts):
     """Join of sublocales: meets of all subsets of the union."""
     union = sorted(set().union(*(p.members for p in parts)) | {frame.top})
@@ -341,20 +353,22 @@ def least_difference(frame, assembly_masks, s, t):
 # ---------------------------------------------------------------------------
 # the adjunction scan by pairs
 
-def adjunction_law_by_pairs(frame, points, family, spectrum):
+def adjunction_law_by_pairs(frame, points, family, covered):
     """subsystems.adjunction_law as one test per (Y, S) pair, the judge of
-    its bitsets: the same report, failures in the same order."""
+    its bitsets: the same report, failures in the same order.  Each
+    meet closure is a Sublocale from subsystems.meet_closure."""
     pts = sorted(points)
-    subs = [(s, frames.mask_of(spectrum(s))) for s in family]
+    name = ("points_of", "covered_points_of")[covered]
+    subs = [(subl._from_mask(frame, s), frames.mask_of(frames.spectra_of(frame, s)[covered]))
+            for s in family]
     failures = []
     checked = 0
     for sel in range(1 << len(pts)):
         y = frozenset(pts[i] for i in frames.bits_of(sel))
         y_mask = frames.mask_of(y)
         m = sy.meet_closure(frame, y)
-        if spectrum(m) != y:
-            failures.append(f"{spectrum.__name__}(meet_closure({sorted(y)})) "
-                            f"!= {sorted(y)}")
+        if frames.spectra_of(frame, m.mask)[covered] != y:
+            failures.append(f"{name}(meet_closure({sorted(y)})) != {sorted(y)}")
         for s, s_points in subs:
             checked += 1
             lhs = m.mask & ~s.mask == 0
@@ -414,7 +428,7 @@ def complemented_by_supplements(assembly):
     """Zero and the members that meet their supplement in zero
     (sublocales.is_complemented)."""
     return (frozenset(s for s in assembly if subl.is_complemented(s))
-            | {subl.zero(assembly.frame)})
+            | {zero(assembly.frame)})
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +458,7 @@ def difference_pairs_by_loops(an, law, diff, supp):
     """theorems._difference_pairs: the four pair laws of S\\T, tested
     pair by pair, each pair's laws in turn."""
     assembly = an.assembly
-    subs, masks = assembly.sublocales, assembly.masks
+    subs, masks = list(assembly), assembly.masks
     zero_mask = 1 << an.frame.top
     supp = [masks[a] for a in supp.tolist()]
     diff = diff.tolist()
@@ -470,7 +484,7 @@ def difference_pairs_by_loops(an, law, diff, supp):
 def difference_triples_by_loops(an, law, diff, meets):
     """theorems._difference_triples: the three triple laws of S\\T,
     tested triple by triple against joins closed one mask at a time."""
-    subs, masks = an.assembly.sublocales, an.assembly.masks
+    subs, masks = list(an.assembly), an.assembly.masks
     k = len(subs)
     diff, meets = diff.tolist(), meets.tolist()
     close = functools.cache(an.frame.meet_close_mask)
@@ -499,7 +513,7 @@ def td_pairs_by_loops(an, law, joins, meets):
     meet law of the td-spatialization, pair by pair of D-sublocales,
     inclusion read from the masks."""
     frame = an.frame
-    subs, masks = an.assembly.sublocales, an.assembly.masks
+    subs, masks = list(an.assembly), an.assembly.masks
     d_idx, sp = an.d_indices, an.td_spatializations
     joins, meets = joins.tolist(), meets.tolist()
     # the image meet law depends only on sp[i] meet sp[j]: check each once
@@ -525,13 +539,14 @@ def td_pairs_by_loops(an, law, joins, meets):
                 law.fail(f"{theorems._TD_PAIR_LAWS[2]} at {subs[i]!r}, {subs[j]!r}")
 
 
-def covered_joins_by_loops(an, law):
+def covered_joins_by_loops(an, law, covered):
     """theorems._covered_joins: each join of two D-sublocales, closed one
-    mask at a time, is a D-sublocale whose covered points are theirs."""
-    subs, masks = an.assembly.sublocales, an.assembly.masks
+    mask at a time, is a D-sublocale whose covered points, from the
+    masks covered lists in D-family order, are theirs."""
+    subs, masks = list(an.assembly), an.assembly.masks
     d_idx = an.d_indices
     close = functools.cache(an.frame.meet_close_mask)
-    covered = {masks[i]: sy.covered_points_of(subs[i]) for i in d_idx}
+    covered = {masks[i]: c for i, c in zip(d_idx, covered)}
     for a, i in enumerate(d_idx):
         for j in d_idx[a + 1:]:
             law.checked += 1
@@ -546,7 +561,7 @@ def covered_joins_by_loops(an, law):
 def d_family_escapes_by_loops(an, law, table, others, what):
     """theorems._d_family_escapes: each entry of the D-rows of the table
     tested for D-membership in turn."""
-    subs, d_idx = an.assembly.sublocales, an.d_indices
+    subs, d_idx = list(an.assembly), an.d_indices
     rows, d_set = table.tolist(), set(d_idx)
     for i in d_idx:
         for j in others:
@@ -576,27 +591,29 @@ def order_pairs_by_loops(an, law, order, prime_joins):
 # ---------------------------------------------------------------------------
 # the lift onto one member at a time
 
-def lifts_by_adjoint_pairs(assembly, sub):
-    """subsystems.lift_surjection as each lift was once built on its own,
-    the judge of the one-pass lifting (tests/test_mutants.py swaps it in):
-    it rebuilds the source side, builds and validates the target's order
-    frame, and checks the laws by AdjointPair's loops, then the
-    closed-generator square by masks.  Only the result is built
-    differently: the AssemblyLift is made from the pair, surjective
-    when the pair's hom reaches every element of its target."""
-    if not sy.is_d_sublocale(sub):
+def lifts_by_adjoint_pairs(assembly, i):
+    """The lift onto member i, subsystems._lift, as each lift was once
+    built on its own, the judge of the one-pass lifting
+    (tests/test_mutants.py swaps it in): it rebuilds the source side,
+    builds and validates the target's order frame, and checks the laws
+    by AdjointPair's loops, then the closed-generator square by masks.
+    Only the result is built differently: the AssemblyLift is made from
+    the pair, surjective when the pair's hom reaches every element of its
+    target."""
+    frame, sub = assembly.frame, assembly[i]
+    if not sy._is_d(frame, sub.mask):
         raise sy.NotLiftable(f"{sub!r} is not a D-sublocale")
-    frame = assembly.frame
-    src_family = sy.d_sublocales(assembly)
-    src_frame, src_subs = subl.family_order_frame(src_family)
+    src_frame, src_masks = subl.family_order_frame(
+        frame, [assembly.masks[j] for j in sy.d_sublocales(assembly)])
+    src_subs = [subl._from_mask(frame, m) for m in src_masks]
 
-    sub_frame, members = sy.sublocale_frame(sub)
+    sub_frame, members = sublocale_frame(sub)
     pos = {a: i for i, a in enumerate(members)}
     tgt_assembly = subl.enumerate_assembly(sub_frame, len(assembly))
-    tgt_family = sy.d_sublocales(tgt_assembly)
-    tgt_frame, tgt_subs = subl.family_order_frame(tgt_family)
-    src_index = {t.mask: i for i, t in enumerate(src_subs)}
-    tgt_index = {t.mask: i for i, t in enumerate(tgt_subs)}
+    tgt_frame, tgt_masks = subl.family_order_frame(
+        sub_frame, [tgt_assembly.masks[j] for j in sy.d_sublocales(tgt_assembly)])
+    src_index = {m: i for i, m in enumerate(src_masks)}
+    tgt_index = {m: i for i, m in enumerate(tgt_masks)}
 
     hom = []
     for t in src_subs:
@@ -610,12 +627,12 @@ def lifts_by_adjoint_pairs(assembly, sub):
     pair = sy.AdjointPair(src_frame, tgt_frame, hom)
 
     # closed-generator square: c(a) in the source maps to c(a) in sub
-    for a in sub.members:
+    for a in sorted(sub.members):
         i = src_index.get(frame.up_masks[a])
         if i is None:
             raise sy.NotLiftable(f"closed sublocale c({a}) is not a D-sublocale")
         expect = frames.mask_of(pos[x] for x in frames.bits_of(sub.mask & frame.up_masks[a]))
-        if tgt_subs[pair.hom[i]].mask != expect:
+        if tgt_masks[pair.hom[i]] != expect:
             raise sy.NotLiftable(f"closed-generator square fails at {a}")
-    return sy.AssemblyLift(pair.hom, src_subs, tgt_subs, members,
+    return sy.AssemblyLift(frame, src_masks, pair.hom, members,
                            set(pair.hom) == set(range(pair.target.n)))

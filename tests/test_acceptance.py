@@ -131,7 +131,7 @@ def test_criterion_5_lemma_batteries(poset_corpus, named_fixtures):
     for f in (g for g in poset_corpus + named_fixtures
               if 1 << len(frames.primes(g)) <= 64):
         assembly = subl.enumerate_assembly(f)
-        order, _ = subl.family_order_frame(assembly)
+        order, _ = subl.family_order_frame(f, assembly.masks)
         expected = frozenset(assembly.index_of(1 << f.top | 1 << p)
                              for p in frames.covered_primes(f))
         assert frames.covered_primes(order) == expected

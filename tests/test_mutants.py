@@ -285,17 +285,20 @@ def _smooth_families_match_oracle():
     complemented members with zero, equal the supplement loops."""
     for f in (make() for make in SMALL_FRAMES):
         an = sy.FrameAnalysis(f)
-        if (an.smooth != oracle.smooth_by_supplements(an.assembly)
-                or an.smooth_by_joins != oracle.complemented_by_supplements(an.assembly)):
+        index = an.assembly.index_of
+        if (an.smooth != {index(s.mask) for s in oracle.smooth_by_supplements(an.assembly)}
+                or an.smooth_by_joins != {index(s.mask) for s in
+                                          oracle.complemented_by_supplements(an.assembly)}):
             return False
     return True
 
 
-def _lift_outcome(lift, assembly, s):
-    """What lift(assembly, s) gives, as comparable values: the exception
-    type and message, or the hom, the target masks and surjectivity."""
+def _lift_outcome(lift, assembly, i):
+    """What lift(assembly, i), the lift onto member i, gives, as
+    comparable values: the exception type and message, or the hom, the
+    target masks and surjectivity."""
     try:
-        got = lift(assembly, s)
+        got = lift(assembly, i)
     except Exception as exc:
         return type(exc), str(exc)
     return got.hom, [t.mask for t in got.target_subs], got.surjective
@@ -306,9 +309,9 @@ def _lifts_match_oracle():
     last of 16 members, equals oracle.lifts_by_adjoint_pairs."""
     for assembly in (subl.enumerate_assembly(make()) for make in
                      SMALL_FRAMES + (lambda: random_frames(1, 4, 3)[2],)):
-        if any(_lift_outcome(sy.lift_surjection, assembly, s)
-               != _lift_outcome(oracle.lifts_by_adjoint_pairs, assembly, s)
-               for s in assembly):
+        if any(_lift_outcome(sy._lift, assembly, i)
+               != _lift_outcome(oracle.lifts_by_adjoint_pairs, assembly, i)
+               for i in range(len(assembly))):
             return False
     return True
 
@@ -397,7 +400,7 @@ CHECKS = theorems.THEOREM_SUITES + theorems.LAW_BATTERIES
 
 # the checks that scan pairs or triples of the assembly -> each array
 # scan they call in theorems (a dotted name is read through theorems, so
-# "sy.lift_surjection" is subsystems.lift_surjection), with its loop in
+# "sy._lift" is subsystems._lift), with its loop in
 # tests/oracle.py
 SCANNED = {
     theorems.covered_primes_suite: {"_d_meets_closed": oracle.d_meets_closed_by_loops},
@@ -407,7 +410,7 @@ SCANNED = {
                                  "_covered_joins": oracle.covered_joins_by_loops},
     theorems.law_d_family_closure: {"_d_family_escapes": oracle.d_family_escapes_by_loops},
     theorems.law_assembly_order: {"_order_pairs": oracle.order_pairs_by_loops},
-    theorems.law_lifting: {"sy.lift_surjection": oracle.lifts_by_adjoint_pairs},
+    theorems.law_lifting: {"sy._lift": oracle.lifts_by_adjoint_pairs},
 }
 
 
@@ -440,15 +443,14 @@ def _routes(an):
         out[check.__name__] = arrays, loops
     out["law_nucleus_roundtrip"] = (theorems.law_nucleus_roundtrip(an),
                                     oracle.nucleus_roundtrip_by_loops(an))
-    frame, assembly = an.frame, an.assembly
-    d_family = sy.d_sublocales(assembly)
-    for name, points, family, spectrum in (
-            ("check_td_adjunction", an.covered, [s for s in assembly if s in d_family],
-             sy.covered_points_of),
-            ("adjunction_law", an.points, assembly, sy.points_of)):
+    frame, masks = an.frame, an.assembly.masks
+    d_masks = [masks[i] for i in sorted(sy.d_sublocales(an.assembly))]
+    for name, points, family, covered in (
+            ("check_td_adjunction", an.covered, d_masks, True),
+            ("adjunction_law", an.points, masks, False)):
         out[name] = tuple((report.checked, report.failures) for report in (
-            sy.adjunction_law(frame, points, family, spectrum),
-            oracle.adjunction_law_by_pairs(frame, points, family, spectrum)))
+            sy.adjunction_law(frame, points, family, covered),
+            oracle.adjunction_law_by_pairs(frame, points, family, covered)))
     return out, calls
 
 
@@ -584,9 +586,9 @@ def test_lift_pass_matches_its_oracle_past_one_word():
     # the one pass lifts onto all 128 members of the 72-element frame,
     # whose masks take two words; every eighth is judged by its oracle
     assembly = subl.enumerate_assembly(_two_word_frame())
-    assert all(_lift_outcome(sy.lift_surjection, assembly, s)
-               == _lift_outcome(oracle.lifts_by_adjoint_pairs, assembly, s)
-               for s in assembly[::8])
+    assert all(_lift_outcome(sy._lift, assembly, i)
+               == _lift_outcome(oracle.lifts_by_adjoint_pairs, assembly, i)
+               for i in range(0, len(assembly), 8))
 
 
 # the checks that no mutant makes fail on MATRIX_FRAMES

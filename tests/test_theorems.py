@@ -10,6 +10,7 @@ from localelab import frames
 from localelab import sublocales as subl
 from localelab import subsystems as sy
 from localelab import theorems
+from localelab.sublocales import Sublocale
 
 import mutants
 import oracle
@@ -54,7 +55,7 @@ class TestBooleanLattice:
     def test_matches_the_loops(self, small_corpus):
         # the frames and the reverse-inclusion orders of their assemblies,
         # Boolean on a finite frame, against the loop that scans the rows
-        orders = [subl.family_order_frame(subl.enumerate_assembly(f))[0]
+        orders = [subl.family_order_frame(f, subl.enumerate_assembly(f).masks)[0]
                   for f in small_corpus]
         results = [theorems.is_boolean_lattice(f) for f in small_corpus + orders]
         assert results == [oracle.is_boolean_by_loops(f) for f in small_corpus + orders]
@@ -81,23 +82,20 @@ class TestInconsistencyDetection:
         verdict = theorems.verify_frame_theorems(square)
         assert not verdict.passed
 
-    def test_meet_closure_checked_against_join_of_points(self, square,
-                                                         monkeypatch):
-        # a join that answers zero when every part is a one-point
-        # sublocale {1, p}; the pair tables are built before the doctoring
+    def test_meet_closure_checked_against_join_of_points(self, square):
+        # the meet closure of each subset of the primes is checked against
+        # the enumeration's closure of it, grown one prime at a time: an
+        # enumeration whose entry for both primes misses the bottom is
+        # caught there.  The td-spatializations read the same entries
+        # first, so the D-family is emptied for the checks that read them
         an = sy.FrameAnalysis(square)
         assert theorems.law_td_adjunction(an).ok
-        real = subl.sublocale_join
-
-        def doctored(frame, parts):
-            parts = list(parts)
-            if parts and all(len(s.members) == 2 for s in parts):
-                return subl.zero(frame)
-            return real(frame, parts)
-        monkeypatch.setattr(subl, "sublocale_join", doctored)
+        by_primes = an.assembly.by_primes
+        an.assembly.by_primes = by_primes[:3] + (by_primes[3] & ~(1 << square.bottom),)
+        an.d_indices = ()
         result = theorems.law_td_adjunction(an)
         assert not result.ok
-        assert "join of points" in result.detail
+        assert "disagrees with the enumeration" in result.detail
 
     def test_essential_primes_battery_sees_a_dropped_prime(self, chain3,
                                                            monkeypatch):
@@ -128,9 +126,9 @@ class TestUnprovenStepChecks:
             an = sy.FrameAnalysis(f)
             if an.d_family <= an.smooth:
                 sp = sy.meet_closure(f, sy.points_of(subl.whole(f)))
-                sp_frame, members = sy.sublocale_frame(sp)
+                sp_frame, members = oracle.sublocale_frame(sp)
                 sp_an = sy.FrameAnalysis(sp_frame)
-                assert frozenset(sp_an.assembly) == sp_an.spatial_family
+                assert frozenset(range(len(sp_an.assembly))) == sp_an.spatial_family
 
     def test_smooth_below_spatialization_restricts(self, small_corpus):
         # empirical check of the unproven step: smooth sublocales inside
@@ -138,12 +136,12 @@ class TestUnprovenStepChecks:
         for f in (f for f in small_corpus if f.n <= 8):
             an = sy.FrameAnalysis(f)
             sp = sy.meet_closure(f, sy.points_of(subl.whole(f)))
-            sp_frame, members = sy.sublocale_frame(sp)
+            sp_frame, members = oracle.sublocale_frame(sp)
             pos = {a: i for i, a in enumerate(members)}
             inner = sy.FrameAnalysis(sp_frame)
-            inner_smooth = {frozenset(members[i] for i in s.members)
-                            for s in inner.smooth}
-            for b in an.smooth:
+            inner_smooth = {frozenset(members[i] for i in inner.assembly[j].members)
+                            for j in inner.smooth}
+            for b in (an.assembly[i] for i in an.smooth):
                 if b.members <= sp.members:
                     assert b.members in inner_smooth
 
@@ -245,6 +243,25 @@ def test_td_spatializations_are_the_enumerations_closures():
                         f.n, x] += 1
     assert sum(details.values()) == 1562
     assert {key: n for key, n in details.items() if key[0]} == {(True, 2, 1): 14}
+
+
+def test_td_spatialization_failure_sites(square):
+    # the checks of the td-spatializations themselves, each reached by a
+    # doctored map: zero sent off the assembly, zero sent to the whole
+    # frame, and the whole frame sent to a member that is sent to zero
+    an = sy.FrameAnalysis(square)
+    assert theorems.law_td_adjunction(an).ok
+    sp, index = an.td_spatializations, an.assembly.index_of
+    whole, zero = index((1 << square.n) - 1), index(1 << square.top)
+    middle = next(i for i in sp if i not in (whole, zero))
+    for doctored, detail in (
+            ({**sp, zero: -1}, f"td-spatialization of {an.assembly[zero]!r} is not a sublocale"),
+            ({**sp, zero: whole}, f"td-spatialization inflates {an.assembly[zero]!r}"),
+            ({**sp, whole: middle, middle: zero},
+             f"td-spatialization not idempotent on {an.assembly[whole]!r}")):
+        an.td_spatializations = doctored
+        result = theorems.law_td_adjunction(an)
+        assert not result.ok and result.detail == detail
 
 
 class TestLawBatteryDetails:
@@ -365,6 +382,33 @@ class TestResultDigest:
         assert len(lines) == 49 * (len(theorems.THEOREM_SUITES)
                                    + len(theorems.LAW_BATTERIES))
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == self.DIGEST
+
+    def test_verify_builds_few_sublocale_objects(self, monkeypatch):
+        # the engine computes on masks: verify_frame_theorems builds the n
+        # boolean sublocales b(a) of law_essential_primes and the one of
+        # law_assembly_order, and no Sublocale of a lift target
+        built, targets = [], []
+        real_init, real_frame_on = Sublocale.__init__, sy._frame_on
+
+        def counting_init(sub, frame, members, _validate=True):
+            built.append(frame)
+            real_init(sub, frame, members, _validate)
+
+        def recording_frame_on(frame, members):
+            targets.append(real_frame_on(frame, members))
+            return targets[-1]
+        monkeypatch.setattr(Sublocale, "__init__", counting_init)
+        monkeypatch.setattr(sy, "_frame_on", recording_frame_on)
+        lifted = 0
+        for seed, bound, count in self.CORPUS:
+            for f in random_frames(seed, bound, count):
+                built.clear()
+                targets.clear()
+                assert theorems.verify_frame_theorems(f).passed
+                assert len(built) <= f.n + 3
+                assert not any(b is t for b in built for t in targets if t is not f)
+                lifted += len(targets)
+        assert lifted > 0
 
     def test_every_member_is_validated(self):
         # the pair tables validate nothing; the checks that build members
